@@ -26,7 +26,7 @@ from .geometry import Pose
 from .io import (load_index, load_model, load_pruner, load_sequence,
                  save_index, save_model, save_sequence)
 from .matching import MODES, KernelConfig, MatchConfig
-from .registration import RansacConfig, match_sequence, register_sequence
+from .registration import REFERENCE_DIAGONAL, RansacConfig, match_sequence, register_sequence
 from .retrieval import build_vocabulary, index_images
 from .sequence import prune_frames
 from .synth import SynthConfig, night_preset, synth_scene
@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NO_RESULT = 3
-
-REFERENCE_DIAGONAL = 800.0
 
 
 class _Parser(argparse.ArgumentParser):

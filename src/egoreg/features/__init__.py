@@ -4,6 +4,7 @@ from .context import (
     ContextConfig,
     Roi,
     attach_context,
+    context_region,
     context_roi,
     covariance_descriptor,
     dense_descriptors,
@@ -25,6 +26,7 @@ __all__ = [
     "attach_context",
     "bilinear_sample",
     "compute_descriptors",
+    "context_region",
     "context_roi",
     "contexts",
     "covariance_descriptor",

@@ -8,6 +8,12 @@ log-matrix is half-vectorized with sqrt(2)-weighted off-diagonals. That
 weighting makes the Euclidean norm of the vector equal the Frobenius norm
 of the log-matrix, so vector distances reproduce the log-Euclidean metric
 between covariance matrices exactly.
+
+`attach_context` maps EIGH_CHUNK covariances at a time through one batched
+eigendecomposition, so a chunk bounds its memory: 128 KiB per 128x128
+matrix, a few (EIGH_CHUNK, 128, 128) stacks in flight. It feeds grid rows
+in their fixed row-major order; the row sort that makes the public
+`covariance_descriptor` bitwise invariant to sample order lives only there.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from ..errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
 from .detector import finalize_descriptor
@@ -27,6 +32,7 @@ PATCH = 16
 MIN_ROI_SIDE = PATCH
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
+EIGH_CHUNK = 8  # keypoints per batched eigendecomposition
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,20 @@ def context_roi(kp: Keypoint, epsilon: float, width: int, height: int,
     return Roi(left, top, side)
 
 
+def context_region(kp: Keypoint, width: int, height: int,
+                   cfg: ContextConfig = ContextConfig()) -> Roi | None:
+    """The keypoint's context region, or None when it cannot have a context.
+
+    That is when there is no `context_roi` or its grid has under two nodes.
+    """
+    try:
+        roi = context_roi(kp, cfg.epsilon, width, height,
+                          roi_base=cfg.roi_base, scale_factor=cfg.scale_factor)
+    except RoiTooSmall:
+        return None
+    return roi if roi.side - PATCH >= cfg.stride else None
+
+
 def dense_descriptors(field: GradientField, roi: Roi, stride: int = 4) -> np.ndarray:
     """Descriptors on a dense grid inside the region, (n, 128) float64.
 
@@ -93,51 +113,51 @@ def dense_descriptors(field: GradientField, roi: Roi, stride: int = 4) -> np.nda
         raise RoiTooSmall("region extends outside the image")
 
     n_axis = (roi.side - PATCH) // stride + 1
-    xs = roi.left + PATCH // 2 + stride * np.arange(n_axis)
-    ys = roi.top + PATCH // 2 + stride * np.arange(n_axis)
-
     cell = PATCH // 4
-    cell_off = cell * np.arange(4)
-    # top-left corner of each 4x4-cell window, per node and cell
-    cx0 = (xs[:, None] - PATCH // 2) + cell_off[None, :]          # (nx, 4)
-    cy0 = (ys[:, None] - PATCH // 2) + cell_off[None, :]          # (ny, 4)
+    # top-left corner of each node's 4x4 cells, per node and cell
+    offs = stride * np.arange(n_axis)[:, None] + cell * np.arange(4)[None, :]  # (n, 4)
+    y0 = (roi.top + offs)[:, None, :, None]                        # ny,1,4,1
+    x0 = (roi.left + offs)[None, :, None, :]                       # 1,nx,1,4
+    sums = field.window_sums(cell)[y0, x0]                         # ny,nx,4,4,8
+    return finalize_descriptor(sums.reshape(n_axis * n_axis, DESCRIPTOR_DIM))
 
-    y0 = cy0[:, None, :, None, None]                               # ny,1,4,1,1
-    y1 = y0 + cell
-    x0 = cx0[None, :, None, :, None]                               # 1,nx,1,4,1
-    x1 = x0 + cell
-    sums = field.cell_sums(y0, y1, x0, x1)                         # ny,nx,4,4,1,8
-    descs = sums.reshape(n_axis * n_axis, DESCRIPTOR_DIM)
 
-    out = np.empty_like(descs)
-    for i in range(descs.shape[0]):
-        out[i] = finalize_descriptor(descs[i])
-    return out
+def _covariance(x: np.ndarray) -> np.ndarray:
+    """Regularized sample covariance of (n, d) rows, in the given row order."""
+    n, d = x.shape
+    xc = x - x.mean(axis=0)
+    c = xc.T @ xc / (n - 1)
+    c = (c + c.T) / 2.0
+    c[np.diag_indices(d)] += RIDGE_SCALE * float(np.trace(c)) / d + RIDGE_FLOOR
+    return c
 
 
 def covariance_descriptor(samples: np.ndarray) -> np.ndarray:
     """Regularized sample covariance of descriptor rows, (d, d) float64.
 
-    Rows are lexicographically sorted before accumulation so the result is
-    bitwise invariant to input permutation. The ridge added to the diagonal
-    is 1e-6 * trace/d + 1e-12, which keeps the matrix positive definite even
-    when there are fewer samples than dimensions.
+    Rows are lexicographically sorted before the core that `attach_context`
+    shares, so the result is bitwise invariant to input permutation. The
+    ridge added to the diagonal is 1e-6 * trace/d + 1e-12, which keeps the
+    matrix positive definite even when there are fewer samples than
+    dimensions.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("samples must be a 2D array")
-    n, d = x.shape
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {n}")
-    order = np.lexsort(x.T[::-1])
-    x = x[order]
-    m = x.mean(axis=0)
-    xc = x - m
-    c = xc.T @ xc / (n - 1)
-    c = (c + c.T) / 2.0
-    ridge = RIDGE_SCALE * float(np.trace(c)) / d + RIDGE_FLOOR
-    c[np.diag_indices(d)] += ridge
-    return c
+    if x.shape[0] < 2:
+        raise TooFewSamples(f"need at least 2 samples, got {x.shape[0]}")
+    return _covariance(x[np.lexsort(x.T[::-1])])
+
+
+def _log_euclidean(c: np.ndarray) -> np.ndarray:
+    """Half-vectorized matrix logarithms of a (k, d, d) SPD stack, (k, d(d+1)/2)."""
+    evals, evecs = np.linalg.eigh(c)
+    if evals[:, 0].min() <= 0.0:
+        raise NotPositiveDefinite(f"minimum eigenvalue {evals[:, 0].min():.6g}")
+    logm = np.matmul(evecs * np.log(evals)[:, None, :], evecs.transpose(0, 2, 1))
+    logm = (logm + logm.transpose(0, 2, 1)) / 2.0
+    iu, ju = np.triu_indices(c.shape[-1])
+    return logm[:, iu, ju] * np.where(iu == ju, 1.0, math.sqrt(2.0))
 
 
 def log_euclidean_vec(c: np.ndarray) -> np.ndarray:
@@ -148,18 +168,10 @@ def log_euclidean_vec(c: np.ndarray) -> np.ndarray:
     scaling ||vec(log C1) - vec(log C2)|| equals ||log C1 - log C2||_F.
     Raises NotPositiveDefinite when C has a non-positive eigenvalue.
     """
-    c = np.asarray(c, dtype=np.float64)
+    c = np.asarray_chkfinite(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("input must be a square matrix")
-    evals, evecs = sla.eigh(c)
-    if evals[0] <= 0.0:
-        raise NotPositiveDefinite(f"minimum eigenvalue {evals[0]:.6g}")
-    logm = (evecs * np.log(evals)) @ evecs.T
-    logm = (logm + logm.T) / 2.0
-    d = c.shape[0]
-    iu, ju = np.triu_indices(d)
-    weights = np.where(iu == ju, 1.0, math.sqrt(2.0))
-    return logm[iu, ju] * weights
+    return _log_euclidean(c[None])[0]
 
 
 def attach_context(image: GrayImage, kps: list[Keypoint],
@@ -167,22 +179,20 @@ def attach_context(image: GrayImage, kps: list[Keypoint],
                    field: GradientField | None = None) -> tuple[list[Keypoint], int]:
     """Attach a context vector to each keypoint.
 
-    Keypoints whose region is too small or yields fewer than two grid
-    samples are dropped silently; the second return value counts the drops.
+    Keypoints for which `context_region` finds no region are dropped and
+    counted by the second return value; the others come back in input
+    order. Contexts equal the per-keypoint composition dense_descriptors ->
+    covariance_descriptor -> log_euclidean_vec up to round-off, and are
+    computed EIGH_CHUNK at a time (see the module docstring for memory).
     """
     if field is None:
         field = GradientField(image)
+    rois = [context_region(kp, image.width, image.height, cfg) for kp in kps]
+    kept = [i for i, roi in enumerate(rois) if roi is not None]
     out: list[Keypoint] = []
-    dropped = 0
-    for kp in kps:
-        try:
-            roi = context_roi(kp, cfg.epsilon, image.width, image.height,
-                              roi_base=cfg.roi_base, scale_factor=cfg.scale_factor)
-            descs = dense_descriptors(field, roi, cfg.stride)
-            cov = covariance_descriptor(descs)
-        except (RoiTooSmall, TooFewSamples):
-            dropped += 1
-            continue
-        vec = log_euclidean_vec(cov).astype(np.float32)
-        out.append(kp.with_context(vec))
-    return out, dropped
+    for start in range(0, len(kept), EIGH_CHUNK):
+        chunk = kept[start:start + EIGH_CHUNK]
+        covs = np.stack([_covariance(dense_descriptors(field, rois[i], cfg.stride))
+                         for i in chunk])
+        out += [kps[i].with_context(v) for i, v in zip(chunk, _log_euclidean(covs))]
+    return out, len(kps) - len(kept)

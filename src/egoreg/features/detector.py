@@ -42,28 +42,29 @@ class DetectorConfig:
 
 
 def finalize_descriptor(hist: np.ndarray) -> np.ndarray:
-    """Normalize, clip large components, renormalize.
+    """Normalize, clip large components, renormalize each row of a (..., 128) array.
 
-    A histogram with no gradient energy maps to the uniform unit vector so
-    that featureless patches still produce a valid descriptor.
+    A row with no gradient energy maps to the uniform unit vector so that
+    featureless patches still produce a valid descriptor.
     """
-    v = hist.reshape(-1).astype(np.float64)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        return np.full(DESCRIPTOR_DIM, 1.0 / math.sqrt(DESCRIPTOR_DIM))
-    v = np.minimum(v / n, _CLIP)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        return np.full(DESCRIPTOR_DIM, 1.0 / math.sqrt(DESCRIPTOR_DIM))
-    return v / n
+    v = np.asarray(hist, dtype=np.float64)
+    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    flat = n < 1e-12
+    v = np.minimum(v / np.where(flat, 1.0, n), _CLIP)
+    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    flat |= n < 1e-12
+    return np.where(flat, 1.0 / math.sqrt(DESCRIPTOR_DIM), v / np.where(flat, 1.0, n))
 
 
-def _descriptor_at(field: GradientField, u: float, v: float, scale: float,
-                   spacing_per_scale: float) -> np.ndarray:
-    step = max(0.6, spacing_per_scale * scale)
-    offs = (np.arange(_PATCH_SAMPLES) - (_PATCH_SAMPLES - 1) / 2.0) * step
-    us = u + np.broadcast_to(offs[None, :], (_PATCH_SAMPLES, _PATCH_SAMPLES))
-    vs = v + np.broadcast_to(offs[:, None], (_PATCH_SAMPLES, _PATCH_SAMPLES))
+def compute_descriptors(field: GradientField, pos: np.ndarray, scales: np.ndarray,
+                        spacing_per_scale: float = 0.75) -> np.ndarray:
+    """Axis-aligned descriptors at given positions/scales, (n, 128) float32."""
+    pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
+    n = pos.shape[0]
+    u, v = pos[:, 0, None, None], pos[:, 1, None, None]
+    step = np.maximum(0.6, spacing_per_scale * np.asarray(scales, np.float64)).reshape(n, 1, 1)
+    offs = np.arange(_PATCH_SAMPLES) - (_PATCH_SAMPLES - 1) / 2.0
+    us, vs = np.broadcast_arrays(u + offs[None, None, :] * step, v + offs[None, :, None] * step)
     gx, gy = field.sample_gradients(us, vs)
     mag = np.hypot(gx, gy)
     half = (_PATCH_SAMPLES / 2.0) * step
@@ -71,31 +72,18 @@ def _descriptor_at(field: GradientField, u: float, v: float, scale: float,
     mag = mag * np.exp(-r2 / (2.0 * half * half))
 
     ang = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
-    pos = ang * (8 / (2.0 * np.pi))
-    lo = np.floor(pos).astype(np.intp) % 8
-    frac = pos - np.floor(pos)
+    bins = ang * (8 / (2.0 * np.pi))
+    lo = np.floor(bins).astype(np.intp) % 8
+    frac = bins - np.floor(bins)
     hi = (lo + 1) % 8
 
-    cell_r = np.repeat(np.arange(_N_CELLS), _PATCH_SAMPLES // _N_CELLS)
-    rows = np.broadcast_to(cell_r[:, None], (_PATCH_SAMPLES, _PATCH_SAMPLES))
-    cols = np.broadcast_to(cell_r[None, :], (_PATCH_SAMPLES, _PATCH_SAMPLES))
-
-    hist = np.zeros((_N_CELLS, _N_CELLS, 8), dtype=np.float64)
-    np.add.at(hist, (rows, cols, lo), mag * (1.0 - frac))
-    np.add.at(hist, (rows, cols, hi), mag * frac)
-    return finalize_descriptor(hist)
-
-
-def compute_descriptors(field: GradientField, pos: np.ndarray, scales: np.ndarray,
-                        spacing_per_scale: float = 0.75) -> np.ndarray:
-    """Axis-aligned descriptors at given positions/scales, (n, 128) float32."""
-    pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
-    scales = np.atleast_1d(np.asarray(scales, dtype=np.float64))
-    out = np.zeros((pos.shape[0], DESCRIPTOR_DIM), dtype=np.float32)
-    for i in range(pos.shape[0]):
-        out[i] = _descriptor_at(field, pos[i, 0], pos[i, 1], scales[i],
-                                spacing_per_scale).astype(np.float32)
-    return out
+    # (keypoint, cell row, cell column) of every sample
+    cell = np.repeat(np.arange(_N_CELLS), _PATCH_SAMPLES // _N_CELLS)
+    idx = (np.arange(n)[:, None, None], cell[None, :, None], cell[None, None, :])
+    hist = np.zeros((n, _N_CELLS, _N_CELLS, 8), dtype=np.float64)
+    np.add.at(hist, idx + (lo,), mag * (1.0 - frac))
+    np.add.at(hist, idx + (hi,), mag * frac)
+    return finalize_descriptor(hist.reshape(n, DESCRIPTOR_DIM)).astype(np.float32)
 
 
 def _orientation_at(field: GradientField, u: float, v: float, scale: float) -> float:
@@ -227,9 +215,8 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig()) 
                 break
 
     field = GradientField(image)
-    kps = []
-    for _, u, v, scale in kept:
-        desc = _descriptor_at(field, u, v, scale, cfg.descriptor_spacing).astype(np.float32)
-        orient = _orientation_at(field, u, v, scale)
-        kps.append(Keypoint(PixelPoint(float(u), float(v)), float(scale), orient, desc))
-    return kps
+    uvs = np.array([c[1:] for c in kept], dtype=np.float64).reshape(-1, 3)
+    descs = compute_descriptors(field, uvs[:, :2], uvs[:, 2], cfg.descriptor_spacing)
+    return [Keypoint(PixelPoint(float(u), float(v)), float(scale),
+                     _orientation_at(field, u, v, scale), desc)
+            for (_, u, v, scale), desc in zip(kept, descs)]

@@ -73,6 +73,7 @@ class GradientField:
         self.gy = gy
         self.magnitude = mag
         self.integral = integral
+        self._windows: dict[int, np.ndarray] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -85,6 +86,13 @@ class GradientField:
         """
         ii = self.integral
         return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+
+    def window_sums(self, size: int) -> np.ndarray:
+        """`cell_sums` of all size x size windows by top-left pixel, cached."""
+        if size not in self._windows:
+            lo, hi = slice(None, -size), slice(size, None)
+            self._windows[size] = self.cell_sums(lo, hi, lo, hi)
+        return self._windows[size]
 
     def sample_gradients(self, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bilinearly sampled (gx, gy) at continuous pixel positions.

@@ -22,9 +22,9 @@ from .errors import (
 from .features import (
     ContextConfig,
     DetectorConfig,
-    GradientField,
     Keypoint,
     attach_context,
+    context_region,
     descriptors,
     extract_keypoints,
 )
@@ -338,29 +338,23 @@ def ransac_pnp(corrs: list[Correspondence2D3D], k: Intrinsics,
 
 
 def ensure_contexts(model: Model3D, ctx_cfg: ContextConfig) -> None:
-    """Compute missing model keypoint contexts from stored rasters, in place."""
+    """Compute missing model keypoint contexts from stored rasters, in place.
+
+    Keypoints without a `context_region` are removed and links renumbered.
+    """
     for img in model.images:
         if not img.keypoints or all(kp.context is not None for kp in img.keypoints):
             continue
         if img.raster is None:
             raise EmptyInput(
                 f"model image {img.id} lacks contexts and has no raster to compute them")
-        with_ctx, dropped = attach_context(img.raster, img.keypoints, ctx_cfg)
-        if dropped:
-            # keep table alignment: re-attach one by one, dropping links instead
-            kept: list[Keypoint] = []
-            remap: dict[int, int] = {}
-            field = GradientField(img.raster)
-            for idx, kp in enumerate(img.keypoints):
-                got, miss = attach_context(img.raster, [kp], ctx_cfg, field=field)
-                if miss:
-                    continue
-                remap[idx] = len(kept)
-                kept.append(got[0])
-            img.keypoints = kept
-            img.links = {remap[i]: pid for i, pid in img.links.items() if i in remap}
-        else:
-            img.keypoints = with_ctx
+        w, h = img.raster.width, img.raster.height
+        kept = [i for i, kp in enumerate(img.keypoints)
+                if context_region(kp, w, h, ctx_cfg) is not None]
+        img.keypoints, _ = attach_context(
+            img.raster, [img.keypoints[i] for i in kept], ctx_cfg)
+        remap = {old: new for new, old in enumerate(kept)}
+        img.links = {remap[i]: pid for i, pid in img.links.items() if i in remap}
 
 
 def _frame_keypoints(frame, det_cfg: DetectorConfig, ctx_cfg: ContextConfig,

@@ -16,12 +16,15 @@ from egoreg.features import (
     extract_keypoints,
 )
 from egoreg.features.context import (
+    EIGH_CHUNK,
     Roi,
+    context_region,
     context_roi,
     covariance_descriptor,
     dense_descriptors,
     log_euclidean_vec,
 )
+from egoreg.features.detector import finalize_descriptor
 from egoreg.geometry import PixelPoint
 
 
@@ -77,6 +80,26 @@ def test_gradient_field_cell_sums_match_direct():
 
 
 # --------------------------------------------------------------- detector
+
+
+def test_finalize_descriptor_zero_row_is_uniform():
+    out = finalize_descriptor(np.zeros(128))
+    assert np.array_equal(out, np.full(128, 1.0 / np.sqrt(128.0)))
+
+
+def test_finalize_descriptor_rows_match_one_at_a_time():
+    rng = np.random.default_rng(7)
+    spike = np.zeros(128)
+    spike[5] = 3.0
+    spike[9] = 0.1
+    batch = np.stack([np.zeros(128), rng.uniform(0, 1, 128), spike,
+                      np.full(128, 1e-16), rng.uniform(0, 5, 128)])
+    out = finalize_descriptor(batch)
+    assert out.shape == batch.shape
+    for row, got in zip(batch, out):
+        assert np.allclose(got, finalize_descriptor(row), rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(out[2]) < 1.0  # the spike was clipped before renormalizing
 
 
 def test_detector_finds_isolated_blob():
@@ -222,6 +245,8 @@ def test_log_euclidean_round_trip():
 def test_log_euclidean_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         log_euclidean_vec(np.diag([1.0, -0.5]))
+    with pytest.raises(ValueError):
+        log_euclidean_vec(np.diag([1.0, np.nan]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -244,3 +269,25 @@ def test_attach_context_shapes_and_drops():
     assert len(with_ctx) + dropped == len(kps) + 1
     for kp in with_ctx:
         assert kp.context is not None and kp.context.shape == (8256,)
+
+
+def test_attach_context_matches_per_keypoint_oracle():
+    rng = np.random.default_rng(11)
+    img = GrayImage(rng.uniform(0, 1, size=(96, 128)))
+    field = GradientField(img)
+    cfg = ContextConfig()
+    n = 2 * EIGH_CHUNK + 3
+    kps = [make_kp(float(u), float(v), float(s)) for u, v, s in zip(
+        rng.uniform(0, 128, n), rng.uniform(0, 96, n), rng.uniform(0.9, 3.0, n))]
+    # under 16 px, and 17 px (a single grid node): neither can have a context
+    kps.insert(n // 2, make_kp(60.0, 40.0, 0.4))
+    kps.insert(n // 2 + 3, make_kp(30.0, 50.0, 0.7))
+    with_ctx, dropped = attach_context(img, kps, cfg, field=field)
+    kept = [kp for kp in kps if context_region(kp, img.width, img.height, cfg) is not None]
+    assert dropped == 2 and len(kept) == n
+    assert [kp.pos for kp in with_ctx] == [kp.pos for kp in kept]
+    for kp, got in zip(kept, with_ctx):
+        roi = context_roi(kp, cfg.epsilon, img.width, img.height)
+        want = log_euclidean_vec(covariance_descriptor(dense_descriptors(field, roi, cfg.stride)))
+        assert got.context.dtype == np.float32
+        assert np.allclose(got.context, want, rtol=0.0, atol=1e-5)

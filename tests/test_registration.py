@@ -1,20 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_pose
 from egoreg.errors import DegenerateConfiguration, TooFewCorrespondences
 from egoreg.evaluation import pose_errors
-from egoreg.features import DESCRIPTOR_DIM, Keypoint
+from egoreg.features import DESCRIPTOR_DIM, ContextConfig, DetectorConfig, GrayImage, Keypoint
 from egoreg.geometry import Intrinsics, PixelPoint, Pose, WorldPoint, project_many
-from egoreg.matching import MatchPair
+from egoreg.matching import MatchConfig, MatchPair
 from egoreg.model import Model3D, ModelImage
 from egoreg.registration import (
     Correspondence2D3D,
     RansacConfig,
+    ensure_contexts,
     lift_matches,
     pnp_solve,
     ransac_pnp,
+    register_sequence,
 )
+from egoreg.synth import night_preset, synth_scene
 
 
 def make_kp(u, v):
@@ -177,3 +182,66 @@ def test_ransac_deterministic_for_fixed_seed(rng, intrinsics):
     assert np.array_equal(a.pose.R, b.pose.R)
     assert np.array_equal(a.pose.t, b.pose.t)
     assert np.array_equal(a.inlier_mask, b.inlier_mask)
+
+
+# --------------------------------------------------------- ensure_contexts
+
+
+def test_ensure_contexts_drops_keypoint_without_region(intrinsics):
+    rng = np.random.default_rng(3)
+    raster = GrayImage(rng.uniform(0, 1, size=(240, 320)))
+    desc = np.ones(DESCRIPTOR_DIM, np.float32)
+    kps = [Keypoint(PixelPoint(40.0 + 40.0 * i, 60.0 + 20.0 * i), 2.0, 0.0, desc)
+           for i in range(6)]
+    kps[2] = Keypoint(PixelPoint(120.0, 100.0), 0.4, 0.0, desc)  # region under 16 px
+    links = {0: 10, 2: 12, 3: 13, 5: 15}  # keypoint 4 stays unlinked
+    pts = [WorldPoint(pid, np.array([float(pid), 0.0, 5.0])) for pid in links.values()]
+    img = ModelImage(3, Pose(np.eye(3), np.zeros(3)), intrinsics, list(kps), dict(links), raster)
+    ensure_contexts(Model3D(pts, [img]), ContextConfig())
+    assert [kp.pos for kp in img.keypoints] == [kp.pos for i, kp in enumerate(kps) if i != 2]
+    assert all(kp.context is not None for kp in img.keypoints)
+    old_index = {kp.pos: i for i, kp in enumerate(kps)}
+    assert {old_index[img.keypoints[i].pos]: pid for i, pid in img.links.items()} == \
+        {i: pid for i, pid in links.items() if i != 2}
+
+
+# ------------------------------------------------- end to end, sptemp mode
+
+# A registered pose counts when its camera center is within POS_TOL scene
+# units (the facade is 4 units wide) and its orientation within
+# ORIENT_TOL_DEG of the reference.
+POS_TOL = 0.05
+ORIENT_TOL_DEG = 1.0
+
+
+@pytest.fixture(scope="module")
+def small_day_night_scene():
+    return synth_scene(replace(night_preset(0), n_points=200, n_model_images=2,
+                               n_query_frames=2))
+
+
+def registered_within_tolerance(scene, seq):
+    records = register_sequence(seq, scene.model, match_cfg=MatchConfig(mode="sptemp"),
+                                det_cfg=DetectorConfig(max_keypoints=200))
+    assert [r.frame_index for r in records] == list(range(len(seq.frames)))
+    ok = []
+    for rec in records:
+        pose = rec.estimate.pose
+        if pose is None:
+            ok.append(False)
+            continue
+        pos, orient = pose_errors(pose, seq.frames[rec.frame_index].gt_pose)
+        ok.append(pos <= POS_TOL and orient <= ORIENT_TOL_DEG)
+    return ok
+
+
+def test_sptemp_registers_day_frames(small_day_night_scene):
+    scene = small_day_night_scene
+    assert all(registered_within_tolerance(scene, scene.day))
+
+
+@pytest.mark.xfail(strict=True, reason="night frames do not register yet: night "
+                   "contexts carry almost no point identity")
+def test_sptemp_registers_night_frames(small_day_night_scene):
+    scene = small_day_night_scene
+    assert any(registered_within_tolerance(scene, scene.night))
