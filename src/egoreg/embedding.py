@@ -89,22 +89,57 @@ class EmbeddedSet:
         return np.vstack([self.query, self.model])
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_i - b_j||^2 in the norms-plus-dot form, clipped at zero."""
     a2 = np.einsum("ij,ij->i", a, a)
     b2 = np.einsum("ij,ij->i", b, b)
     d2 = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)
 
 
-def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-||a_i - b_j||^2 / sigma^2), shape (len(a), len(b))."""
+def _median_bandwidth(d2: np.ndarray, same: bool, max_pairs: int = MEDIAN_MAX_PAIRS,
+                      seed: int = 0) -> float:
+    """Median-heuristic bandwidth read off a squared-distance matrix.
+
+    `same` means d2 compares a set with itself: the median then runs over
+    unordered distinct pairs (the upper triangle), otherwise over the whole
+    cross product. Pairs are numbered row-major; above `max_pairs` of them,
+    `max_pairs` numbers are drawn uniformly with a seeded generator. When
+    the median is zero but positive distances exist, the smallest positive
+    squared distance is used instead; if every distance is zero the input
+    is degenerate and DegenerateInput is raised.
+    """
+    vals = d2[np.triu_indices(d2.shape[0], k=1)] if same else d2.ravel()
+    if vals.size < 1:
+        raise DegenerateInput("no pairs to measure")
+    if vals.size > max_pairs:
+        vals = vals[np.random.default_rng(seed).integers(0, vals.size, size=max_pairs)]
+    med = float(np.median(vals))
+    if med <= 0.0:
+        pos = vals[vals > 0.0]
+        if pos.size == 0:
+            raise DegenerateInput("all sampled pairs coincide")
+        med = float(pos.min())
+    return float(np.sqrt(med))
+
+
+def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float | None) -> np.ndarray:
+    """exp(-||a_i - b_j||^2 / sigma^2), shape (len(a), len(b)).
+
+    One pairwise product per call: with sigma None the median-heuristic
+    bandwidth is read off the kernel's own squared distances, at the pairs
+    `median_sigma(a, b)` reads, so it equals that bandwidth bitwise.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[1]} vs {b.shape[1]}")
-    if sigma <= 0.0:
+    if sigma is not None and sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    return np.exp(-_pairwise_sq_dists(a, b) / (sigma * sigma))
+    d2 = pairwise_sq_dists(a, b)
+    if sigma is None:
+        sigma = _median_bandwidth(d2, b is a)
+    return np.exp(-d2 / (sigma * sigma))
 
 
 def median_sigma(a: np.ndarray, b: np.ndarray | None = None,
@@ -112,58 +147,16 @@ def median_sigma(a: np.ndarray, b: np.ndarray | None = None,
     """Bandwidth from the median of squared pairwise distances.
 
     With one argument (or b is a) the median runs over unordered distinct
-    pairs; with two sets it runs over the cross product. At most `max_pairs`
-    pairs are examined, subsampled uniformly with a seeded generator. When
-    the median is zero but positive distances exist, the smallest positive
-    squared distance is used instead; if every distance is zero the input
-    is degenerate and DegenerateInput is raised.
+    pairs; with two sets it runs over the cross product (see
+    `_median_bandwidth`). Kernels with sigma None compute the same value
+    from their own distances, so the pipeline never calls this.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     same = b is None or b is a
     bb = a if same else np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != bb.shape[1]:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[1]} vs {bb.shape[1]}")
-    na, nb = a.shape[0], bb.shape[0]
-    if same:
-        total = na * (na - 1) // 2
-    else:
-        total = na * nb
-    if total < 1:
-        raise DegenerateInput("no pairs to measure")
-
-    if total <= max_pairs:
-        if same:
-            iu, ju = np.triu_indices(na, k=1)
-        else:
-            iu, ju = np.divmod(np.arange(total), nb)
-    else:
-        rng = np.random.default_rng(seed)
-        flat = rng.integers(0, total, size=max_pairs)
-        if same:
-            # decode upper-triangle linear index
-            iu = (na - 2 - np.floor(
-                np.sqrt(-8.0 * flat + 4.0 * na * (na - 1) - 7) / 2.0 - 0.5)).astype(np.intp)
-            ju = (flat + iu + 1 - (na * (na - 1)) // 2
-                  + ((na - iu) * (na - iu - 1)) // 2).astype(np.intp)
-        else:
-            iu, ju = np.divmod(flat, nb)
-
-    # norms-plus-dot form: for wide vectors, gathering sampled rows moves
-    # far more memory than one dense product over the distinct rows
-    a2 = np.einsum("ij,ij->i", a, a)
-    b2 = a2 if same else np.einsum("ij,ij->i", bb, bb)
-    if na * nb * a.shape[1] <= 500_000_000:
-        dots = (a @ bb.T)[iu, ju]
-    else:
-        dots = np.einsum("ij,ij->i", a[iu], bb[ju])
-    d2 = np.maximum(a2[iu] + b2[ju] - 2.0 * dots, 0.0)
-    med = float(np.median(d2))
-    if med <= 0.0:
-        pos = d2[d2 > 0.0]
-        if pos.size == 0:
-            raise DegenerateInput("all sampled pairs coincide")
-        med = float(pos.min())
-    return float(np.sqrt(med))
+    return _median_bandwidth(pairwise_sq_dists(a, bb), same, max_pairs, seed)
 
 
 def _symmetrize_exact(m: np.ndarray) -> np.ndarray:
@@ -173,10 +166,10 @@ def _symmetrize_exact(m: np.ndarray) -> np.ndarray:
 def spatial_similarity(pos: np.ndarray, sigma: float | None = None) -> np.ndarray:
     """Gaussian proximity kernel on (p, 2) pixel positions, exactly symmetric."""
     pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
-    p = pos.shape[0]
+    d2 = pairwise_sq_dists(pos, pos)
     if sigma is None:
-        sigma = median_sigma(pos)
-    s = np.exp(-_pairwise_sq_dists(pos, pos) / (sigma * sigma))
+        sigma = _median_bandwidth(d2, True)
+    s = np.exp(-d2 / (sigma * sigma))
     s = _symmetrize_exact(s)
     np.fill_diagonal(s, 1.0)
     return s
@@ -194,11 +187,11 @@ def temporal_distance_profile(track_pos: np.ndarray) -> np.ndarray:
         raise RaggedTracks("track positions must be a (p, K+1, 2) array")
     p, length, _ = tp.shape
     cur = tp[:, -1, :]
-    dcur = np.sqrt(_pairwise_sq_dists(cur, cur))
+    dcur = np.sqrt(pairwise_sq_dists(cur, cur))
     total = np.zeros((p, p), dtype=np.float64)
     for k in range(length - 1):
         past = tp[:, k, :]
-        dpast = np.sqrt(_pairwise_sq_dists(past, past))
+        dpast = np.sqrt(pairwise_sq_dists(past, past))
         total += (dpast - dcur) ** 2
     return _symmetrize_exact(total)
 
@@ -215,14 +208,7 @@ def temporal_similarity(track_pos: np.ndarray, sigma: float | None = None) -> np
     if not np.any(prof > 0.0):
         return np.ones_like(prof)
     if sigma is None:
-        p = prof.shape[0]
-        iu, ju = np.triu_indices(p, k=1)
-        vals = prof[iu, ju]
-        med = float(np.median(vals))
-        if med <= 0.0:
-            pos = vals[vals > 0.0]
-            med = float(pos.min())
-        sigma = float(np.sqrt(med))
+        sigma = _median_bandwidth(prof, True, max_pairs=prof.size)
     g = np.exp(-prof / (sigma * sigma))
     g = _symmetrize_exact(g)
     np.fill_diagonal(g, 1.0)
@@ -314,7 +300,4 @@ def solve_embedding(affinity: AffinityMatrix, dim: int) -> EmbeddedSet:
 
 def embedding_objective(affinity: AffinityMatrix, z: np.ndarray) -> float:
     """sum_ij ||z_i - z_j||^2 W_ij for stacked coordinates z."""
-    w = affinity.W
-    sq = np.einsum("ij,ij->i", z, z)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    return float(np.sum(np.maximum(d2, 0.0) * w))
+    return float(np.sum(pairwise_sq_dists(z, z) * affinity.W))

@@ -167,12 +167,14 @@ def _octave_candidates(dog: np.ndarray, octave: int, cfg: DetectorConfig) -> lis
     return out
 
 
-def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig()) -> list[Keypoint]:
+def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
+                      field: GradientField | None = None) -> list[Keypoint]:
     """Detect scale-space blob keypoints, strongest response first.
 
     Raises ImageTooSmall for images under 32 pixels on a side. A uniform
     image yields an empty list. Output order is deterministic: descending
-    response, ties broken by (v, u, scale).
+    response, ties broken by (v, u, scale). A caller that also attaches
+    contexts passes the image's GradientField as `field` to share it.
     """
     h, w = image.height, image.width
     if h < MIN_IMAGE_SIDE or w < MIN_IMAGE_SIDE:
@@ -214,7 +216,8 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig()) 
             if cfg.max_keypoints and len(kept) >= cfg.max_keypoints:
                 break
 
-    field = GradientField(image)
+    if field is None:
+        field = GradientField(image)
     uvs = np.array([c[1:] for c in kept], dtype=np.float64).reshape(-1, 3)
     descs = compute_descriptors(field, uvs[:, :2], uvs[:, 2], cfg.descriptor_spacing)
     return [Keypoint(PixelPoint(float(u), float(v)), float(scale),

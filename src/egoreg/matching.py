@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -23,7 +24,8 @@ from .embedding import (
     KernelConfig,
     assemble_affinity,
     gaussian_kernel,
-    median_sigma,
+    median_sigma,  # noqa: F401  (no longer called here; still importable)
+    pairwise_sq_dists,
     solve_embedding,
     spatial_similarity,
     temporal_similarity,
@@ -80,58 +82,68 @@ def ratio_filter(assignment: list[tuple[int, int]], zq: np.ndarray, zm: np.ndarr
     For each assigned query the runner-up distance is the second-smallest
     embedded distance to any model point; the pair survives only when
     embed_dist < threshold * runner-up. With a single model point there is
-    no runner-up and the pair is kept with ratio 0.
+    no runner-up and the pair is kept with ratio 0. Distances of all
+    assigned rows come from one norms-plus-dot product.
     """
     zq = np.atleast_2d(zq)
     zm = np.atleast_2d(zm)
-    q = zm.shape[0]
-    out: list[MatchPair] = []
-    for i, j in assignment:
-        diff = zm - zq[i]
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        d = float(dists[j])
-        if q == 1:
-            out.append(MatchPair(i, j, d, 0.0))
-            continue
-        second = float(np.partition(dists, 1)[1])
-        if d < threshold * second:
-            out.append(MatchPair(i, j, d, d / second if second > 0.0 else 0.0))
-    return out
+    if not assignment:
+        return []
+    rows, cols = np.array(assignment, dtype=np.intp).T
+    dists = np.sqrt(pairwise_sq_dists(zq[rows], zm))
+    d = dists[np.arange(rows.size), cols]
+    if zm.shape[0] == 1:
+        return [MatchPair(i, j, float(x), 0.0) for (i, j), x in zip(assignment, d)]
+    second = np.partition(dists, 1, axis=1)[:, 1]
+    # a kept pair has d >= 0 below threshold * second, so second > 0
+    return [MatchPair(i, j, float(x), float(x / y))
+            for (i, j), x, y in zip(assignment, d, second) if x < threshold * y]
 
 
-def _resolve(sig: float | None, a: np.ndarray, b: np.ndarray | None = None) -> float:
-    return median_sigma(a, b) if sig is None else sig
+class _Query(NamedTuple):
+    """The query frame's side of matching, the same for every model image."""
+
+    dq: np.ndarray
+    cq: np.ndarray
+    S: np.ndarray | None
+    G: np.ndarray | None
+    mode: str
 
 
-def _embed_and_assign(F: list[Keypoint], M: list[Keypoint], cfg: MatchConfig,
-                      S: np.ndarray | None, G: np.ndarray | None,
-                      mode: str) -> list[MatchPair]:
-    dq, dm = descriptors(F), descriptors(M)
-    cq, cm = contexts(F), contexts(M)
-    P = gaussian_kernel(dq, dm, _resolve(cfg.kernel.sigma_f, dq, dm))
-    R = gaussian_kernel(cq, cm, _resolve(cfg.kernel.sigma_c, cq, cm))
-    aff = assemble_affinity(P, R, S, G, mode=mode)
+def _query(F: list[Keypoint], track_pos: np.ndarray | None, cfg: MatchConfig) -> _Query:
+    """Stack F once; with track positions also build its spatial and temporal kernels."""
+    if not F:
+        raise EmptyInput("both keypoint sets must be non-empty")
+    dq, cq = descriptors(F), contexts(F)
+    if track_pos is None:
+        return _Query(dq, cq, None, None, SINGLE_FRAME)
+    tp = np.asarray(track_pos, dtype=np.float64)
+    if tp.ndim != 3 or tp.shape[0] != len(F) or tp.shape[2] != 2:
+        raise RaggedTracks(
+            f"expected ({len(F)}, K+1, 2) track positions, got {tp.shape}")
+    S = spatial_similarity(positions(F), cfg.kernel.sigma_s)
+    G = temporal_similarity(tp, cfg.kernel.sigma_g)
+    return _Query(dq, cq, S, G, SPATIO_TEMPORAL)
+
+
+def _embed_and_assign(query: _Query, M: list[Keypoint], cfg: MatchConfig) -> list[MatchPair]:
+    if not M:
+        raise EmptyInput("both keypoint sets must be non-empty")
+    P = gaussian_kernel(query.dq, descriptors(M), cfg.kernel.sigma_f)
+    R = gaussian_kernel(query.cq, contexts(M), cfg.kernel.sigma_c)
+    aff = assemble_affinity(P, R, query.S, query.G, mode=query.mode)
     emb = solve_embedding(aff, cfg.kernel.embedding_dim)
-    usable_m = ~emb.zero_degree[len(F):]
-    if not np.all(usable_m):
+    if emb.zero_degree[aff.p:].any():
         # zero-degree model rows sit at the origin; exclude them from costs
         raise EmptyInput("model keypoints disconnected from the graph")
-    cost = np.maximum(
-        np.einsum("ij,ij->i", emb.query, emb.query)[:, None]
-        + np.einsum("ij,ij->i", emb.model, emb.model)[None, :]
-        - 2.0 * emb.query @ emb.model.T,
-        0.0,
-    )
-    assignment = hungarian(cost)
+    assignment = hungarian(pairwise_sq_dists(emb.query, emb.model))
     return ratio_filter(assignment, emb.query, emb.model, cfg.ratio_threshold)
 
 
 def match_single_frame(F: list[Keypoint], M: list[Keypoint],
                        cfg: MatchConfig = MatchConfig(mode=MODE_SINGLE)) -> list[MatchPair]:
     """Match one query frame against one model image, descriptors + contexts only."""
-    if not F or not M:
-        raise EmptyInput("both keypoint sets must be non-empty")
-    return _embed_and_assign(F, M, cfg, None, None, SINGLE_FRAME)
+    return _embed_and_assign(_query(F, None, cfg), M, cfg)
 
 
 def match_spatiotemporal(F: list[Keypoint], track_pos: np.ndarray, M: list[Keypoint],
@@ -143,15 +155,7 @@ def match_spatiotemporal(F: list[Keypoint], track_pos: np.ndarray, M: list[Keypo
     (current positions only) for spatial-only matching, which makes the
     temporal kernel all-ones. Untrackable keypoints must already be removed.
     """
-    if not F or not M:
-        raise EmptyInput("both keypoint sets must be non-empty")
-    tp = np.asarray(track_pos, dtype=np.float64)
-    if tp.ndim != 3 or tp.shape[0] != len(F) or tp.shape[2] != 2:
-        raise RaggedTracks(
-            f"expected ({len(F)}, K+1, 2) track positions, got {tp.shape}")
-    S = spatial_similarity(positions(F), cfg.kernel.sigma_s)
-    G = temporal_similarity(tp, cfg.kernel.sigma_g)
-    return _embed_and_assign(F, M, cfg, S, G, SPATIO_TEMPORAL)
+    return _embed_and_assign(_query(F, track_pos, cfg), M, cfg)
 
 
 def match_nearest_neighbor(F: list[Keypoint], M: list[Keypoint]) -> list[MatchPair]:
@@ -162,14 +166,7 @@ def match_nearest_neighbor(F: list[Keypoint], M: list[Keypoint]) -> list[MatchPa
     """
     if not F or not M:
         raise EmptyInput("both keypoint sets must be non-empty")
-    dq, dm = descriptors(F), descriptors(M)
-    d2 = np.maximum(
-        np.einsum("ij,ij->i", dq, dq)[:, None]
-        + np.einsum("ij,ij->i", dm, dm)[None, :]
-        - 2.0 * dq @ dm.T,
-        0.0,
-    )
-    d = np.sqrt(d2)
+    d = np.sqrt(pairwise_sq_dists(descriptors(F), descriptors(M)))
     out = []
     for i in range(d.shape[0]):
         j = int(np.argmin(d[i]))
@@ -183,32 +180,36 @@ def match_nearest_neighbor(F: list[Keypoint], M: list[Keypoint]) -> list[MatchPa
     return out
 
 
-def _trivial_tracks(F: list[Keypoint]) -> np.ndarray:
-    return positions(F).reshape(len(F), 1, 2)
-
-
 def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
                              shortlist: list, cfg: MatchConfig) -> dict[int, list[MatchPair]]:
     """Match one query frame against each shortlisted model image.
 
-    `shortlist` holds objects with `id` and `keypoints` attributes. Images
-    are processed independently (optionally in parallel, thread count from
-    the EGOREG_THREADS environment variable) and results are keyed by model
-    image id in shortlist order. An image that fails to match contributes
-    an empty list rather than aborting the frame.
+    `shortlist` holds objects with `id` and `keypoints` attributes. The
+    query side (descriptor and context stacks, spatial and temporal
+    kernels) is built once per frame and shared, read-only, by every
+    image. Images are then processed independently (optionally in
+    parallel, thread count from the EGOREG_THREADS environment variable),
+    each with one pairwise product per kernel, and results are keyed by
+    model image id in shortlist order. An image that fails to match
+    contributes an empty list rather than aborting the frame.
     """
     if cfg.mode not in MODES:
         raise ValueError(f"unknown match mode: {cfg.mode!r}")
+    if not F or not shortlist:
+        return {img.id: [] for img in shortlist}
+    if cfg.mode in (MODE_NN, MODE_SINGLE):
+        tp = None
+    elif cfg.mode == MODE_SPATIAL or track_pos is None:
+        tp = positions(F)[:, None, :]  # K = 0: current positions only
+    else:
+        tp = track_pos
+    query = None if cfg.mode == MODE_NN else _query(F, tp, cfg)
 
     def run(img) -> list[MatchPair]:
         try:
-            if cfg.mode == MODE_NN:
+            if query is None:
                 return match_nearest_neighbor(F, img.keypoints)
-            if cfg.mode == MODE_SINGLE:
-                return match_single_frame(F, img.keypoints, cfg)
-            tp = _trivial_tracks(F) if cfg.mode == MODE_SPATIAL or track_pos is None \
-                else track_pos
-            return match_spatiotemporal(F, tp, img.keypoints, cfg)
+            return _embed_and_assign(query, img.keypoints, cfg)
         except EmptyInput:
             return []
 

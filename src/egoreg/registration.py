@@ -22,6 +22,7 @@ from .errors import (
 from .features import (
     ContextConfig,
     DetectorConfig,
+    GradientField,
     Keypoint,
     attach_context,
     context_region,
@@ -368,9 +369,10 @@ def _frame_keypoints(frame, det_cfg: DetectorConfig, ctx_cfg: ContextConfig,
         return kps
     if frame.image is None:
         raise EmptyInput("frame has neither raster nor precomputed keypoints")
-    kps = extract_keypoints(frame.image, det_cfg)
+    grad = GradientField(frame.image)  # shared by detection and contexts
+    kps = extract_keypoints(frame.image, det_cfg, field=grad)
     if need_context:
-        kps, _ = attach_context(frame.image, kps, ctx_cfg)
+        kps, _ = attach_context(frame.image, kps, ctx_cfg, field=grad)
     return kps
 
 

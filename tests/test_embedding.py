@@ -103,6 +103,31 @@ def test_median_sigma_degenerate():
         median_sigma(np.zeros((1, 2)))
 
 
+def test_kernels_resolve_the_median_sigma_bandwidth_bitwise():
+    # kernels with sigma None read the bandwidth off their own distances
+    rng = np.random.default_rng(11)
+    for na, nb, d in [(6, 4, 3), (150, 90, 16), (120, 130, 200)]:
+        a, b = rng.normal(size=(na, d)), rng.normal(size=(nb, d))
+        assert np.array_equal(gaussian_kernel(a, b, None),
+                              gaussian_kernel(a, b, median_sigma(a, b)))
+        assert np.array_equal(gaussian_kernel(a, a, None),
+                              gaussian_kernel(a, a, median_sigma(a)))
+    for p in (3, 40, 200):  # 200 points: 19900 pairs, subsampled
+        pos = rng.uniform(0.0, 320.0, size=(p, 2))
+        assert np.array_equal(spatial_similarity(pos), spatial_similarity(pos, median_sigma(pos)))
+
+
+def test_median_sigma_wide_cross_matches_difference_form():
+    # two context-sized sets: 62400 pairs, so 10000 seeded pairs are read
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(260, 8256)), rng.normal(size=(240, 8256))
+    flat = np.random.default_rng(0).integers(0, 260 * 240, size=10_000)
+    iu, ju = np.divmod(flat, 240)
+    d2 = np.concatenate([((a[iu[k:k + 500]] - b[ju[k:k + 500]]) ** 2).sum(axis=1)
+                         for k in range(0, flat.size, 500)])
+    assert median_sigma(a, b) == pytest.approx(float(np.sqrt(np.median(d2))), rel=1e-9)
+
+
 # ------------------------------------------------- spatial and temporal
 
 

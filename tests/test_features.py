@@ -149,6 +149,18 @@ def test_detector_deterministic():
     assert [(k.pos.u, k.pos.v, k.scale) for k in a] == [(k.pos.u, k.pos.v, k.scale) for k in b]
 
 
+def test_detector_reuses_a_given_gradient_field():
+    # a caller that also attaches contexts passes the field it built
+    img = blob_image(centers=((40.0, 40.0), (80.0, 60.0)), sigma=4.0)
+    a = extract_keypoints(img, DetectorConfig())
+    b = extract_keypoints(img, DetectorConfig(), field=GradientField(img))
+    assert a
+    assert [(k.pos, k.scale, k.orientation) for k in a] == \
+        [(k.pos, k.scale, k.orientation) for k in b]
+    assert np.array_equal(np.stack([k.descriptor for k in a]),
+                          np.stack([k.descriptor for k in b]))
+
+
 # ---------------------------------------------------------------- context
 
 

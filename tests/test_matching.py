@@ -1,4 +1,6 @@
 import itertools
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egoreg.errors import EmptyInput
-from egoreg.features import Keypoint
+from egoreg.features import Keypoint, positions
 from egoreg.geometry import PixelPoint
 from egoreg.embedding import KernelConfig
 from egoreg.matching import (
     MatchConfig,
     hungarian,
+    match_frame_to_shortlist,
     match_nearest_neighbor,
     match_single_frame,
     match_spatiotemporal,
@@ -124,6 +127,41 @@ def test_ratio_filter_threshold_monotone(seed, t_low, t_high):
     assert kept_low <= kept_high
 
 
+def ratio_filter_per_row(assignment, zq, zm, threshold):
+    """Reference: one difference-form distance row per assigned query."""
+    q = zm.shape[0]
+    out = []
+    for i, j in assignment:
+        diff = zm - zq[i]
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        d = float(dists[j])
+        if q == 1:
+            out.append((i, j, d, 0.0))
+            continue
+        second = float(np.partition(dists, 1)[1])
+        if d < threshold * second:
+            out.append((i, j, d, d / second if second > 0.0 else 0.0))
+    return out
+
+
+@pytest.mark.parametrize("p,q,dim", [(1, 1, 3), (5, 1, 4), (1, 6, 2), (12, 9, 5),
+                                     (9, 14, 8), (40, 35, 20)])
+def test_ratio_filter_matches_per_row_loop(p, q, dim):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        zq, zm = rng.normal(size=(p, dim)), rng.normal(size=(q, dim))
+        cost = ((zq[:, None, :] - zm[None, :, :]) ** 2).sum(axis=2)
+        for threshold in (0.5, 0.8, 1.0):
+            for assignment in (hungarian(cost), []):
+                got = ratio_filter(assignment, zq, zm, threshold)
+                want = ratio_filter_per_row(assignment, zq, zm, threshold)
+                assert [(m.query_idx, m.model_idx) for m in got] == \
+                    [(i, j) for i, j, _, _ in want]
+                for m, (_, _, d, r) in zip(got, want):
+                    assert abs(m.embed_dist - d) <= 1e-12
+                    assert abs(m.ratio - r) <= 1e-12
+
+
 # --------------------------------------------------------- mode pipelines
 
 
@@ -195,3 +233,48 @@ def test_empty_query_raises():
     model_kps, _ = make_keypoints(rng, 5)
     with pytest.raises(EmptyInput):
         match_single_frame([], model_kps)
+
+
+# ------------------------------------------------------------- shortlist
+
+
+@pytest.mark.parametrize("threads", [None, "2", "4"])
+def test_shortlist_shares_query_side_without_changing_matches(monkeypatch, threads):
+    # the query side is built once per frame; every image, on any thread,
+    # must still get exactly what matching it alone returns
+    if threads is not None:
+        monkeypatch.setenv("EGOREG_THREADS", threads)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker threads finely
+    try:
+        _check_shortlist_matches()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _check_shortlist_matches():
+    rng = np.random.default_rng(6)
+    query_kps, base = make_keypoints(rng, 20)
+    model_a, _ = make_keypoints(rng, 20, desc_noise=0.05, base=base)
+    model_b, _ = make_keypoints(rng, 14, desc_noise=0.2, base=base[3:17])
+    images = [SimpleNamespace(id=7, keypoints=model_a), SimpleNamespace(id=3, keypoints=[]),
+              SimpleNamespace(id=5, keypoints=model_b)]
+    pos = positions(query_kps)
+    tracks = np.stack([pos + rng.normal(scale=2.0, size=pos.shape), pos], axis=1)
+    kernel = KernelConfig(embedding_dim=8)
+    expected = {
+        "single": lambda M: match_single_frame(query_kps, M,
+                                               MatchConfig(mode="single", kernel=kernel)),
+        "sp": lambda M: match_spatiotemporal(query_kps, pos[:, None, :], M,
+                                             MatchConfig(mode="sp", kernel=kernel)),
+        "sptemp": lambda M: match_spatiotemporal(query_kps, tracks, M,
+                                                 MatchConfig(mode="sptemp", kernel=kernel)),
+    }
+    for mode, single in expected.items():
+        got = match_frame_to_shortlist(query_kps, tracks, images,
+                                       MatchConfig(mode=mode, kernel=kernel))
+        assert list(got) == [7, 3, 5]
+        assert got[3] == []
+        for img in (images[0], images[2]):
+            assert got[img.id] == single(img.keypoints)
+            assert got[img.id]
