@@ -124,20 +124,30 @@ def _median_bandwidth(d2: np.ndarray, same: bool, max_pairs: int = MEDIAN_MAX_PA
 
 
 def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float | None) -> np.ndarray:
-    """exp(-||a_i - b_j||^2 / sigma^2), shape (len(a), len(b)).
+    """exp(-||a_i - b_j||^2 / sigma^2), shape (len(a), len(b)), float64.
 
-    One pairwise product per call: with sigma None the median-heuristic
+    One pairwise product per call, in the inputs' common precision
+    (`np.result_type(a, b, np.float32)`); float32 squared distances are
+    promoted to float64 before the bandwidth and the exp. Float32 callers
+    should centre both sets on one mean first: distances do not change,
+    and the cancellation error drops. With sigma None the median-heuristic
     bandwidth is read off the kernel's own squared distances, at the pairs
-    `median_sigma(a, b)` reads, so it equals that bandwidth bitwise.
+    `median_sigma(a, b)` reads (bitwise equal for float64 inputs); when
+    every squared distance is exactly zero the points coincide and the
+    kernel is all ones.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    a, b = np.asarray(a), np.asarray(b)
+    dt = np.result_type(a, b, np.float32)
+    a = np.atleast_2d(np.asarray(a, dtype=dt))
+    b = np.atleast_2d(np.asarray(b, dtype=dt))
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[1]} vs {b.shape[1]}")
     if sigma is not None and sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    d2 = pairwise_sq_dists(a, b)
+    d2 = pairwise_sq_dists(a, b).astype(np.float64, copy=False)
     if sigma is None:
+        if d2.size and not d2.any():
+            return np.ones_like(d2)
         sigma = _median_bandwidth(d2, b is a)
     return np.exp(-d2 / (sigma * sigma))
 

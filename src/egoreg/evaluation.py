@@ -18,7 +18,7 @@ from .features import Keypoint
 from .geometry import Intrinsics, Pose
 from .matching import MatchPair
 from .model import Model3D
-from .registration import lift_matches
+from .registration import _reproj_errors, lift_matches
 
 
 def pose_errors(estimate: Pose, reference: Pose) -> tuple[float, float]:
@@ -92,13 +92,9 @@ def count_inliers(per_frame_matches: list[dict[int, list[MatchPair]]],
             continue
         xyz = np.stack([c.point for c in corrs])
         uv = np.stack([c.pixel for c in corrs])
-        cam = xyz @ gt_poses[i].R.T + gt_poses[i].t
-        z = cam[:, 2]
-        safe = np.where(z > 1e-12, z, 1.0)
-        pu = intr[i].fx * cam[:, 0] / safe + intr[i].cx
-        pv = intr[i].fy * cam[:, 1] / safe + intr[i].cy
-        err = np.hypot(pu - uv[:, 0], pv - uv[:, 1])
-        inliers[i] = int(np.sum((err < threshold_px) & (z > 1e-12)))
+        # the error is inf behind the camera, so those never count
+        err, _ = _reproj_errors(gt_poses[i].R, gt_poses[i].t, xyz, uv, intr[i])
+        inliers[i] = int(np.sum(err < threshold_px))
     return MatchReport(inliers, matches)
 
 

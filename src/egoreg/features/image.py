@@ -126,20 +126,26 @@ class GradientField:
 def bilinear_sample(pixels: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Bilinearly sample an intensity image at continuous positions.
 
-    Positions outside the image clamp to the border value.
+    Positions outside the image clamp to the border value; a 1-pixel-wide
+    (or -tall) image interpolates along its only column (or row).
     """
     h, w = pixels.shape
-    uc = np.clip(np.asarray(us, dtype=np.float64), 0.0, w - 1.0)
-    vc = np.clip(np.asarray(vs, dtype=np.float64), 0.0, h - 1.0)
-    x0 = np.clip(np.floor(uc).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(vc).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = uc - x0
-    fy = vc - y0
+    fx = np.clip(np.asarray(us, dtype=np.float64), 0.0, w - 1.0)
+    fy = np.clip(np.asarray(vs, dtype=np.float64), 0.0, h - 1.0)
+    x0 = np.clip(np.floor(fx).astype(np.intp), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(fy).astype(np.intp), 0, max(h - 2, 0))
+    # in place, and one index array: a tracker step samples ~1e5 positions,
+    # so every full-size temporary adds ~1 MB to its peak memory
+    fx -= x0
+    fy -= y0
+    i00 = y0 * w + x0
+    del x0, y0
+    flat = pixels.ravel()
+    dx = 1 if w > 1 else 0
+    dy = w if h > 1 else 0
     return (
-        pixels[y0, x0] * (1 - fy) * (1 - fx)
-        + pixels[y0, x1] * (1 - fy) * fx
-        + pixels[y1, x0] * fy * (1 - fx)
-        + pixels[y1, x1] * fy * fx
+        flat[i00] * (1 - fy) * (1 - fx)
+        + flat[i00 + dx] * (1 - fy) * fx
+        + flat[i00 + dy] * fy * (1 - fx)
+        + flat[i00 + (dy + dx)] * fy * fx
     )

@@ -65,9 +65,15 @@ def descriptors(kps: list[Keypoint]) -> np.ndarray:
 
 
 def contexts(kps: list[Keypoint]) -> np.ndarray:
-    """(n, 8256) float64 stack of context vectors; raises if any is missing."""
+    """(n, 8256) float32 stack of context vectors; raises if any is missing.
+
+    The stack keeps the storage precision and is a new array on every call.
+    Context kernels take their pairwise product in float32 (see
+    `embedding.gaussian_kernel`); descriptors stay float64 because their
+    128-column product is cheap next to the 8256-column one.
+    """
     if not kps:
-        return np.zeros((0, CONTEXT_DIM), dtype=np.float64)
+        return np.zeros((0, CONTEXT_DIM), dtype=np.float32)
     if any(k.context is None for k in kps):
         raise ValueError("keypoint without an attached context")
-    return np.stack([k.context for k in kps]).astype(np.float64)
+    return np.stack([k.context for k in kps])

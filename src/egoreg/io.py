@@ -147,8 +147,11 @@ def _pack_raster(img: GrayImage | None) -> bytes:
 
 def _read_raster(r: _Reader) -> GrayImage | None:
     (have,) = r.unpack("B")
-    if not have:
-        return None
+    return _read_raster_body(r) if have else None
+
+
+def _read_raster_body(r: _Reader) -> GrayImage:
+    """Size, float32 pixels and validation of a raster known to be present."""
     h, w = r.unpack("2I")
     if h == 0 or w == 0 or h * w > 1 << 28:
         raise CorruptTable(f"{r.path}: implausible raster size {w}x{h}")
@@ -238,16 +241,7 @@ def load_sequence(path: str | Path) -> Sequence:
         (ts,) = r.unpack("d")
         intr = _read_intrinsics(r)
         (flags,) = r.unpack("B")
-        image = None
-        if flags & 1:
-            h, w = r.unpack("2I")
-            if h == 0 or w == 0 or h * w > 1 << 28:
-                raise CorruptTable(f"{path}: implausible raster size {w}x{h}")
-            px = r.array("<f4", h * w).reshape(h, w).astype(np.float64)
-            try:
-                image = GrayImage(px)
-            except ValueError as exc:
-                raise CorruptTable(f"{path}: invalid raster: {exc}") from exc
+        image = _read_raster_body(r) if flags & 1 else None
         kps = _read_keypoints(r) if flags & _FLAG_KEYPOINTS else None
         gt = _read_pose(r) if flags & _FLAG_GT_POSE else None
         frames.append(SequenceFrame(ts, intr, image, kps, gt))

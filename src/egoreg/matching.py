@@ -101,10 +101,15 @@ def ratio_filter(assignment: list[tuple[int, int]], zq: np.ndarray, zm: np.ndarr
 
 
 class _Query(NamedTuple):
-    """The query frame's side of matching, the same for every model image."""
+    """The query frame's side of matching, the same for every model image.
+
+    `cq` holds the float32 contexts centred on their mean `mu`; model
+    contexts are shifted by the same `mu` before the context kernel.
+    """
 
     dq: np.ndarray
     cq: np.ndarray
+    mu: np.ndarray
     S: np.ndarray | None
     G: np.ndarray | None
     mode: str
@@ -115,22 +120,28 @@ def _query(F: list[Keypoint], track_pos: np.ndarray | None, cfg: MatchConfig) ->
     if not F:
         raise EmptyInput("both keypoint sets must be non-empty")
     dq, cq = descriptors(F), contexts(F)
+    # a float64 accumulator makes the mean of identical rows exact, so
+    # coincident contexts centre to exact zeros
+    mu = cq.mean(axis=0, dtype=np.float64).astype(np.float32)
+    cq -= mu
     if track_pos is None:
-        return _Query(dq, cq, None, None, SINGLE_FRAME)
+        return _Query(dq, cq, mu, None, None, SINGLE_FRAME)
     tp = np.asarray(track_pos, dtype=np.float64)
     if tp.ndim != 3 or tp.shape[0] != len(F) or tp.shape[2] != 2:
         raise RaggedTracks(
             f"expected ({len(F)}, K+1, 2) track positions, got {tp.shape}")
     S = spatial_similarity(positions(F), cfg.kernel.sigma_s)
     G = temporal_similarity(tp, cfg.kernel.sigma_g)
-    return _Query(dq, cq, S, G, SPATIO_TEMPORAL)
+    return _Query(dq, cq, mu, S, G, SPATIO_TEMPORAL)
 
 
 def _embed_and_assign(query: _Query, M: list[Keypoint], cfg: MatchConfig) -> list[MatchPair]:
     if not M:
         raise EmptyInput("both keypoint sets must be non-empty")
     P = gaussian_kernel(query.dq, descriptors(M), cfg.kernel.sigma_f)
-    R = gaussian_kernel(query.cq, contexts(M), cfg.kernel.sigma_c)
+    cm = contexts(M)
+    cm -= query.mu  # in place: contexts() returns a new array on every call
+    R = gaussian_kernel(query.cq, cm, cfg.kernel.sigma_c)
     aff = assemble_affinity(P, R, query.S, query.G, mode=query.mode)
     emb = solve_embedding(aff, cfg.kernel.embedding_dim)
     if emb.zero_degree[aff.p:].any():

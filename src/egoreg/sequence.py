@@ -244,7 +244,9 @@ def _pyramid(px: np.ndarray, levels: int) -> list[np.ndarray]:
     for _ in range(levels - 1):
         if min(pyr[-1].shape) < 2 * TRACK_WINDOW:
             break
-        pyr.append(ndimage.gaussian_filter(pyr[-1], 1.0, mode="nearest")[::2, ::2])
+        smooth = ndimage.gaussian_filter(pyr[-1], 1.0, mode="nearest")
+        # contiguous, so bilinear_sample's flat gather reads it without a copy
+        pyr.append(np.ascontiguousarray(smooth[::2, ::2]))
     return pyr
 
 
@@ -255,31 +257,35 @@ def _align_translation(src_pyr: list[np.ndarray], dst_pyr: list[np.ndarray],
     Returns (positions (n, 2), residuals (n,)). Both images arrive as
     prebuilt pyramids (see _pyramid), so repeated alignments against the
     same frame pair share the smoothing work. All windows advance together;
-    a window stops refining once its own update drops below 0.03 px.
+    a window stops refining once its own update drops below 0.03 px. Each
+    iteration samples the moving windows and the half-pixel offsets of
+    their central-difference gradients with one `bilinear_sample` call.
     """
     half = TRACK_WINDOW // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
     ou = np.broadcast_to(offs[None, :], (TRACK_WINDOW, TRACK_WINDOW))
     ov = np.broadcast_to(offs[:, None], (TRACK_WINDOW, TRACK_WINDOW))
 
-    def windows(px, centers):
-        u = centers[:, 0, None, None] + ou
-        v = centers[:, 1, None, None] + ov
-        return bilinear_sample(px, u, v), u, v
+    def grid(centers):
+        return centers[:, 0, None, None] + ou, centers[:, 1, None, None] + ov
 
     n_levels = min(len(src_pyr), len(dst_pyr))
     p = pos / (2.0 ** (n_levels - 1))
     residual = np.full(len(pos), np.inf)
     for lvl in range(n_levels - 1, -1, -1):
         s, d = src_pyr[lvl], dst_pyr[lvl]
-        template, _, _ = windows(s, pos / (2.0 ** lvl))
+        template = bilinear_sample(s, *grid(pos / (2.0 ** lvl)))
         moving = np.ones(len(p), dtype=bool)
         for _ in range(TRACK_MAX_ITERS):
             if not np.any(moving):
                 break
-            win, u, v = windows(d, p[moving])
-            gx = bilinear_sample(d, u + 0.5, v) - bilinear_sample(d, u - 0.5, v)
-            gy = bilinear_sample(d, u, v + 0.5) - bilinear_sample(d, u, v - 0.5)
+            u, v = grid(p[moving])
+            # the window and its four half-pixel neighbours in one gather
+            win, east, west, south, north = bilinear_sample(
+                d, np.stack([u, u + 0.5, u - 0.5, u, u]),
+                np.stack([v, v, v, v + 0.5, v - 0.5]))
+            gx = east - west
+            gy = south - north
             err = template[moving] - win
             # per-window 2x2 normal equations, solved in closed form
             a = (gx * gx).sum(axis=(1, 2)) + 1e-9
@@ -295,7 +301,7 @@ def _align_translation(src_pyr: list[np.ndarray], dst_pyr: list[np.ndarray],
             p[moving] += step
             done = ~solvable | (np.hypot(step[:, 0], step[:, 1]) < 0.03)
             moving[np.flatnonzero(moving)[done]] = False
-        final, _, _ = windows(d, p)
+        final = bilinear_sample(d, *grid(p))
         residual = np.mean(np.abs(template - final), axis=(1, 2))
         if lvl > 0:
             p = p * 2.0

@@ -50,6 +50,37 @@ def test_gaussian_kernel_validation():
         gaussian_kernel(np.zeros((2, 3)), np.zeros((2, 3)), sigma=0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gaussian_kernel_coincident_points_are_all_ones(dtype):
+    # every squared distance exactly zero: the points coincide, as centred
+    # identical contexts do, and no median bandwidth exists
+    row = np.arange(16) / 8.0 - 1.0  # sums of its squares are exact
+    for a, b in [(np.tile(row, (5, 1)), np.tile(row, (3, 1))),
+                 (np.zeros((4, 8256)), np.zeros((6, 8256))),
+                 (np.zeros((1, 3)), np.zeros((1, 3)))]:
+        a, b = a.astype(dtype), b.astype(dtype)
+        for x, y in [(a, b), (a, a)]:
+            k = gaussian_kernel(x, y, None)
+            assert k.dtype == np.float64
+            assert np.array_equal(k, np.ones((len(x), len(y))))
+    with pytest.raises(DegenerateInput):  # no pairs at all is still degenerate
+        gaussian_kernel(np.zeros((0, 3), dtype), np.zeros((2, 3), dtype), None)
+
+
+def test_gaussian_kernel_precision_follows_its_inputs():
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(30, 64)), rng.normal(size=(20, 64))
+    k64 = gaussian_kernel(a, b, None)
+    # any float64 operand keeps the whole product in float64
+    assert np.array_equal(gaussian_kernel(a.astype(np.float32).astype(np.float64), b, None),
+                          gaussian_kernel(a.astype(np.float32), b, None))
+    # float32 inputs: float32 product, float64 bandwidth and exp
+    k32 = gaussian_kernel(a.astype(np.float32), b.astype(np.float32), None)
+    assert k32.dtype == np.float64
+    assert np.abs(k32 - k64).max() < 1e-5
+    assert not np.array_equal(k32, k64)
+
+
 def brute_force_median_sigma(a, b=None):
     a = np.atleast_2d(a)
     if b is None:

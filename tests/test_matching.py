@@ -13,6 +13,7 @@ from egoreg.geometry import PixelPoint
 from egoreg.embedding import KernelConfig
 from egoreg.matching import (
     MatchConfig,
+    _query,
     hungarian,
     match_frame_to_shortlist,
     match_nearest_neighbor,
@@ -226,6 +227,27 @@ def test_contexts_help_under_brightness_shift():
     correct_with = sum(m.query_idx == m.model_idx for m in with_ctx)
     correct_without = sum(m.query_idx == m.model_idx for m in without_ctx)
     assert correct_with >= correct_without
+
+
+def test_coincident_contexts_leave_descriptors_to_decide():
+    # 150 identical contexts (more rows than a float32 mean of them keeps
+    # exact) centre to exact zeros, so the context kernel is all ones, as
+    # it is for all-zero contexts
+    rng = np.random.default_rng(8)
+    model_kps, base = make_keypoints(rng, 150)
+    query_kps, _ = make_keypoints(rng, 150, desc_noise=0.2, base=base)
+    row = rng.normal(size=CTX_DIM).astype(np.float32)
+    cfg = MatchConfig(mode="single", kernel=KernelConfig(embedding_dim=8))
+
+    def with_context(kps, ctx):
+        return [Keypoint(kp.pos, kp.scale, kp.orientation, kp.descriptor, ctx) for kp in kps]
+
+    assert not _query(with_context(query_kps, row), None, cfg).cq.any()
+    same = match_single_frame(with_context(query_kps, row), with_context(model_kps, row), cfg)
+    zero = np.zeros(CTX_DIM, dtype=np.float32)
+    flat = match_single_frame(with_context(query_kps, zero), with_context(model_kps, zero), cfg)
+    assert same == flat
+    assert sum(m.query_idx == m.model_idx for m in same) >= 10
 
 
 def test_empty_query_raises():

@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
+from egoreg import matching
+from egoreg.embedding import gaussian_kernel
 from egoreg.errors import DegenerateConfiguration, TooFewCorrespondences
 from egoreg.evaluation import pose_errors
-from egoreg.features import DESCRIPTOR_DIM, ContextConfig, DetectorConfig, GrayImage, Keypoint
+from egoreg.features import (
+    DESCRIPTOR_DIM,
+    ContextConfig,
+    DetectorConfig,
+    GrayImage,
+    Keypoint,
+    attach_context,
+    contexts,
+    extract_keypoints,
+)
 from egoreg.geometry import Intrinsics, PixelPoint, Pose, WorldPoint, project_many
 from egoreg.matching import MatchConfig, MatchPair
 from egoreg.model import Model3D, ModelImage
@@ -19,6 +30,7 @@ from egoreg.registration import (
     ransac_pnp,
     register_sequence,
 )
+from egoreg.sequence import track_keypoints
 from egoreg.synth import night_preset, synth_scene
 
 
@@ -245,3 +257,45 @@ def test_sptemp_registers_day_frames(small_day_night_scene):
 def test_sptemp_registers_night_frames(small_day_night_scene):
     scene = small_day_night_scene
     assert any(registered_within_tolerance(scene, scene.night))
+
+
+# --------------------------------------------- float32 context kernel
+
+
+def day_frame_query(scene):
+    """Second day frame's keypoints with contexts, and its alive tracks."""
+    prev, cur = scene.day.frames[0].image, scene.day.frames[1].image
+    kps = extract_keypoints(cur, DetectorConfig(max_keypoints=200))
+    kps, _ = attach_context(cur, kps, ContextConfig())
+    tracks = [t for t in track_keypoints([prev, cur], kps) if t.alive]
+    return [kps[t.keypoint_idx] for t in tracks], np.stack([t.positions for t in tracks])
+
+
+def test_centred_float32_context_kernel_is_close_to_float64(small_day_night_scene):
+    scene = small_day_night_scene
+    day_kps, _ = day_frame_query(scene)
+    cfg = MatchConfig(mode="single")
+    for F in (day_kps, scene.model.images[0].keypoints):
+        query = matching._query(F, None, cfg)
+        assert query.cq.dtype == np.float32
+        for img in scene.model.images:
+            cm = contexts(img.keypoints)
+            cm -= query.mu
+            r32 = gaussian_kernel(query.cq, cm, None)
+            r64 = gaussian_kernel(contexts(F).astype(np.float64),
+                                  contexts(img.keypoints).astype(np.float64), None)
+            assert np.abs(r32 - r64).max() < 1e-5
+
+
+def test_float32_contexts_keep_sptemp_day_pairs(small_day_night_scene, monkeypatch):
+    scene = small_day_night_scene
+    kps, track_pos = day_frame_query(scene)
+    cfg = MatchConfig(mode="sptemp")
+    got = matching.match_frame_to_shortlist(kps, track_pos, scene.model.images, cfg)
+    monkeypatch.setattr(matching, "contexts", lambda ks: contexts(ks).astype(np.float64))
+    want = matching.match_frame_to_shortlist(kps, track_pos, scene.model.images, cfg)
+    assert list(got) == list(want)
+    assert sum(len(pairs) for pairs in want.values()) >= 10
+    for image_id, pairs in want.items():
+        assert ([(m.query_idx, m.model_idx) for m in got[image_id]]
+                == [(m.query_idx, m.model_idx) for m in pairs])

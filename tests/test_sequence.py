@@ -3,10 +3,14 @@ import pytest
 from scipy import ndimage
 
 from egoreg.errors import SingleClass
-from egoreg.features import DetectorConfig, GrayImage, Keypoint, extract_keypoints
+from egoreg.features import DetectorConfig, GrayImage, Keypoint, bilinear_sample, extract_keypoints
 from egoreg.geometry import PixelPoint
 from egoreg.sequence import (
     FEATURE_DIM,
+    TRACK_LEVELS,
+    TRACK_MAX_ITERS,
+    TRACK_RESIDUAL_MAX,
+    TRACK_WINDOW,
     FrameQualityFeature,
     LinearPruner,
     blur_metric,
@@ -14,6 +18,8 @@ from egoreg.sequence import (
     motion_histogram,
     optical_flow,
     prune_frames,
+    _align_translation,
+    _pyramid,
     track_keypoints,
     train_pruner,
 )
@@ -217,3 +223,126 @@ def test_tracking_needs_two_frames():
     img = textured_image(10)
     with pytest.raises(ValueError):
         track_keypoints([img], [])
+
+
+# ------------------------------------------- one gather per tracker step
+#
+# The references below are the tracker as it was before each iteration
+# sampled its windows with one call: a 2-D gather in `bilinear_sample` and
+# five sampling calls per iteration. The library must agree bitwise.
+
+
+def reference_bilinear_sample(pixels, us, vs):
+    h, w = pixels.shape
+    uc = np.clip(np.asarray(us, dtype=np.float64), 0.0, w - 1.0)
+    vc = np.clip(np.asarray(vs, dtype=np.float64), 0.0, h - 1.0)
+    x0 = np.clip(np.floor(uc).astype(np.intp), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(vc).astype(np.intp), 0, max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = uc - x0
+    fy = vc - y0
+    return (
+        pixels[y0, x0] * (1 - fy) * (1 - fx)
+        + pixels[y0, x1] * (1 - fy) * fx
+        + pixels[y1, x0] * fy * (1 - fx)
+        + pixels[y1, x1] * fy * fx
+    )
+
+
+def reference_pyramid(px, levels=TRACK_LEVELS):
+    pyr = [px]
+    for _ in range(levels - 1):
+        if min(pyr[-1].shape) < 2 * TRACK_WINDOW:
+            break
+        pyr.append(ndimage.gaussian_filter(pyr[-1], 1.0, mode="nearest")[::2, ::2])
+    return pyr
+
+
+def reference_align_translation(src_pyr, dst_pyr, pos):
+    """Five sampling calls per iteration; also returns each level's iteration counts."""
+    sample = reference_bilinear_sample
+    half = TRACK_WINDOW // 2
+    offs = np.arange(-half, half + 1, dtype=np.float64)
+    ou = np.broadcast_to(offs[None, :], (TRACK_WINDOW, TRACK_WINDOW))
+    ov = np.broadcast_to(offs[:, None], (TRACK_WINDOW, TRACK_WINDOW))
+
+    def windows(px, centers):
+        u = centers[:, 0, None, None] + ou
+        v = centers[:, 1, None, None] + ov
+        return sample(px, u, v), u, v
+
+    n_levels = min(len(src_pyr), len(dst_pyr))
+    p = pos / (2.0 ** (n_levels - 1))
+    residual = np.full(len(pos), np.inf)
+    iterations = []
+    for lvl in range(n_levels - 1, -1, -1):
+        s, d = src_pyr[lvl], dst_pyr[lvl]
+        template, _, _ = windows(s, pos / (2.0 ** lvl))
+        moving = np.ones(len(p), dtype=bool)
+        count = np.zeros(len(p), dtype=int)
+        for _ in range(TRACK_MAX_ITERS):
+            if not np.any(moving):
+                break
+            count[moving] += 1
+            win, u, v = windows(d, p[moving])
+            gx = sample(d, u + 0.5, v) - sample(d, u - 0.5, v)
+            gy = sample(d, u, v + 0.5) - sample(d, u, v - 0.5)
+            err = template[moving] - win
+            a = (gx * gx).sum(axis=(1, 2)) + 1e-9
+            b = (gx * gy).sum(axis=(1, 2))
+            c = (gy * gy).sum(axis=(1, 2)) + 1e-9
+            r0 = (gx * err).sum(axis=(1, 2))
+            r1 = (gy * err).sum(axis=(1, 2))
+            det = a * c - b * b
+            solvable = det != 0.0
+            step = np.zeros((len(a), 2))
+            step[solvable, 0] = (c * r0 - b * r1)[solvable] / det[solvable]
+            step[solvable, 1] = (a * r1 - b * r0)[solvable] / det[solvable]
+            p[moving] += step
+            done = ~solvable | (np.hypot(step[:, 0], step[:, 1]) < 0.03)
+            moving[np.flatnonzero(moving)[done]] = False
+        iterations.append(count)
+        final, _, _ = windows(d, p)
+        residual = np.mean(np.abs(template - final), axis=(1, 2))
+        if lvl > 0:
+            p = p * 2.0
+    return p, residual, iterations
+
+
+def test_bilinear_sample_flat_gather_is_bitwise_unchanged():
+    rng = np.random.default_rng(31)
+    for h, w in [(17, 23), (1, 9), (9, 1), (1, 1), (2, 2)]:
+        px = rng.uniform(size=(h, w))
+        # in range, on the far borders, and far outside (clamped)
+        us = np.concatenate([rng.uniform(-3.0, w + 2.0, 200), [0.0, w - 1.0, -50.0, w + 50.0]])
+        vs = np.concatenate([rng.uniform(-3.0, h + 2.0, 200), [h - 1.0, 0.0, h + 50.0, -50.0]])
+        for img in (px, px[::-1, ::-1]):  # a strided view samples like a copy
+            want = reference_bilinear_sample(img, us, vs)
+            assert np.array_equal(bilinear_sample(img, us, vs), want)
+            assert np.array_equal(bilinear_sample(img, us.reshape(12, 17), vs.reshape(12, 17)),
+                                  want.reshape(12, 17))
+    assert bilinear_sample(np.array([[0.25]]), np.array(7.0), np.array(-2.0)) == 0.25
+
+
+def test_tracker_one_gather_per_step_is_bitwise_unchanged():
+    rng = np.random.default_rng(3)
+    src = textured_image(21).pixels
+    dst = np.roll(src, (1, 2), axis=(0, 1)) + rng.normal(scale=0.08, size=src.shape)
+    dst[:, 96:] = rng.uniform(size=(src.shape[0], 32))  # content that no window finds
+    dst = np.clip(dst, 0.0, 1.0)
+    pos = np.column_stack([rng.uniform(4.0, 124.0, 60), rng.uniform(4.0, 92.0, 60)])
+
+    want_p, want_r, iterations = reference_align_translation(
+        reference_pyramid(src), reference_pyramid(dst), pos.copy())
+    got_p, got_r = _align_translation(_pyramid(src, TRACK_LEVELS),
+                                      _pyramid(dst, TRACK_LEVELS), pos.copy())
+    assert np.array_equal(got_p, want_p)
+    assert np.array_equal(got_r, want_r)
+    # the pair exercises every way out of the loop
+    counts = np.concatenate(iterations)
+    assert len(np.unique(counts)) >= 5
+    assert (counts == TRACK_MAX_ITERS).any()
+    assert (counts < TRACK_MAX_ITERS).any()
+    dies = want_r > TRACK_RESIDUAL_MAX
+    assert dies.any() and not dies.all()
