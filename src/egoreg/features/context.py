@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
-from .detector import finalize_descriptor
+from .detector import _finalize_in_place
 from .image import GradientField, GrayImage
 from .keypoint import DESCRIPTOR_DIM, Keypoint
 
@@ -119,16 +119,21 @@ def dense_descriptors(field: GradientField, roi: Roi, stride: int = 4) -> np.nda
     y0 = (roi.top + offs)[:, None, :, None]                        # ny,1,4,1
     x0 = (roi.left + offs)[None, :, None, :]                       # 1,nx,1,4
     sums = field.window_sums(cell)[y0, x0]                         # ny,nx,4,4,8
-    return finalize_descriptor(sums.reshape(n_axis * n_axis, DESCRIPTOR_DIM))
+    return _finalize_in_place(sums.reshape(n_axis * n_axis, DESCRIPTOR_DIM))
 
 
 def _covariance(x: np.ndarray) -> np.ndarray:
-    """Regularized sample covariance of (n, d) rows, in the given row order."""
+    """Regularized sample covariance of (n, d) rows, in the given row order.
+
+    Centres `x` in place, so callers pass an array they own. `x.T @ x`
+    takes BLAS's symmetric rank-k path, so the product is exactly symmetric
+    without averaging it with its transpose.
+    """
     n, d = x.shape
-    xc = x - x.mean(axis=0)
-    c = xc.T @ xc / (n - 1)
-    c = (c + c.T) / 2.0
-    c[np.diag_indices(d)] += RIDGE_SCALE * float(np.trace(c)) / d + RIDGE_FLOOR
+    x -= x.mean(axis=0)
+    c = x.T @ x
+    c /= n - 1
+    c.flat[::d + 1] += RIDGE_SCALE * float(np.trace(c)) / d + RIDGE_FLOOR
     return c
 
 
@@ -155,9 +160,13 @@ def _log_euclidean(c: np.ndarray) -> np.ndarray:
     if evals[:, 0].min() <= 0.0:
         raise NotPositiveDefinite(f"minimum eigenvalue {evals[:, 0].min():.6g}")
     logm = np.matmul(evecs * np.log(evals)[:, None, :], evecs.transpose(0, 2, 1))
-    logm = (logm + logm.transpose(0, 2, 1)) / 2.0
     iu, ju = np.triu_indices(c.shape[-1])
-    return logm[:, iu, ju] * np.where(iu == ju, 1.0, math.sqrt(2.0))
+    # symmetrised only where the half-vector reads
+    out = logm[:, iu, ju]
+    out += logm[:, ju, iu]
+    out /= 2.0
+    out *= np.where(iu == ju, 1.0, math.sqrt(2.0))
+    return out
 
 
 def log_euclidean_vec(c: np.ndarray) -> np.ndarray:

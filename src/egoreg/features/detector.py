@@ -27,6 +27,7 @@ MIN_IMAGE_SIDE = 32
 _N_CELLS = 4
 _PATCH_SAMPLES = 16
 _CLIP = 0.2
+_WINDOW_PIXELS = 1 << 18  # orientation window pixels per pass, ~20 MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,30 @@ def finalize_descriptor(hist: np.ndarray) -> np.ndarray:
     A row with no gradient energy maps to the uniform unit vector so that
     featureless patches still produce a valid descriptor.
     """
-    v = np.asarray(hist, dtype=np.float64)
-    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    return _finalize_in_place(np.array(hist, dtype=np.float64))
+
+
+def _finalize_in_place(v: np.ndarray) -> np.ndarray:
+    """`finalize_descriptor` on a float64 array the caller owns, overwriting it.
+
+    Needs one more buffer, for the squares.
+    """
+    sq = np.empty_like(v)
+
+    def norms():
+        return np.sqrt(np.multiply(v, v, out=sq).sum(axis=-1, keepdims=True))
+
+    n = norms()
     flat = n < 1e-12
-    v = np.minimum(v / np.where(flat, 1.0, n), _CLIP)
-    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    n[flat] = 1.0
+    v /= n
+    np.minimum(v, _CLIP, out=v)
+    n = norms()
     flat |= n < 1e-12
-    return np.where(flat, 1.0 / math.sqrt(DESCRIPTOR_DIM), v / np.where(flat, 1.0, n))
+    n[flat] = 1.0
+    v /= n
+    v[flat[..., 0]] = 1.0 / math.sqrt(DESCRIPTOR_DIM)
+    return v
 
 
 def compute_descriptors(field: GradientField, pos: np.ndarray, scales: np.ndarray,
@@ -83,88 +101,120 @@ def compute_descriptors(field: GradientField, pos: np.ndarray, scales: np.ndarra
     hist = np.zeros((n, _N_CELLS, _N_CELLS, 8), dtype=np.float64)
     np.add.at(hist, idx + (lo,), mag * (1.0 - frac))
     np.add.at(hist, idx + (hi,), mag * frac)
-    return finalize_descriptor(hist.reshape(n, DESCRIPTOR_DIM)).astype(np.float32)
+    return _finalize_in_place(hist.reshape(n, DESCRIPTOR_DIM)).astype(np.float32)
 
 
-def _orientation_at(field: GradientField, u: float, v: float, scale: float) -> float:
+def _orientations(field: GradientField, uvs: np.ndarray) -> np.ndarray:
+    """Dominant gradient direction of each (u, v, scale) row, radians.
+
+    Each keypoint's 36-bin histogram sums its magnitude- and Gaussian-weighted
+    window (radius max(3, 4 * scale), clipped to the image) in row-major
+    order. Windows are laid end to end, _WINDOW_PIXELS at most per pass, and
+    binned by one bincount over keypoint * 36 + bin, which keeps every
+    row's summation order. The peak is refined by a parabola through it and
+    its neighbours; a keypoint whose window lies outside the image gets 0.
+    """
     h, w = field.shape
-    r = max(3, int(round(4.0 * scale)))
-    x0, x1 = max(0, int(u) - r), min(w, int(u) + r + 1)
-    y0, y1 = max(0, int(v) - r), min(h, int(v) + r + 1)
-    if x1 <= x0 or y1 <= y0:
-        return 0.0
-    gx = field.gx[y0:y1, x0:x1]
-    gy = field.gy[y0:y1, x0:x1]
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    d2 = (xs - u) ** 2 + (ys - v) ** 2
-    sig = 1.5 * scale
-    wts = np.hypot(gx, gy) * np.exp(-d2 / (2.0 * sig * sig))
-    ang = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
-    bins = np.minimum((ang * (36 / (2.0 * np.pi))).astype(np.intp), 35)
-    hist = np.bincount(bins.ravel(), weights=wts.ravel(), minlength=36)
+    n = uvs.shape[0]
+    u, v, scale = uvs.T
+    r = np.maximum(3, np.round(4.0 * scale).astype(np.intp))
+    iu, iv = u.astype(np.intp), v.astype(np.intp)  # truncation, as int()
+    x0, x1 = np.maximum(0, iu - r), np.minimum(w, iu + r + 1)
+    y0, y1 = np.maximum(0, iv - r), np.minimum(h, iv + r + 1)
+    ww, wh = np.maximum(x1 - x0, 0), np.maximum(y1 - y0, 0)
+    sizes = ww * wh
+    # windows overlap, so each pixel's bin is found once for the image
+    bins = np.minimum((field.angle * (36 / (2.0 * np.pi))).astype(np.intp), 35).ravel()
+
+    hist = np.empty((n, 36))
+    step = max(1, _WINDOW_PIXELS // max(int(sizes.max(initial=0)), 1))
+    for first in range(0, n, step):
+        part = slice(first, first + step)
+        kid = np.repeat(np.arange(first, min(first + step, n)), sizes[part])
+        local = np.arange(kid.size) - np.repeat(np.cumsum(sizes[part]) - sizes[part], sizes[part])
+        ys = y0[kid] + local // ww[kid]
+        xs = x0[kid] + local % ww[kid]
+        d2 = (xs - u[kid]) ** 2 + (ys - v[kid]) ** 2
+        sig = 1.5 * scale[kid]
+        flat = ys * w + xs
+        wts = field.magnitude.ravel()[flat] * np.exp(-d2 / (2.0 * sig * sig))
+        hist[part] = np.bincount((kid - first) * 36 + bins[flat], weights=wts,
+                                 minlength=hist[part].size).reshape(-1, 36)
     # circular smoothing, twice
     for _ in range(2):
-        hist = (np.roll(hist, 1) + hist + np.roll(hist, -1)) / 3.0
-    k = int(np.argmax(hist))
-    lo, ce, hi = hist[(k - 1) % 36], hist[k], hist[(k + 1) % 36]
+        hist = (np.roll(hist, 1, axis=1) + hist + np.roll(hist, -1, axis=1)) / 3.0
+    k = np.argmax(hist, axis=1)
+    rows = np.arange(n)
+    lo, ce, hi = hist[rows, (k - 1) % 36], hist[rows, k], hist[rows, (k + 1) % 36]
     denom = lo - 2.0 * ce + hi
-    off = 0.0 if abs(denom) < 1e-12 else 0.5 * (lo - hi) / denom
-    return float(np.mod((k + 0.5 + off) * (2.0 * np.pi / 36), 2.0 * np.pi))
+    tiny = np.abs(denom) < 1e-12
+    off = np.where(tiny, 0.0, 0.5 * (lo - hi) / np.where(tiny, 1.0, denom))
+    theta = np.mod((k + 0.5 + off) * (2.0 * np.pi / 36), 2.0 * np.pi)
+    return np.where(sizes > 0, theta, 0.0)
 
 
 def _octave_candidates(dog: np.ndarray, octave: int, cfg: DetectorConfig) -> list[tuple]:
     """Scan one octave's DoG stack for refined extrema.
 
-    Returns tuples (response, u, v, scale) in full-resolution coordinates.
+    Returns tuples (response, u, v, scale) in full-resolution coordinates,
+    ordered by level, then row-major position. All extrema of the octave
+    are edge-tested and refined together with array operations.
     """
     s = cfg.scales_per_octave
-    n_levels, h, w = dog.shape
-    out = []
     margin = 4
     maxf = ndimage.maximum_filter(dog, size=3, mode="constant", cval=-np.inf)
     minf = ndimage.minimum_filter(dog, size=3, mode="constant", cval=np.inf)
-    for lvl in range(1, n_levels - 1):
-        c = dog[lvl]
-        is_ext = ((c >= maxf[lvl]) | (c <= minf[lvl])) & (np.abs(c) >= 0.8 * cfg.contrast_threshold)
-        is_ext[:margin, :] = False
-        is_ext[-margin:, :] = False
-        is_ext[:, :margin] = False
-        is_ext[:, -margin:] = False
-        ys, xs = np.nonzero(is_ext)
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            val = c[y, x]
-            dxx = c[y, x + 1] + c[y, x - 1] - 2.0 * val
-            dyy = c[y + 1, x] + c[y - 1, x] - 2.0 * val
-            dxy = 0.25 * (c[y + 1, x + 1] - c[y + 1, x - 1] - c[y - 1, x + 1] + c[y - 1, x - 1])
-            tr = dxx + dyy
-            det = dxx * dyy - dxy * dxy
-            r = cfg.edge_ratio
-            if det <= 0.0 or tr * tr * r >= det * (r + 1.0) ** 2:
-                continue
-            # one quadratic refinement step over (x, y, level)
-            gx = 0.5 * (c[y, x + 1] - c[y, x - 1])
-            gy = 0.5 * (c[y + 1, x] - c[y - 1, x])
-            gs = 0.5 * (dog[lvl + 1, y, x] - dog[lvl - 1, y, x])
-            dss = dog[lvl + 1, y, x] + dog[lvl - 1, y, x] - 2.0 * val
-            dxs = 0.25 * (dog[lvl + 1, y, x + 1] - dog[lvl + 1, y, x - 1]
-                          - dog[lvl - 1, y, x + 1] + dog[lvl - 1, y, x - 1])
-            dys = 0.25 * (dog[lvl + 1, y + 1, x] - dog[lvl + 1, y - 1, x]
-                          - dog[lvl - 1, y + 1, x] + dog[lvl - 1, y - 1, x])
-            hess = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
-            grad = np.array([gx, gy, gs])
-            try:
-                off = np.clip(-np.linalg.solve(hess, grad), -0.5, 0.5)
-            except np.linalg.LinAlgError:
-                off = np.zeros(3)
-            response = val + 0.5 * float(grad @ off)
-            if abs(response) < cfg.contrast_threshold:
-                continue
-            scale = cfg.base_sigma * 2.0 ** (octave + (lvl + off[2]) / s)
-            out.append((abs(response),
-                        (x + off[0]) * 2.0 ** octave,
-                        (y + off[1]) * 2.0 ** octave,
-                        scale))
-    return out
+    inner = (slice(1, -1), slice(margin, -margin), slice(margin, -margin))
+    c = dog[inner]
+    is_ext = ((c >= maxf[inner]) | (c <= minf[inner])) & \
+        (np.abs(c) >= 0.8 * cfg.contrast_threshold)
+    lvl, y, x = np.nonzero(is_ext)
+    lvl += 1
+    y += margin
+    x += margin
+
+    def at(dl, dy, dx):
+        return dog[lvl + dl, y + dy, x + dx]
+
+    val = at(0, 0, 0)
+    dxx = at(0, 0, 1) + at(0, 0, -1) - 2.0 * val
+    dyy = at(0, 1, 0) + at(0, -1, 0) - 2.0 * val
+    dxy = 0.25 * (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1))
+    tr = dxx + dyy
+    det = dxx * dyy - dxy * dxy
+    r = cfg.edge_ratio
+    ok = (det > 0.0) & (tr * tr * r < det * (r + 1.0) ** 2)
+    lvl, y, x, val, dxx, dyy, dxy = (a[ok] for a in (lvl, y, x, val, dxx, dyy, dxy))
+
+    # one quadratic refinement step over (x, y, level)
+    grad = np.stack([0.5 * (at(0, 0, 1) - at(0, 0, -1)),
+                     0.5 * (at(0, 1, 0) - at(0, -1, 0)),
+                     0.5 * (at(1, 0, 0) - at(-1, 0, 0))], axis=-1)
+    dss = at(1, 0, 0) + at(-1, 0, 0) - 2.0 * val
+    dxs = 0.25 * (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1))
+    dys = 0.25 * (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0))
+    hess = np.stack([dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss], axis=-1).reshape(-1, 3, 3)
+    off = np.clip(-_solve(hess, grad), -0.5, 0.5)
+    # a BLAS dot per candidate: einsum or a written-out sum rounds differently
+    response = val + 0.5 * np.matmul(grad[:, None, :], off[:, :, None])[:, 0, 0]
+    keep = np.abs(response) >= cfg.contrast_threshold
+    lvl, y, x, off, response = lvl[keep], y[keep], x[keep], off[keep], response[keep]
+    step = 2.0 ** octave
+    # scalar pow: numpy's vectorised pow may differ in the last bit
+    scales = [cfg.base_sigma * 2.0 ** e for e in (octave + (lvl + off[:, 2]) / s).tolist()]
+    return list(zip(np.abs(response).tolist(), ((x + off[:, 0]) * step).tolist(),
+                    ((y + off[:, 1]) * step).tolist(), scales))
+
+
+def _solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Batched hess^-1 grad; an exactly singular system takes no step."""
+    try:
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # bisect down to the singular systems
+        if len(hess) == 1:
+            return np.zeros_like(grad)
+        m = len(hess) // 2
+        return np.concatenate([_solve(hess[:m], grad[:m]), _solve(hess[m:], grad[m:])])
 
 
 def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
@@ -220,6 +270,6 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
         field = GradientField(image)
     uvs = np.array([c[1:] for c in kept], dtype=np.float64).reshape(-1, 3)
     descs = compute_descriptors(field, uvs[:, :2], uvs[:, 2], cfg.descriptor_spacing)
-    return [Keypoint(PixelPoint(float(u), float(v)), float(scale),
-                     _orientation_at(field, u, v, scale), desc)
-            for (_, u, v, scale), desc in zip(kept, descs)]
+    thetas = _orientations(field, uvs)
+    return [Keypoint(PixelPoint(float(u), float(v)), float(scale), float(theta), desc)
+            for (_, u, v, scale), theta, desc in zip(kept, thetas, descs)]

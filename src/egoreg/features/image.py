@@ -1,9 +1,10 @@
 """Grayscale image container and cached gradient structures.
 
 The gradient field precomputes, once per image, everything the descriptor
-machinery needs: per-pixel gradients, magnitudes, and a magnitude-weighted
-soft assignment of orientations to 8 bins, plus a 2D integral of that
-8-channel stack so axis-aligned rectangular cell sums cost O(1) lookups.
+machinery needs: per-pixel gradients, magnitudes and orientations, and a
+magnitude-weighted soft assignment of orientations to 8 bins, plus a 2D
+integral of that 8-channel stack so axis-aligned rectangular cell sums cost
+O(1) lookups.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ class GrayImage:
             raise ValueError("pixels must be a 2D array")
         if px.size == 0:
             raise ValueError("pixels must be non-empty")
-        if float(px.min()) < 0.0 or float(px.max()) > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
+        # NaN fails both comparisons, so it is rejected too
+        if not (float(px.min()) >= 0.0 and float(px.max()) <= 1.0):
+            raise ValueError("pixel values must be numbers in [0, 1]")
         px = px.copy()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
@@ -60,9 +62,8 @@ class GradientField:
 
         h, w = px.shape
         stack = np.zeros((h, w, N_ORIENT_BINS), dtype=np.float64)
-        rows, cols = np.indices((h, w))
-        stack[rows, cols, lo] += mag * (1.0 - frac)
-        stack[rows, cols, hi] += mag * frac
+        np.put_along_axis(stack, lo[..., None], (mag * (1.0 - frac))[..., None], axis=2)
+        np.put_along_axis(stack, hi[..., None], (mag * frac)[..., None], axis=2)
 
         integral = np.zeros((h + 1, w + 1, N_ORIENT_BINS), dtype=np.float64)
         np.cumsum(stack, axis=0, out=integral[1:, 1:])
@@ -72,6 +73,7 @@ class GradientField:
         self.gx = gx
         self.gy = gy
         self.magnitude = mag
+        self.angle = ang  # radians in [0, 2*pi)
         self.integral = integral
         self._windows: dict[int, np.ndarray] = {}
 
@@ -103,24 +105,8 @@ class GradientField:
         us = np.asarray(us, dtype=np.float64)
         vs = np.asarray(vs, dtype=np.float64)
         inside = (us >= 0.0) & (us <= w - 1.0) & (vs >= 0.0) & (vs <= h - 1.0)
-        uc = np.clip(us, 0.0, w - 1.0)
-        vc = np.clip(vs, 0.0, h - 1.0)
-        x0 = np.clip(np.floor(uc).astype(np.intp), 0, w - 2) if w > 1 else np.zeros_like(uc, dtype=np.intp)
-        y0 = np.clip(np.floor(vc).astype(np.intp), 0, h - 2) if h > 1 else np.zeros_like(vc, dtype=np.intp)
-        fx = uc - x0
-        fy = vc - y0
-
-        def bilerp(a):
-            return (
-                a[y0, x0] * (1 - fy) * (1 - fx)
-                + a[y0, x0 + 1] * (1 - fy) * fx
-                + a[y0 + 1, x0] * fy * (1 - fx)
-                + a[y0 + 1, x0 + 1] * fy * fx
-            )
-
-        gx = np.where(inside, bilerp(self.gx), 0.0)
-        gy = np.where(inside, bilerp(self.gy), 0.0)
-        return gx, gy
+        return (np.where(inside, bilinear_sample(self.gx, us, vs), 0.0),
+                np.where(inside, bilinear_sample(self.gy, us, vs), 0.0))
 
 
 def bilinear_sample(pixels: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

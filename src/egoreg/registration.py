@@ -408,14 +408,16 @@ def match_sequence(sequence: Sequence, model: Model3D,
 
     kept = range(len(sequence.frames))
     if pruner is not None:
-        feats = []
-        for i, fr in enumerate(sequence.frames):
+        # frames without a raster are kept; a zero-weight pruner needs no feature
+        fixed = pruner.fixed_decision()
+
+        def keep(i: int, image) -> bool:
+            if fixed is not None:
+                return fixed
             prev = sequence.frames[i - 1].image if i > 0 else None
-            if fr.image is None:
-                feats.append(None)
-            else:
-                feats.append(frame_quality_feature(prev, fr.image))
-        kept = [i for i, f in enumerate(feats) if f is None or pruner.keep(f)]
+            return pruner.keep(frame_quality_feature(prev, image))
+
+        kept = [i for i, fr in enumerate(sequence.frames) if fr.image is None or keep(i, fr.image)]
 
     for i in kept:
         frame = sequence.frames[i]

@@ -58,6 +58,14 @@ class LinearPruner:
     def keep(self, feature: FrameQualityFeature) -> bool:
         return float(self.weights @ feature.vector()) + self.bias >= self.threshold
 
+    def fixed_decision(self) -> bool | None:
+        """`keep`'s answer for every feature when all weights are zero, else None.
+
+        Features are finite (images hold no NaN), so the weighted sum is then
+        exactly zero and the feature need not be computed.
+        """
+        return None if self.weights.any() else self.bias >= self.threshold
+
     @classmethod
     def keep_all(cls) -> "LinearPruner":
         return cls(np.zeros(FEATURE_DIM), 0.0, 0.0)
@@ -96,18 +104,15 @@ def optical_flow(prev: GrayImage, curr: GrayImage,
               for dx in range(-search, search + 1)]
     shifts.sort(key=lambda s: (s[0] * s[0] + s[1] * s[1], s[0], s[1]))
 
+    # curr padded with inf: a tile that leaves the frame sums to inf
+    b = np.pad(b, search, constant_values=np.inf)
+    a = a[:ha, :wa]
+    diff = np.empty((ha, wa))
     best = np.full((by, bx), np.inf)
     flow_block = np.zeros((by, bx, 2), dtype=np.float64)
     for dy, dx in shifts:
-        y0, y1 = max(0, -dy), min(ha, h - dy)
-        x0, x1 = max(0, -dx), min(wa, w - dx)
-        sad = np.full((by, bx), np.inf)
-        if y1 > y0 and x1 > x0:
-            diff = np.abs(a[y0:y1, x0:x1] - b[y0 + dy:y1 + dy, x0 + dx:x1 + dx])
-            full = np.full((ha, wa), np.inf)
-            full[y0:y1, x0:x1] = diff
-            sums = full.reshape(by, block, bx, block).sum(axis=(1, 3))
-            sad = sums
+        np.subtract(a, b[search + dy:search + dy + ha, search + dx:search + dx + wa], out=diff)
+        sad = np.abs(diff, out=diff).reshape(by, block, bx, block).sum(axis=(1, 3))
         better = sad < best
         if np.any(better):
             best[better] = sad[better]
@@ -189,12 +194,11 @@ def frame_quality_feature(prev: GrayImage | None, curr: GrayImage) -> FrameQuali
 
 def prune_frames(frames: list[GrayImage], pruner: LinearPruner) -> list[int]:
     """Indices of frames the pruner keeps, ascending. Empty input, empty output."""
-    kept = []
-    for i, frame in enumerate(frames):
-        feat = frame_quality_feature(frames[i - 1] if i > 0 else None, frame)
-        if pruner.keep(feat):
-            kept.append(i)
-    return kept
+    fixed = pruner.fixed_decision()
+    if fixed is not None:
+        return list(range(len(frames))) if fixed else []
+    return [i for i, frame in enumerate(frames)
+            if pruner.keep(frame_quality_feature(frames[i - 1] if i > 0 else None, frame))]
 
 
 def train_pruner(features: list[FrameQualityFeature], labels: list[int],

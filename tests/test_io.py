@@ -175,6 +175,20 @@ def test_sequence_rejects_truncation(rng, tmp_path):
         load_sequence(path)
 
 
+
+def test_sequence_rejects_nan_pixels(tmp_path):
+    intr = Intrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
+    px = np.full((24, 32), 0.25)
+    px[3, 5] = 0.75  # the only pixel with this float32 pattern
+    path = tmp_path / "seq.bin"
+    save_sequence(Sequence([SequenceFrame(0.0, intr, image=GrayImage(px))]), path)
+    data = path.read_bytes()
+    marker = np.float32(0.75).tobytes()
+    assert data.count(marker) == 1
+    path.write_bytes(data.replace(marker, np.float32(np.nan).tobytes()))
+    with pytest.raises(CorruptTable):
+        load_sequence(path)
+
 # ------------------------------------------------------------------- index
 
 

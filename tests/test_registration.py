@@ -20,17 +20,18 @@ from egoreg.features import (
 )
 from egoreg.geometry import Intrinsics, PixelPoint, Pose, WorldPoint, project_many
 from egoreg.matching import MatchConfig, MatchPair
-from egoreg.model import Model3D, ModelImage
+from egoreg.model import Model3D, ModelImage, Sequence, SequenceFrame
 from egoreg.registration import (
     Correspondence2D3D,
     RansacConfig,
     ensure_contexts,
     lift_matches,
+    match_sequence,
     pnp_solve,
     ransac_pnp,
     register_sequence,
 )
-from egoreg.sequence import track_keypoints
+from egoreg.sequence import FEATURE_DIM, LinearPruner, track_keypoints
 from egoreg.synth import night_preset, synth_scene
 
 
@@ -299,3 +300,27 @@ def test_float32_contexts_keep_sptemp_day_pairs(small_day_night_scene, monkeypat
     for image_id, pairs in want.items():
         assert ([(m.query_idx, m.model_idx) for m in got[image_id]]
                 == [(m.query_idx, m.model_idx) for m in pairs])
+
+
+def test_zero_weight_pruner_never_computes_frame_features(monkeypatch, intrinsics):
+    from egoreg import registration, sequence
+
+    def no_feature(*args):
+        raise AssertionError("a zero-weight pruner must not compute features")
+
+    monkeypatch.setattr(registration, "frame_quality_feature", no_feature)
+    monkeypatch.setattr(sequence, "frame_quality_feature", no_feature)
+    monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
+    rng = np.random.default_rng(1)
+    kps = [make_kp(40.0, 50.0), make_kp(90.0, 20.0)]
+    raster = GrayImage(rng.uniform(0, 1, (intrinsics.height, intrinsics.width)))
+    frames = [SequenceFrame(0.1 * i, intrinsics, None if i == 2 else raster, kps)
+              for i in range(4)]
+    model = Model3D([], [ModelImage(0, random_pose(rng), intrinsics, kps)])
+    for bias, threshold in ((0.0, 0.0), (1.0, -2.0), (-1.0, 0.0), (0.0, 1e-12)):
+        pruner = LinearPruner(np.zeros(FEATURE_DIM), bias, threshold)
+        got = match_sequence(Sequence(frames), model, match_cfg=MatchConfig(mode="nn"),
+                             pruner=pruner)
+        # frames without a raster (frame 2) are always kept
+        want = [0, 1, 2, 3] if bias >= threshold else [2]
+        assert [fm.frame_index for fm in got] == want

@@ -55,6 +55,47 @@ def test_optical_flow_zero_for_identical_frames():
     assert np.all(optical_flow(img, img) == 0.0)
 
 
+
+def old_optical_flow(prev, curr, block=8, search=8):
+    """The per-shift bounds arithmetic that the inf-padded frame replaced."""
+    a, b = prev.pixels, curr.pixels
+    h, w = a.shape
+    by, bx = h // block, w // block
+    ha, wa = by * block, bx * block
+    shifts = [(dy, dx) for dy in range(-search, search + 1)
+              for dx in range(-search, search + 1)]
+    shifts.sort(key=lambda s: (s[0] * s[0] + s[1] * s[1], s[0], s[1]))
+    best = np.full((by, bx), np.inf)
+    flow_block = np.zeros((by, bx, 2), dtype=np.float64)
+    for dy, dx in shifts:
+        y0, y1 = max(0, -dy), min(ha, h - dy)
+        x0, x1 = max(0, -dx), min(wa, w - dx)
+        sad = np.full((by, bx), np.inf)
+        if y1 > y0 and x1 > x0:
+            diff = np.abs(a[y0:y1, x0:x1] - b[y0 + dy:y1 + dy, x0 + dx:x1 + dx])
+            full = np.full((ha, wa), np.inf)
+            full[y0:y1, x0:x1] = diff
+            sad = full.reshape(by, block, bx, block).sum(axis=(1, 3))
+        better = sad < best
+        if np.any(better):
+            best[better] = sad[better]
+            flow_block[better] = (dx, dy)
+    flow = np.zeros((h, w, 2), dtype=np.float64)
+    flow[:ha, :wa] = np.repeat(np.repeat(flow_block, block, axis=0), block, axis=1)
+    return flow
+
+
+def test_optical_flow_is_bitwise_unchanged():
+    rng = np.random.default_rng(2)
+    img = textured_image(3, h=61, w=77)  # partial tiles on both edges
+    noisy = GrayImage(np.clip(shifted(img, -5, 4).pixels + rng.normal(0, 0.02, (61, 77)), 0, 1))
+    pairs = [(img, noisy), (img, img), (img, shifted(img, 8, -8)),
+             (textured_image(4, h=12, w=20), textured_image(5, h=12, w=20))]
+    for (a, b) in pairs:
+        for block, search in ((8, 8), (8, 3), (5, 12), (8, 0)):
+            assert np.array_equal(optical_flow(a, b, block, search),
+                                  old_optical_flow(a, b, block, search))
+
 # -------------------------------------------------------------- histogram
 
 
@@ -137,6 +178,22 @@ def test_keep_all_pruner_keeps_everything():
     frames = [textured_image(i) for i in range(3)]
     assert prune_frames(frames, LinearPruner.keep_all()) == [0, 1, 2]
 
+
+def test_zero_weight_pruner_decides_without_features(monkeypatch):
+    import egoreg.sequence as sequence_mod
+
+    def no_feature(*args):
+        raise AssertionError("a zero-weight pruner must not compute features")
+
+    monkeypatch.setattr(sequence_mod, "frame_quality_feature", no_feature)
+    frames = [textured_image(i) for i in range(3)]
+    keep = LinearPruner(np.zeros(FEATURE_DIM), bias=0.5, threshold=0.5)
+    drop = LinearPruner(np.zeros(FEATURE_DIM), bias=0.5, threshold=0.75)
+    assert keep.fixed_decision() is True and drop.fixed_decision() is False
+    assert prune_frames(frames, keep) == [0, 1, 2]
+    assert prune_frames(frames, drop) == []
+    weighted = LinearPruner(np.eye(FEATURE_DIM)[0], 0.0)
+    assert weighted.fixed_decision() is None
 
 def test_linear_pruner_validates_weight_length():
     with pytest.raises(ValueError):
