@@ -8,11 +8,10 @@ tracking, retrieval shortlists), binary file formats, a synthetic
 day/night scene generator, and a command line front end round it out.
 """
 
-from .embedding import (AffinityMatrix, EmbeddedSet, KernelConfig,
-                        assemble_affinity, embedding_objective,
-                        gaussian_kernel, median_sigma, solve_embedding,
-                        spatial_similarity, temporal_distance_profile,
-                        temporal_similarity)
+from .embedding import (AffinityMatrix, EmbeddedSet, assemble_affinity,
+                        embedding_objective, gaussian_kernel, median_sigma,
+                        solve_embedding, spatial_similarity,
+                        temporal_distance_profile, temporal_similarity)
 from .errors import *  # noqa: F401,F403  (errors defines __all__)
 from .evaluation import (MatchReport, RegistrationReport, count_inliers,
                          pose_errors, registration_curve, registration_report)

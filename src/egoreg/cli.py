@@ -25,7 +25,7 @@ from .features import ContextConfig, DetectorConfig, descriptors
 from .geometry import Pose
 from .io import (load_index, load_model, load_pruner, load_sequence,
                  save_index, save_model, save_sequence)
-from .matching import MODES, KernelConfig, MatchConfig
+from .matching import MODES, MatchConfig
 from .registration import REFERENCE_DIAGONAL, RansacConfig, match_sequence, register_sequence
 from .retrieval import build_vocabulary, index_images
 from .sequence import prune_frames
@@ -100,8 +100,7 @@ def _add_match_flags(p: argparse.ArgumentParser):
 
 
 def _match_configs(args) -> tuple[MatchConfig, ContextConfig]:
-    kernel = KernelConfig(embedding_dim=args.dim)
-    return (MatchConfig(args.mode, args.ratio, args.temporal_window, kernel),
+    return (MatchConfig(args.mode, args.ratio, args.temporal_window, args.dim),
             ContextConfig(scale_factor=args.roi_scale))
 
 
@@ -317,8 +316,7 @@ def _cmd_sweep(args) -> int:
     print("# columns: point mean_inliers mean_matches mean_ratio")
     if args.axis == "dim":
         for dim in [int(x) for x in args.dims.split(",")]:
-            kernel = KernelConfig(embedding_dim=dim)
-            match_cfg = MatchConfig(args.mode, args.ratio, args.temporal_window, kernel)
+            match_cfg = MatchConfig(args.mode, args.ratio, args.temporal_window, dim)
             rep = _sweep_report(seq, model, vocab, index, match_cfg,
                                 ContextConfig(scale_factor=args.roi_scale), args)
             print(f"dim {dim} mean_inliers {_fmt(rep.mean_inliers)} "

@@ -2,9 +2,9 @@
 
 Query keypoints (with descriptors and contexts) and model keypoints are
 placed in one weighted graph: cross edges carry the elementwise product of
-a descriptor kernel and a context kernel, and, in spatio-temporal mode,
-query-query edges carry the product of a spatial proximity kernel and a
-temporal stability kernel. Model-model edges are absent. Embedding
+a descriptor kernel and a context kernel, and, when a spatial kernel is
+given, query-query edges carry the product of a spatial proximity kernel
+and a temporal stability kernel. Model-model edges are absent. Embedding
 coordinates are the bottom non-trivial generalized eigenvectors of the
 graph Laplacian, normalized so Z^T D Z = I; squared embedded distances then
 reproduce the weighted-neighborhood objective sum_ij ||z_i - z_j||^2 W_ij,
@@ -22,25 +22,6 @@ from .errors import DegenerateInput, DimensionMismatch, RaggedTracks, ShapeMisma
 EIGENVALUE_ZERO_TOL = 1e-8
 MEDIAN_MAX_PAIRS = 10_000
 
-SINGLE_FRAME = "single"
-SPATIO_TEMPORAL = "spatio-temporal"
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Kernel bandwidths and embedding dimensionality.
-
-    A bandwidth of None means "resolve with the median heuristic on the
-    data at hand". sigma_f acts on descriptors, sigma_c on context vectors,
-    sigma_s on pixel positions, sigma_g on temporal distance profiles.
-    """
-
-    sigma_f: float | None = None
-    sigma_c: float | None = None
-    sigma_s: float | None = None
-    sigma_g: float | None = None
-    embedding_dim: int = 60
-
 
 @dataclass(frozen=True, eq=False)
 class AffinityMatrix:
@@ -49,7 +30,6 @@ class AffinityMatrix:
     W: np.ndarray
     p: int
     q: int
-    mode: str
 
     def __post_init__(self):
         w = np.asarray(self.W, dtype=np.float64)
@@ -226,11 +206,11 @@ def temporal_similarity(track_pos: np.ndarray, sigma: float | None = None) -> np
 
 
 def assemble_affinity(P: np.ndarray, R: np.ndarray,
-                      S: np.ndarray | None = None, G: np.ndarray | None = None,
-                      mode: str = SINGLE_FRAME) -> AffinityMatrix:
+                      S: np.ndarray | None = None, G: np.ndarray | None = None) -> AffinityMatrix:
     """Block affinity: cross edges P*R, query-query edges S*G, no model edges.
 
-    Single-frame mode ignores S and G and leaves the query-query block zero.
+    Without S the query-query block is zero; G defaults to all ones and
+    needs S.
     """
     P = np.asarray(P, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
@@ -241,9 +221,7 @@ def assemble_affinity(P: np.ndarray, R: np.ndarray,
     w = np.zeros((p + q, p + q), dtype=np.float64)
     w[:p, p:] = cross
     w[p:, :p] = cross.T
-    if mode == SPATIO_TEMPORAL:
-        if S is None:
-            raise ValueError("spatio-temporal mode needs a spatial kernel")
+    if S is not None:
         S = np.asarray(S, dtype=np.float64)
         if S.shape != (p, p):
             raise ShapeMismatch(f"S must be {p}x{p}, got {S.shape}")
@@ -251,9 +229,9 @@ def assemble_affinity(P: np.ndarray, R: np.ndarray,
         if G.shape != (p, p):
             raise ShapeMismatch(f"G must be {p}x{p}, got {G.shape}")
         w[:p, :p] = S * G
-    elif mode != SINGLE_FRAME:
-        raise ValueError(f"unknown affinity mode: {mode!r}")
-    return AffinityMatrix(w, p, q, mode)
+    elif G is not None:
+        raise ValueError("a temporal kernel needs a spatial kernel")
+    return AffinityMatrix(w, p, q)
 
 
 def solve_embedding(affinity: AffinityMatrix, dim: int) -> EmbeddedSet:

@@ -10,21 +10,19 @@ descriptors is provided as a baseline; it keeps every query keypoint.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+# perfbench's tracer wraps the embedding functions, match_single_frame,
+# match_spatiotemporal and median_sigma by name in this namespace, so the
+# names stay here even where the pipeline does not call them
 from .embedding import (
-    SINGLE_FRAME,
-    SPATIO_TEMPORAL,
-    KernelConfig,
     assemble_affinity,
     gaussian_kernel,
-    median_sigma,  # noqa: F401  (no longer called here; still importable)
+    median_sigma,  # noqa: F401
     pairwise_sq_dists,
     solve_embedding,
     spatial_similarity,
@@ -33,13 +31,11 @@ from .embedding import (
 from .errors import EmptyInput, RaggedTracks
 from .features import Keypoint, contexts, descriptors, positions
 
-THREADS_ENV = "EGOREG_THREADS"
-
 MODE_NN = "nn"
 MODE_SINGLE = "single"
 MODE_SPATIAL = "sp"
-MODE_SPATIO_TEMPORAL = "sptemp"
-MODES = (MODE_NN, MODE_SINGLE, MODE_SPATIAL, MODE_SPATIO_TEMPORAL)
+MODE_SPTEMP = "sptemp"
+MODES = (MODE_NN, MODE_SINGLE, MODE_SPATIAL, MODE_SPTEMP)
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,33 @@ class MatchPair:
 
 @dataclass(frozen=True)
 class MatchConfig:
-    mode: str = MODE_SPATIO_TEMPORAL
+    """How query frames are matched.
+
+    `mode` is one of MODES: `nn` (nearest raw descriptor), `single`
+    (descriptors and contexts in the joint embedding), `sp` (plus the
+    spatial layout of the query keypoints) or `sptemp` (plus their
+    temporal stability over `temporal_window` past frames). Every kernel
+    takes its median-heuristic bandwidth.
+    """
+
+    mode: str = MODE_SPTEMP
     ratio_threshold: float = 0.8
     temporal_window: int = 20
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+    embedding_dim: int = 60
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown match mode: {self.mode!r}")
+
+    @property
+    def needs_contexts(self) -> bool:
+        """Every mode but `nn` embeds covariance contexts."""
+        return self.mode != MODE_NN
+
+    @property
+    def tracks(self) -> bool:
+        """Only `sptemp` tracks query keypoints over past frames."""
+        return self.mode == MODE_SPTEMP
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -112,10 +131,9 @@ class _Query(NamedTuple):
     mu: np.ndarray
     S: np.ndarray | None
     G: np.ndarray | None
-    mode: str
 
 
-def _query(F: list[Keypoint], track_pos: np.ndarray | None, cfg: MatchConfig) -> _Query:
+def _query(F: list[Keypoint], track_pos: np.ndarray | None) -> _Query:
     """Stack F once; with track positions also build its spatial and temporal kernels."""
     if not F:
         raise EmptyInput("both keypoint sets must be non-empty")
@@ -125,25 +143,23 @@ def _query(F: list[Keypoint], track_pos: np.ndarray | None, cfg: MatchConfig) ->
     mu = cq.mean(axis=0, dtype=np.float64).astype(np.float32)
     cq -= mu
     if track_pos is None:
-        return _Query(dq, cq, mu, None, None, SINGLE_FRAME)
+        return _Query(dq, cq, mu, None, None)
     tp = np.asarray(track_pos, dtype=np.float64)
     if tp.ndim != 3 or tp.shape[0] != len(F) or tp.shape[2] != 2:
         raise RaggedTracks(
             f"expected ({len(F)}, K+1, 2) track positions, got {tp.shape}")
-    S = spatial_similarity(positions(F), cfg.kernel.sigma_s)
-    G = temporal_similarity(tp, cfg.kernel.sigma_g)
-    return _Query(dq, cq, mu, S, G, SPATIO_TEMPORAL)
+    return _Query(dq, cq, mu, spatial_similarity(positions(F)), temporal_similarity(tp))
 
 
 def _embed_and_assign(query: _Query, M: list[Keypoint], cfg: MatchConfig) -> list[MatchPair]:
     if not M:
         raise EmptyInput("both keypoint sets must be non-empty")
-    P = gaussian_kernel(query.dq, descriptors(M), cfg.kernel.sigma_f)
+    P = gaussian_kernel(query.dq, descriptors(M), None)
     cm = contexts(M)
     cm -= query.mu  # in place: contexts() returns a new array on every call
-    R = gaussian_kernel(query.cq, cm, cfg.kernel.sigma_c)
-    aff = assemble_affinity(P, R, query.S, query.G, mode=query.mode)
-    emb = solve_embedding(aff, cfg.kernel.embedding_dim)
+    R = gaussian_kernel(query.cq, cm, None)
+    aff = assemble_affinity(P, R, query.S, query.G)
+    emb = solve_embedding(aff, cfg.embedding_dim)
     if emb.zero_degree[aff.p:].any():
         # zero-degree model rows sit at the origin; exclude them from costs
         raise EmptyInput("model keypoints disconnected from the graph")
@@ -154,7 +170,7 @@ def _embed_and_assign(query: _Query, M: list[Keypoint], cfg: MatchConfig) -> lis
 def match_single_frame(F: list[Keypoint], M: list[Keypoint],
                        cfg: MatchConfig = MatchConfig(mode=MODE_SINGLE)) -> list[MatchPair]:
     """Match one query frame against one model image, descriptors + contexts only."""
-    return _embed_and_assign(_query(F, None, cfg), M, cfg)
+    return _embed_and_assign(_query(F, None), M, cfg)
 
 
 def match_spatiotemporal(F: list[Keypoint], track_pos: np.ndarray, M: list[Keypoint],
@@ -166,7 +182,7 @@ def match_spatiotemporal(F: list[Keypoint], track_pos: np.ndarray, M: list[Keypo
     (current positions only) for spatial-only matching, which makes the
     temporal kernel all-ones. Untrackable keypoints must already be removed.
     """
-    return _embed_and_assign(_query(F, track_pos, cfg), M, cfg)
+    return _embed_and_assign(_query(F, track_pos), M, cfg)
 
 
 def match_nearest_neighbor(F: list[Keypoint], M: list[Keypoint]) -> list[MatchPair]:
@@ -178,17 +194,12 @@ def match_nearest_neighbor(F: list[Keypoint], M: list[Keypoint]) -> list[MatchPa
     if not F or not M:
         raise EmptyInput("both keypoint sets must be non-empty")
     d = np.sqrt(pairwise_sq_dists(descriptors(F), descriptors(M)))
-    out = []
-    for i in range(d.shape[0]):
-        j = int(np.argmin(d[i]))
-        best = float(d[i, j])
-        if d.shape[1] > 1:
-            second = float(np.partition(d[i], 1)[1])
-            ratio = best / second if second > 0.0 else 0.0
-        else:
-            ratio = 0.0
-        out.append(MatchPair(i, j, best, ratio))
-    return out
+    j = np.argmin(d, axis=1)
+    best = d[np.arange(d.shape[0]), j]
+    second = np.partition(d, 1, axis=1)[:, 1] if d.shape[1] > 1 else np.zeros_like(best)
+    ratio = np.divide(best, second, out=np.zeros_like(best), where=second > 0.0)
+    return [MatchPair(i, jj, b, r)
+            for i, (jj, b, r) in enumerate(zip(j.tolist(), best.tolist(), ratio.tolist()))]
 
 
 def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
@@ -198,14 +209,11 @@ def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
     `shortlist` holds objects with `id` and `keypoints` attributes. The
     query side (descriptor and context stacks, spatial and temporal
     kernels) is built once per frame and shared, read-only, by every
-    image. Images are then processed independently (optionally in
-    parallel, thread count from the EGOREG_THREADS environment variable),
-    each with one pairwise product per kernel, and results are keyed by
-    model image id in shortlist order. An image that fails to match
-    contributes an empty list rather than aborting the frame.
+    image. Each image is then matched with one pairwise product per
+    kernel, and results are keyed by model image id in shortlist order.
+    An image that fails to match contributes an empty list rather than
+    aborting the frame.
     """
-    if cfg.mode not in MODES:
-        raise ValueError(f"unknown match mode: {cfg.mode!r}")
     if not F or not shortlist:
         return {img.id: [] for img in shortlist}
     if cfg.mode in (MODE_NN, MODE_SINGLE):
@@ -214,7 +222,7 @@ def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
         tp = positions(F)[:, None, :]  # K = 0: current positions only
     else:
         tp = track_pos
-    query = None if cfg.mode == MODE_NN else _query(F, tp, cfg)
+    query = _query(F, tp) if cfg.needs_contexts else None
 
     def run(img) -> list[MatchPair]:
         try:
@@ -224,10 +232,4 @@ def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
         except EmptyInput:
             return []
 
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if workers == 1 or len(shortlist) <= 1:
-        results = [run(img) for img in shortlist]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, shortlist))
-    return {img.id: res for img, res in zip(shortlist, results)}
+    return {img.id: run(img) for img in shortlist}

@@ -10,7 +10,7 @@ consensus holds at least `min_inliers` correspondences.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +29,9 @@ from .features import (
     descriptors,
     extract_keypoints,
 )
-from .geometry import Intrinsics, Pose, project_many
-from .matching import (
-    MODE_SPATIO_TEMPORAL,
-    MatchConfig,
-    MatchPair,
-    match_frame_to_shortlist,
-)
-from .model import Model3D, ModelImage, Sequence
+from .geometry import Intrinsics, Pose
+from .matching import MatchConfig, MatchPair, match_frame_to_shortlist
+from .model import Model3D, Sequence
 from .retrieval import DEFAULT_SHORTLIST, InvertedIndex, Vocabulary, shortlist
 from .sequence import LinearPruner, frame_quality_feature, track_keypoints
 
@@ -403,7 +398,6 @@ def match_sequence(sequence: Sequence, model: Model3D,
     """
     if not sequence.frames:
         return []
-    need_context = match_cfg.mode != "nn"
     out: list[FrameMatches] = []
 
     kept = range(len(sequence.frames))
@@ -422,14 +416,14 @@ def match_sequence(sequence: Sequence, model: Model3D,
     for i in kept:
         frame = sequence.frames[i]
         try:
-            kps = _frame_keypoints(frame, det_cfg, ctx_cfg, need_context)
+            kps = _frame_keypoints(frame, det_cfg, ctx_cfg, match_cfg.needs_contexts)
         except EmptyInput as exc:
             log.warning("frame %d: %s", i, exc)
             out.append(FrameMatches(i, [], {}, []))
             continue
 
         track_pos = None
-        if match_cfg.mode == MODE_SPATIO_TEMPORAL and kps:
+        if match_cfg.tracks and kps:
             k_eff = min(match_cfg.temporal_window, i)
             past = [sequence.frames[j].image for j in range(i - k_eff, i)]
             if k_eff > 0 and all(im is not None for im in past) and frame.image is not None:

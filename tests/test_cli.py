@@ -1,13 +1,12 @@
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from egoreg.cli import main
-from egoreg.io import load_index, load_model, load_pruner, load_sequence, save_pruner, save_sequence
+from egoreg.io import load_index, load_model, load_sequence, save_pruner, save_sequence
 from egoreg.model import Sequence
-from egoreg.sequence import FEATURE_DIM, LinearPruner
+from egoreg.sequence import LinearPruner
 
 
 def run_cli(argv, capsys):

@@ -23,7 +23,7 @@ def random_affinity(rng, p, q, with_query_block=False):
     if with_query_block:
         S = spatial_similarity(rng.uniform(0, 100, size=(p, 2)))
         G = temporal_similarity(rng.uniform(0, 100, size=(p, 3, 2)))
-        return assemble_affinity(P, R, S, G, mode="spatio-temporal")
+        return assemble_affinity(P, R, S, G)
     return assemble_affinity(P, R)
 
 
@@ -232,7 +232,7 @@ def test_assemble_affinity_blocks_sptemp():
     P = rng.uniform(size=(4, 5))
     R = rng.uniform(size=(4, 5))
     S = spatial_similarity(rng.uniform(0, 50, size=(4, 2)))
-    aff = assemble_affinity(P, R, S, None, mode="spatio-temporal")
+    aff = assemble_affinity(P, R, S)
     # G defaults to all-ones, so the query block is S itself
     assert np.array_equal(aff.W[:4, :4], S)
     assert np.all(aff.W[4:, 4:] == 0.0)
@@ -241,23 +241,21 @@ def test_assemble_affinity_blocks_sptemp():
 def test_assemble_affinity_validation():
     with pytest.raises(ShapeMismatch):
         assemble_affinity(np.ones((2, 3)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        assemble_affinity(np.ones((2, 2)), np.ones((2, 2)), mode="bogus")
-    with pytest.raises(ValueError):
-        assemble_affinity(np.ones((2, 2)), np.ones((2, 2)), mode="spatio-temporal")
+    with pytest.raises(ValueError):  # a temporal kernel without a spatial one
+        assemble_affinity(np.ones((2, 2)), np.ones((2, 2)), G=np.ones((2, 2)))
 
 
 def test_affinity_matrix_rejects_bad_input():
     w = np.zeros((3, 3))
     w[0, 1] = 0.5  # asymmetric
     with pytest.raises(ValueError):
-        AffinityMatrix(w, 2, 1, "single")
+        AffinityMatrix(w, 2, 1)
     w2 = np.zeros((3, 3))
     w2[2, 2] = 0.5  # model-model edge
     with pytest.raises(ValueError):
-        AffinityMatrix(w2, 2, 1, "single")
+        AffinityMatrix(w2, 2, 1)
     with pytest.raises(ShapeMismatch):
-        AffinityMatrix(np.zeros((2, 2)), 2, 1, "single")
+        AffinityMatrix(np.zeros((2, 2)), 2, 1)
 
 
 # ------------------------------------------------------------ embedding
@@ -330,6 +328,6 @@ def test_solve_embedding_truncates_small_graphs():
 
 
 def test_solve_embedding_degenerate():
-    aff = AffinityMatrix(np.zeros((4, 4)), 2, 2, "single")
+    aff = AffinityMatrix(np.zeros((4, 4)), 2, 2)
     with pytest.raises(DegenerateInput):
         solve_embedding(aff, dim=2)

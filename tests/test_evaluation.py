@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_pose, random_rotation
+from conftest import random_pose
 from egoreg.errors import ShapeMismatch
 from egoreg.evaluation import (
     MatchReport,
@@ -11,7 +11,7 @@ from egoreg.evaluation import (
     registration_report,
 )
 from egoreg.features import DESCRIPTOR_DIM, Keypoint
-from egoreg.geometry import Intrinsics, PixelPoint, Pose, WorldPoint, project
+from egoreg.geometry import PixelPoint, Pose, WorldPoint, project
 from egoreg.matching import MatchPair
 from egoreg.model import Model3D, ModelImage
 

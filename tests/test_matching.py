@@ -1,5 +1,5 @@
 import itertools
-import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egoreg.embedding import pairwise_sq_dists
 from egoreg.errors import EmptyInput
-from egoreg.features import Keypoint, positions
+from egoreg.features import Keypoint, descriptors, positions
 from egoreg.geometry import PixelPoint
-from egoreg.embedding import KernelConfig
 from egoreg.matching import (
+    MODES,
     MatchConfig,
+    MatchPair,
     _query,
     hungarian,
     match_frame_to_shortlist,
@@ -175,12 +177,47 @@ def test_nearest_neighbor_recovers_identity():
     assert all(m.query_idx == m.model_idx for m in matches)
 
 
+def nearest_neighbor_per_row(F, M):
+    """One query row at a time: the reference for the array pass."""
+    d = np.sqrt(pairwise_sq_dists(descriptors(F), descriptors(M)))
+    out = []
+    for i in range(d.shape[0]):
+        j = int(np.argmin(d[i]))
+        best = float(d[i, j])
+        second = float(np.partition(d[i], 1)[1]) if d.shape[1] > 1 else 0.0
+        out.append(MatchPair(i, j, best, best / second if second > 0.0 else 0.0))
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 9])
+def test_nearest_neighbor_equals_per_row_reference(q):
+    rng = np.random.default_rng(q)
+    model_kps, base = make_keypoints(rng, q)
+    query_kps, _ = make_keypoints(rng, 7, desc_noise=0.3, base=base[rng.integers(0, q, 7)])
+    # zero descriptors sit at distance exactly 0, so best = second = 0
+    zero = [replace(kp, descriptor=np.zeros(DESC_DIM)) for kp in model_kps[:1]]
+    for F, M in ((query_kps, model_kps), (query_kps + zero, model_kps + zero + zero)):
+        assert match_nearest_neighbor(F, M) == nearest_neighbor_per_row(F, M)
+    assert match_nearest_neighbor(zero, zero + zero)[0].ratio == 0.0
+
+
+def test_match_config_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="bogus"):
+        MatchConfig(mode="bogus")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_match_config_derives_contexts_and_tracking_from_mode(mode):
+    cfg = MatchConfig(mode=mode)
+    assert cfg.needs_contexts == (mode != "nn")
+    assert cfg.tracks == (mode == "sptemp")
+
+
 def test_single_frame_recovers_identity():
     rng = np.random.default_rng(1)
     model_kps, base = make_keypoints(rng, 12)
     query_kps, _ = make_keypoints(rng, 12, desc_noise=0.01, base=base)
-    matches = match_single_frame(query_kps, model_kps,
-                             MatchConfig(mode="single", kernel=KernelConfig(embedding_dim=8)))
+    matches = match_single_frame(query_kps, model_kps, MatchConfig(mode="single", embedding_dim=8))
     assert len(matches) >= 8
     assert all(m.query_idx == m.model_idx for m in matches)
 
@@ -192,8 +229,7 @@ def test_spatiotemporal_recovers_identity():
     pos = np.array([[kp.pos.u, kp.pos.v] for kp in query_kps])
     # static three-frame tracks
     tracks = np.repeat(pos[:, None, :], 3, axis=1)
-    matches = match_spatiotemporal(query_kps, tracks, model_kps,
-                               MatchConfig(kernel=KernelConfig(embedding_dim=8)))
+    matches = match_spatiotemporal(query_kps, tracks, model_kps, MatchConfig(embedding_dim=8))
     assert len(matches) >= 6
     assert all(m.query_idx == m.model_idx for m in matches)
 
@@ -202,7 +238,7 @@ def test_matching_is_deterministic():
     rng = np.random.default_rng(3)
     model_kps, base = make_keypoints(rng, 12)
     query_kps, _ = make_keypoints(rng, 12, desc_noise=0.05, base=base)
-    cfg = MatchConfig(mode="single", kernel=KernelConfig(embedding_dim=8))
+    cfg = MatchConfig(mode="single", embedding_dim=8)
     a = match_single_frame(query_kps, model_kps, cfg)
     b = match_single_frame(query_kps, model_kps, cfg)
     assert [(m.query_idx, m.model_idx, m.embed_dist) for m in a] == \
@@ -221,7 +257,7 @@ def test_contexts_help_under_brightness_shift():
     flat_model = [Keypoint(kp.pos, kp.scale, kp.orientation, kp.descriptor,
                            np.zeros(CTX_DIM, dtype=np.float32) + 1e-3)
                   for kp in model_kps]
-    cfg = MatchConfig(mode="single", kernel=KernelConfig(embedding_dim=8))
+    cfg = MatchConfig(mode="single", embedding_dim=8)
     with_ctx = match_single_frame(query_kps, model_kps, cfg)
     without_ctx = match_single_frame(flat, flat_model, cfg)
     correct_with = sum(m.query_idx == m.model_idx for m in with_ctx)
@@ -237,12 +273,12 @@ def test_coincident_contexts_leave_descriptors_to_decide():
     model_kps, base = make_keypoints(rng, 150)
     query_kps, _ = make_keypoints(rng, 150, desc_noise=0.2, base=base)
     row = rng.normal(size=CTX_DIM).astype(np.float32)
-    cfg = MatchConfig(mode="single", kernel=KernelConfig(embedding_dim=8))
+    cfg = MatchConfig(mode="single", embedding_dim=8)
 
     def with_context(kps, ctx):
         return [Keypoint(kp.pos, kp.scale, kp.orientation, kp.descriptor, ctx) for kp in kps]
 
-    assert not _query(with_context(query_kps, row), None, cfg).cq.any()
+    assert not _query(with_context(query_kps, row), None).cq.any()
     same = match_single_frame(with_context(query_kps, row), with_context(model_kps, row), cfg)
     zero = np.zeros(CTX_DIM, dtype=np.float32)
     flat = match_single_frame(with_context(query_kps, zero), with_context(model_kps, zero), cfg)
@@ -260,21 +296,9 @@ def test_empty_query_raises():
 # ------------------------------------------------------------- shortlist
 
 
-@pytest.mark.parametrize("threads", [None, "2", "4"])
-def test_shortlist_shares_query_side_without_changing_matches(monkeypatch, threads):
-    # the query side is built once per frame; every image, on any thread,
-    # must still get exactly what matching it alone returns
-    if threads is not None:
-        monkeypatch.setenv("EGOREG_THREADS", threads)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the worker threads finely
-    try:
-        _check_shortlist_matches()
-    finally:
-        sys.setswitchinterval(switch)
-
-
-def _check_shortlist_matches():
+def test_shortlist_shares_query_side_without_changing_matches():
+    # the query side is built once per frame; every image must still get
+    # exactly what matching it alone returns
     rng = np.random.default_rng(6)
     query_kps, base = make_keypoints(rng, 20)
     model_a, _ = make_keypoints(rng, 20, desc_noise=0.05, base=base)
@@ -283,18 +307,17 @@ def _check_shortlist_matches():
               SimpleNamespace(id=5, keypoints=model_b)]
     pos = positions(query_kps)
     tracks = np.stack([pos + rng.normal(scale=2.0, size=pos.shape), pos], axis=1)
-    kernel = KernelConfig(embedding_dim=8)
     expected = {
         "single": lambda M: match_single_frame(query_kps, M,
-                                               MatchConfig(mode="single", kernel=kernel)),
+                                               MatchConfig(mode="single", embedding_dim=8)),
         "sp": lambda M: match_spatiotemporal(query_kps, pos[:, None, :], M,
-                                             MatchConfig(mode="sp", kernel=kernel)),
+                                             MatchConfig(mode="sp", embedding_dim=8)),
         "sptemp": lambda M: match_spatiotemporal(query_kps, tracks, M,
-                                                 MatchConfig(mode="sptemp", kernel=kernel)),
+                                                 MatchConfig(mode="sptemp", embedding_dim=8)),
     }
     for mode, single in expected.items():
         got = match_frame_to_shortlist(query_kps, tracks, images,
-                                       MatchConfig(mode=mode, kernel=kernel))
+                                       MatchConfig(mode=mode, embedding_dim=8))
         assert list(got) == [7, 3, 5]
         assert got[3] == []
         for img in (images[0], images[2]):

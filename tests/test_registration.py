@@ -18,7 +18,7 @@ from egoreg.features import (
     contexts,
     extract_keypoints,
 )
-from egoreg.geometry import Intrinsics, PixelPoint, Pose, WorldPoint, project_many
+from egoreg.geometry import PixelPoint, Pose, WorldPoint, project_many
 from egoreg.matching import MatchConfig, MatchPair
 from egoreg.model import Model3D, ModelImage, Sequence, SequenceFrame
 from egoreg.registration import (
@@ -275,9 +275,8 @@ def day_frame_query(scene):
 def test_centred_float32_context_kernel_is_close_to_float64(small_day_night_scene):
     scene = small_day_night_scene
     day_kps, _ = day_frame_query(scene)
-    cfg = MatchConfig(mode="single")
     for F in (day_kps, scene.model.images[0].keypoints):
-        query = matching._query(F, None, cfg)
+        query = matching._query(F, None)
         assert query.cq.dtype == np.float32
         for img in scene.model.images:
             cm = contexts(img.keypoints)

@@ -3,7 +3,6 @@ import pytest
 
 from egoreg.errors import EmptyInput, TooFewDescriptors
 from egoreg.retrieval import (
-    InvertedIndex,
     Vocabulary,
     build_vocabulary,
     index_images,
