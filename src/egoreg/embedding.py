@@ -116,10 +116,14 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float | None) -> np.nda
     every squared distance is exactly zero the points coincide and the
     kernel is all ones.
     """
-    a, b = np.asarray(a), np.asarray(b)
+    # decided before conversion, which makes a new array from a list, a
+    # tuple or a 1-D vector on every call
+    same = b is a
+    a = np.asarray(a)
+    b = a if same else np.asarray(b)
     dt = np.result_type(a, b, np.float32)
     a = np.atleast_2d(np.asarray(a, dtype=dt))
-    b = np.atleast_2d(np.asarray(b, dtype=dt))
+    b = a if same else np.atleast_2d(np.asarray(b, dtype=dt))
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[1]} vs {b.shape[1]}")
     if sigma is not None and sigma <= 0.0:
@@ -128,7 +132,7 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float | None) -> np.nda
     if sigma is None:
         if d2.size and not d2.any():
             return np.ones_like(d2)
-        sigma = _median_bandwidth(d2, b is a)
+        sigma = _median_bandwidth(d2, same)
     return np.exp(-d2 / (sigma * sigma))
 
 
@@ -141,8 +145,8 @@ def median_sigma(a: np.ndarray, b: np.ndarray | None = None,
     `_median_bandwidth`). Kernels with sigma None compute the same value
     from their own distances, so the pipeline never calls this.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     same = b is None or b is a
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     bb = a if same else np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != bb.shape[1]:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[1]} vs {bb.shape[1]}")

@@ -114,12 +114,14 @@ def dense_descriptors(field: GradientField, roi: Roi, stride: int = 4) -> np.nda
 
     n_axis = (roi.side - PATCH) // stride + 1
     cell = PATCH // 4
-    # top-left corner of each node's 4x4 cells, per node and cell
-    offs = stride * np.arange(n_axis)[:, None] + cell * np.arange(4)[None, :]  # (n, 4)
-    y0 = (roi.top + offs)[:, None, :, None]                        # ny,1,4,1
-    x0 = (roi.left + offs)[None, :, None, :]                       # 1,nx,1,4
-    sums = field.window_sums(cell)[y0, x0]                         # ny,nx,4,4,8
-    return _finalize_in_place(sums.reshape(n_axis * n_axis, DESCRIPTOR_DIM))
+    # node (i, j), cell (a, b) reads the window at (top + stride*i + cell*a,
+    # left + stride*j + cell*b): a read-only strided view, copied once
+    sums = field.window_sums(cell)
+    sy, sx, sb = sums.strides
+    view = np.lib.stride_tricks.as_strided(
+        sums[roi.top:, roi.left:], shape=(n_axis, n_axis, 4, 4, sums.shape[2]),
+        strides=(stride * sy, stride * sx, cell * sy, cell * sx, sb), writeable=False)
+    return _finalize_in_place(view.copy().reshape(n_axis * n_axis, DESCRIPTOR_DIM))
 
 
 def _covariance(x: np.ndarray) -> np.ndarray:

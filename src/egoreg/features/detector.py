@@ -95,13 +95,18 @@ def compute_descriptors(field: GradientField, pos: np.ndarray, scales: np.ndarra
     frac = bins - np.floor(bins)
     hi = (lo + 1) % 8
 
-    # (keypoint, cell row, cell column) of every sample
+    # flat (keypoint, cell row, cell column, bin) of every sample; one
+    # bincount adds all lower-bin then all upper-bin shares in sample order
     cell = np.repeat(np.arange(_N_CELLS), _PATCH_SAMPLES // _N_CELLS)
-    idx = (np.arange(n)[:, None, None], cell[None, :, None], cell[None, None, :])
-    hist = np.zeros((n, _N_CELLS, _N_CELLS, 8), dtype=np.float64)
-    np.add.at(hist, idx + (lo,), mag * (1.0 - frac))
-    np.add.at(hist, idx + (hi,), mag * frac)
-    return _finalize_in_place(hist.reshape(n, DESCRIPTOR_DIM)).astype(np.float32)
+    bin0 = ((np.arange(n)[:, None, None] * _N_CELLS + cell[None, :, None]) * _N_CELLS
+            + cell[None, None, :]) * 8
+    hist = np.bincount(np.concatenate([(bin0 + lo).ravel(), (bin0 + hi).ravel()]),
+                       weights=np.concatenate([(mag * (1.0 - frac)).ravel(),
+                                               (mag * frac).ravel()]),
+                       minlength=n * DESCRIPTOR_DIM)
+    # without samples bincount returns int64
+    hist = hist.astype(np.float64, copy=False).reshape(n, DESCRIPTOR_DIM)
+    return _finalize_in_place(hist).astype(np.float32)
 
 
 def _orientations(field: GradientField, uvs: np.ndarray) -> np.ndarray:
@@ -217,6 +222,32 @@ def _solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve(hess[:m], grad[:m]), _solve(hess[m:], grad[m:])])
 
 
+def _deduplicate(candidates: list[tuple], radius: float, limit: int) -> list[tuple]:
+    """(response, u, v, scale) candidates in order, minus those closer than
+    `radius` to one kept before them, up to `limit` kept (0 = no limit).
+
+    Kept points are bucketed in a grid of `radius` cells, so a candidate is
+    tested only against the 3x3 cells around its own.
+    """
+    r2 = radius ** 2
+    size = abs(radius)
+    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    kept: list[tuple] = []
+    for cand in candidates:
+        _, u, v, _ = cand
+        if size > 0.0:
+            cx, cy = math.floor(u / size), math.floor(v / size)
+            if any((u - ku) ** 2 + (v - kv) ** 2 < r2
+                   for gx in (cx - 1, cx, cx + 1) for gy in (cy - 1, cy, cy + 1)
+                   for ku, kv in grid.get((gx, gy), ())):
+                continue
+            grid.setdefault((cx, cy), []).append((u, v))
+        kept.append(cand)
+        if limit and len(kept) >= limit:
+            break
+    return kept
+
+
 def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
                       field: GradientField | None = None) -> list[Keypoint]:
     """Detect scale-space blob keypoints, strongest response first.
@@ -253,18 +284,7 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
         current = levels[s][::2, ::2]
 
     candidates.sort(key=lambda t: (-t[0], t[2], t[1], t[3]))
-    kept: list[tuple] = []
-    for cand in candidates:
-        _, u, v, scale = cand
-        ok = True
-        for _, ku, kv, _ in kept:
-            if (u - ku) ** 2 + (v - kv) ** 2 < cfg.dedup_radius ** 2:
-                ok = False
-                break
-        if ok:
-            kept.append(cand)
-            if cfg.max_keypoints and len(kept) >= cfg.max_keypoints:
-                break
+    kept = _deduplicate(candidates, cfg.dedup_radius, cfg.max_keypoints)
 
     if field is None:
         field = GradientField(image)

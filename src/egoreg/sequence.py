@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ImageTooSmall, SingleClass, SizeMismatch
-from .features import GrayImage, Keypoint, bilinear_sample
+from .features import GrayImage, Keypoint
 
 BLOCK = 8
 SEARCH = 8
@@ -249,9 +249,63 @@ def _pyramid(px: np.ndarray, levels: int) -> list[np.ndarray]:
         if min(pyr[-1].shape) < 2 * TRACK_WINDOW:
             break
         smooth = ndimage.gaussian_filter(pyr[-1], 1.0, mode="nearest")
-        # contiguous, so bilinear_sample's flat gather reads it without a copy
+        # contiguous, so _window_samples' flat gather reads it without a copy
         pyr.append(np.ascontiguousarray(smooth[::2, ::2]))
     return pyr
+
+
+# A window's samples and their half-pixel neighbours read pixels -6 .. +7
+# around floor(centre) on each axis.
+_REACH = TRACK_WINDOW // 2 + 1
+_BLOCK_STEPS = np.arange(TRACK_WINDOW + 3) - _REACH
+
+
+def _at_offsets(taps: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Samples at offsets f - 5 .. f + 5 along axis 0 of the pixels -6 .. +7."""
+    return taps[1:TRACK_WINDOW + 1] * (1.0 - f) + taps[2:TRACK_WINDOW + 2] * f
+
+
+def _at_half_offsets(taps: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Samples at offsets f - 5.5 .. f + 5.5 along axis 0 of the pixels -6 .. +7.
+
+    Offset f + j + 0.5 reads pixels j, j + 1 at weight f + 0.5 when
+    f < 0.5, else pixels j + 1, j + 2 at weight f - 0.5.
+    """
+    shift = f >= 0.5
+    pair = np.where(shift, taps[1:], taps[:-1])
+    wt = f + 0.5 - shift
+    return pair[:-1] * (1.0 - wt) + pair[1:] * wt
+
+
+def _window_samples(px: np.ndarray, centers: np.ndarray, gradients: bool = False
+                    ) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear samples of the 11x11 windows centred at `centers` (n, 2).
+
+    Each window lies on the integer grid around its centre, so it is read
+    from one 14x14 pixel block around floor(centre), with indices clamped
+    to the image (which clamps the samples as `bilinear_sample` does), and
+    interpolated with the window's own fractional offset (fx, fy), first
+    along rows and then along columns. Arrays are (row, column, window):
+    the windows (11, 11, n) and, with `gradients`, the half-pixel central
+    differences gx, gy, each the difference of 12 half-offset samples
+    along its axis.
+    """
+    h, w = px.shape
+    # a centre beyond this reads only border pixels; the clip keeps its floor in range
+    c = np.clip(centers, -_REACH - 1.0, (w + _REACH, h + _REACH))
+    base = np.floor(c)
+    fx, fy = (c - base).T
+    base = base.astype(np.intp)
+    cols = np.clip(base[:, 0] + _BLOCK_STEPS[:, None], 0, w - 1)
+    rows = np.clip(base[:, 1] + _BLOCK_STEPS[:, None], 0, h - 1)
+    block = px.ravel().take(rows[:, None] * w + cols)
+    along_rows = _at_offsets(block.swapaxes(0, 1), fx).swapaxes(0, 1)  # (14, 11, n)
+    win = _at_offsets(along_rows, fy)
+    if not gradients:
+        return win
+    ew = _at_offsets(_at_half_offsets(block.swapaxes(0, 1), fx).swapaxes(0, 1), fy)
+    ns = _at_half_offsets(along_rows, fy)
+    return win, ew[:, 1:] - ew[:, :-1], ns[1:] - ns[:-1]
 
 
 def _align_translation(src_pyr: list[np.ndarray], dst_pyr: list[np.ndarray],
@@ -262,41 +316,29 @@ def _align_translation(src_pyr: list[np.ndarray], dst_pyr: list[np.ndarray],
     prebuilt pyramids (see _pyramid), so repeated alignments against the
     same frame pair share the smoothing work. All windows advance together;
     a window stops refining once its own update drops below 0.03 px. Each
-    iteration samples the moving windows and the half-pixel offsets of
-    their central-difference gradients with one `bilinear_sample` call.
+    iteration reads every moving window, with the half-pixel central
+    differences of the warped image, from one pixel block per window (see
+    _window_samples); templates and final residual windows use the same
+    path.
     """
-    half = TRACK_WINDOW // 2
-    offs = np.arange(-half, half + 1, dtype=np.float64)
-    ou = np.broadcast_to(offs[None, :], (TRACK_WINDOW, TRACK_WINDOW))
-    ov = np.broadcast_to(offs[:, None], (TRACK_WINDOW, TRACK_WINDOW))
-
-    def grid(centers):
-        return centers[:, 0, None, None] + ou, centers[:, 1, None, None] + ov
-
     n_levels = min(len(src_pyr), len(dst_pyr))
     p = pos / (2.0 ** (n_levels - 1))
     residual = np.full(len(pos), np.inf)
     for lvl in range(n_levels - 1, -1, -1):
         s, d = src_pyr[lvl], dst_pyr[lvl]
-        template = bilinear_sample(s, *grid(pos / (2.0 ** lvl)))
+        template = _window_samples(s, pos / (2.0 ** lvl))
         moving = np.ones(len(p), dtype=bool)
         for _ in range(TRACK_MAX_ITERS):
             if not np.any(moving):
                 break
-            u, v = grid(p[moving])
-            # the window and its four half-pixel neighbours in one gather
-            win, east, west, south, north = bilinear_sample(
-                d, np.stack([u, u + 0.5, u - 0.5, u, u]),
-                np.stack([v, v, v, v + 0.5, v - 0.5]))
-            gx = east - west
-            gy = south - north
-            err = template[moving] - win
+            win, gx, gy = _window_samples(d, p[moving], gradients=True)
+            err = template[:, :, moving] - win
             # per-window 2x2 normal equations, solved in closed form
-            a = (gx * gx).sum(axis=(1, 2)) + 1e-9
-            b = (gx * gy).sum(axis=(1, 2))
-            c = (gy * gy).sum(axis=(1, 2)) + 1e-9
-            r0 = (gx * err).sum(axis=(1, 2))
-            r1 = (gy * err).sum(axis=(1, 2))
+            a = (gx * gx).sum(axis=(0, 1)) + 1e-9
+            b = (gx * gy).sum(axis=(0, 1))
+            c = (gy * gy).sum(axis=(0, 1)) + 1e-9
+            r0 = (gx * err).sum(axis=(0, 1))
+            r1 = (gy * err).sum(axis=(0, 1))
             det = a * c - b * b
             solvable = det != 0.0
             step = np.zeros((len(a), 2))
@@ -305,8 +347,8 @@ def _align_translation(src_pyr: list[np.ndarray], dst_pyr: list[np.ndarray],
             p[moving] += step
             done = ~solvable | (np.hypot(step[:, 0], step[:, 1]) < 0.03)
             moving[np.flatnonzero(moving)[done]] = False
-        final = bilinear_sample(d, *grid(p))
-        residual = np.mean(np.abs(template - final), axis=(1, 2))
+        final = _window_samples(d, p)
+        residual = np.mean(np.abs(template - final), axis=(0, 1))
         if lvl > 0:
             p = p * 2.0
     return p, residual

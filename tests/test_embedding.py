@@ -95,6 +95,29 @@ def brute_force_median_sigma(a, b=None):
     return float(np.sqrt(med))
 
 
+def outcome(fn, *args):
+    """fn's result, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc)
+
+
+def test_one_container_passed_twice_is_one_set():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(30, 4))
+    containers = [x.tolist(), tuple(map(tuple, x)), x[:, 0].tolist(), x[0], x[:1],
+                  rng.integers(0, 9, size=(12, 3)), np.array([0.1, 0.7, 2.3])]
+    for c in containers:
+        arr = np.atleast_2d(np.asarray(c, dtype=np.result_type(np.asarray(c), np.float32)))
+        for fn in (lambda a, b: gaussian_kernel(a, b, None), median_sigma):
+            want, got = outcome(fn, arr, arr), outcome(fn, c, c)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert np.array_equal(got, want)
+
+
 def test_median_sigma_two_clusters():
     # points at 0 and at distance 1: squared distances are {0, 1},
     # so sigma^2 is the median of that mixture

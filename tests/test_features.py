@@ -601,3 +601,101 @@ def test_batched_refinement_solve_matches_one_at_a_time():
             want = np.zeros(3)
         assert np.array_equal(row, want)
     assert _solve(np.zeros((0, 3, 3)), np.zeros((0, 3))).shape == (0, 3)
+
+
+def old_dense_descriptors(field, roi, stride=4):
+    """The broadcast fancy-index gather that the strided view replaced."""
+    n_axis = (roi.side - 16) // stride + 1
+    offs = stride * np.arange(n_axis)[:, None] + 4 * np.arange(4)[None, :]
+    y0 = (roi.top + offs)[:, None, :, None]
+    x0 = (roi.left + offs)[None, :, None, :]
+    sums = field.window_sums(4)[y0, x0]
+    return finalize_descriptor(sums.reshape(n_axis * n_axis, 128))
+
+
+def test_dense_descriptors_strided_view_is_bitwise_unchanged():
+    field = GradientField(textured(w=70, h=53, seed=8))
+    cached = field.window_sums(4).copy()
+    for roi in (Roi(0, 0, 16), Roi(3, 5, 45), Roi(54, 37, 16), Roi(30, 10, 40), Roi(0, 0, 53)):
+        for stride in (1, 3, 4, 8, 40):
+            got = dense_descriptors(field, roi, stride)
+            assert np.array_equal(got, old_dense_descriptors(field, roi, stride))
+    # the cached window sums are read, never written
+    assert np.array_equal(field.window_sums(4), cached)
+
+
+def old_deduplicate(candidates, radius, limit):
+    """The candidates-times-kept loop that the grid buckets replaced."""
+    kept = []
+    for cand in candidates:
+        _, u, v, _ = cand
+        ok = True
+        for _, ku, kv, _ in kept:
+            if (u - ku) ** 2 + (v - kv) ** 2 < radius ** 2:
+                ok = False
+                break
+        if ok:
+            kept.append(cand)
+            if limit and len(kept) >= limit:
+                break
+    return kept
+
+
+def test_deduplicate_matches_the_pairwise_loop():
+    rng = np.random.default_rng(21)
+    n = 600
+    uv = np.concatenate([rng.uniform(0.0, 60.0, (n, 2)),
+                         np.round(rng.uniform(0.0, 30.0, (n, 2))),  # on a lattice: exact ties
+                         rng.uniform(-4.0, 4.0, (40, 2))])           # around the origin
+    uv = np.concatenate([uv, uv[:50]])                               # coincident pairs
+    cands = [(float(r), float(u), float(v), 1.6) for r, (u, v)
+             in zip(rng.permutation(len(uv)), uv)]
+    for radius in (2.0, 1.0, 0.75, 3.3, 0.0, -2.0):
+        for limit in (0, 1, 7, 150):
+            got = detector._deduplicate(cands, radius, limit)
+            assert got == old_deduplicate(cands, radius, limit)
+            if limit:
+                assert len(got) <= limit
+    # exactly one radius apart is no duplicate; coincident is
+    ties = [(3.0, 0.0, 0.0, 1.6), (2.0, 2.0, 0.0, 1.6), (1.5, -3.0, 4.0, 1.6),
+            (1.0, 2.0, 0.0, 1.6), (0.5, 1.0, 1.0, 1.6)]
+    assert detector._deduplicate(ties, 2.0, 0) == ties[:3]
+    assert detector._deduplicate(ties, 5.0, 0) == [ties[0], ties[2]]
+    assert detector._deduplicate(ties, 2.0, 2) == ties[:2]
+
+
+def old_compute_descriptors(field, pos, scales, spacing_per_scale=0.75):
+    """compute_descriptors as it binned with two np.add.at calls."""
+    pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
+    n = pos.shape[0]
+    u, v = pos[:, 0, None, None], pos[:, 1, None, None]
+    step = np.maximum(0.6, spacing_per_scale * np.asarray(scales, np.float64)).reshape(n, 1, 1)
+    offs = np.arange(16) - 7.5
+    us, vs = np.broadcast_arrays(u + offs[None, None, :] * step, v + offs[None, :, None] * step)
+    gx, gy = field.sample_gradients(us, vs)
+    mag = np.hypot(gx, gy)
+    half = 8.0 * step
+    r2 = (us - u) ** 2 + (vs - v) ** 2
+    mag = mag * np.exp(-r2 / (2.0 * half * half))
+    ang = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
+    bins = ang * (8 / (2.0 * np.pi))
+    lo = np.floor(bins).astype(np.intp) % 8
+    frac = bins - np.floor(bins)
+    hi = (lo + 1) % 8
+    cell = np.repeat(np.arange(4), 4)
+    idx = (np.arange(n)[:, None, None], cell[None, :, None], cell[None, None, :])
+    hist = np.zeros((n, 4, 4, 8), dtype=np.float64)
+    np.add.at(hist, idx + (lo,), mag * (1.0 - frac))
+    np.add.at(hist, idx + (hi,), mag * frac)
+    return finalize_descriptor(hist.reshape(n, 128)).astype(np.float32)
+
+
+def test_compute_descriptors_bincount_is_bitwise_unchanged():
+    rng = np.random.default_rng(22)
+    field = GradientField(textured(w=90, h=70, seed=9))
+    pos = np.column_stack([rng.uniform(-5.0, 95.0, 80), rng.uniform(-5.0, 75.0, 80)])
+    scales = rng.uniform(0.5, 12.0, 80)
+    for k in (0, 1, 80):
+        got = detector.compute_descriptors(field, pos[:k], scales[:k])
+        assert got.shape == (k, 128)
+        assert np.array_equal(got, old_compute_descriptors(field, pos[:k], scales[:k]))
