@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from .geometry import Pose
 from .io import (load_index, load_model, load_pruner, load_sequence,
                  save_index, save_model, save_sequence)
 from .matching import MODES, MatchConfig
-from .registration import REFERENCE_DIAGONAL, RansacConfig, match_sequence, register_sequence
-from .retrieval import build_vocabulary, index_images
+from .registration import RansacConfig, match_sequence, register_sequence, scaled_threshold
+from .retrieval import DEFAULT_SHORTLIST, build_vocabulary, index_images
 from .sequence import prune_frames
 from .synth import SynthConfig, night_preset, synth_scene
 
@@ -88,20 +89,26 @@ def _apply_config(args: argparse.Namespace, command_parser: argparse.ArgumentPar
 
 
 def _add_match_flags(p: argparse.ArgumentParser):
+    match, ctx = MatchConfig(), ContextConfig()
     p.add_argument("--index", help="retrieval index file; omit to shortlist by image id")
-    p.add_argument("--mode", choices=sorted(MODES), default="sptemp")
-    p.add_argument("--dim", type=int, default=60, help="embedding dimension")
-    p.add_argument("--topk", type=int, default=25, help="shortlist size")
-    p.add_argument("--ratio", type=float, default=0.8, help="ratio test threshold")
-    p.add_argument("--temporal-window", type=int, default=20,
+    p.add_argument("--mode", choices=sorted(MODES), default=match.mode)
+    p.add_argument("--dim", type=int, default=match.embedding_dim, help="embedding dimension")
+    p.add_argument("--topk", type=int, default=DEFAULT_SHORTLIST, help="shortlist size")
+    p.add_argument("--ratio", type=float, default=match.ratio_threshold,
+                   help="ratio test threshold")
+    p.add_argument("--temporal-window", type=int, default=match.temporal_window,
                    help="past frames tracked per query frame")
-    p.add_argument("--roi-scale", type=float, default=1.0,
+    p.add_argument("--roi-scale", type=float, default=ctx.scale_factor,
                    help="context region scale factor")
 
 
 def _match_configs(args) -> tuple[MatchConfig, ContextConfig]:
     return (MatchConfig(args.mode, args.ratio, args.temporal_window, args.dim),
             ContextConfig(scale_factor=args.roi_scale))
+
+
+def _ransac_config(args) -> RansacConfig:
+    return RansacConfig(args.reproj_px, args.min_inliers, args.seed)
 
 
 def _load_index_arg(args):
@@ -114,10 +121,6 @@ def _out_stream(args):
     if getattr(args, "out", None) is None:
         return sys.stdout
     return open(args.out, "w")
-
-
-def _scaled_px(threshold: float, intr) -> float:
-    return threshold * intr.diagonal / REFERENCE_DIAGONAL
 
 
 def _cmd_synth(args) -> int:
@@ -204,11 +207,9 @@ def _cmd_register(args) -> int:
     model = load_model(args.model)
     vocab, index = _load_index_arg(args)
     match_cfg, ctx_cfg = _match_configs(args)
-    ransac_cfg = RansacConfig(reproj_threshold=args.reproj_px,
-                              min_inliers=args.min_inliers, seed=args.seed)
     pruner = load_pruner(args.pruner) if args.pruner else None
     records = register_sequence(seq, model, vocab, index, match_cfg,
-                                DetectorConfig(), ctx_cfg, ransac_cfg,
+                                DetectorConfig(), ctx_cfg, _ransac_config(args),
                                 pruner, args.topk)
     stream = _out_stream(args)
     registered = 0
@@ -304,7 +305,7 @@ def _sweep_report(seq, model, vocab, index, match_cfg, ctx_cfg, args):
     per_kps = [fm.keypoints for fm in frames]
     poses = [gt[fm.frame_index] for fm in frames]
     intrs = [seq.frames[fm.frame_index].intrinsics for fm in frames]
-    thr = _scaled_px(args.inlier_px, seq.frames[0].intrinsics)
+    thr = scaled_threshold(args.inlier_px, seq.frames[0].intrinsics)
     return count_inliers(per_matches, per_kps, poses, model, intrs, thr)
 
 
@@ -314,15 +315,14 @@ def _cmd_sweep(args) -> int:
     vocab, index = _load_index_arg(args)
     print(f"# egoreg-sweep-{args.axis} v1")
     print("# columns: point mean_inliers mean_matches mean_ratio")
+    match_cfg, ctx_cfg = _match_configs(args)
     if args.axis == "dim":
         for dim in [int(x) for x in args.dims.split(",")]:
-            match_cfg = MatchConfig(args.mode, args.ratio, args.temporal_window, dim)
-            rep = _sweep_report(seq, model, vocab, index, match_cfg,
-                                ContextConfig(scale_factor=args.roi_scale), args)
+            rep = _sweep_report(seq, model, vocab, index,
+                                replace(match_cfg, embedding_dim=dim), ctx_cfg, args)
             print(f"dim {dim} mean_inliers {_fmt(rep.mean_inliers)} "
                   f"mean_matches {_fmt(rep.mean_matches)} mean_ratio {_fmt(rep.mean_ratio)}")
     else:
-        match_cfg, _ = _match_configs(args)
         for factor in [float(x) for x in args.factors.split(",")]:
             rep = _sweep_report(seq, model, vocab, index, match_cfg,
                                 ContextConfig(scale_factor=factor), args)
@@ -366,10 +366,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("sequence")
     p.add_argument("model")
     _add_match_flags(p)
-    p.add_argument("--reproj-px", type=float, default=4.0,
+    ransac = RansacConfig()
+    p.add_argument("--reproj-px", type=float, default=ransac.reproj_threshold,
                    help="inlier threshold at the 800px reference diagonal")
-    p.add_argument("--min-inliers", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-inliers", type=int, default=ransac.min_inliers)
+    p.add_argument("--seed", type=int, default=ransac.seed)
     p.add_argument("--pruner")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_register)

@@ -5,7 +5,6 @@ from .context import (
     Roi,
     attach_context,
     context_region,
-    context_roi,
     covariance_descriptor,
     dense_descriptors,
     log_euclidean_vec,
@@ -27,7 +26,6 @@ __all__ = [
     "bilinear_sample",
     "compute_descriptors",
     "context_region",
-    "context_roi",
     "contexts",
     "covariance_descriptor",
     "dense_descriptors",

@@ -9,6 +9,11 @@ weighting makes the Euclidean norm of the vector equal the Frobenius norm
 of the log-matrix, so vector distances reproduce the log-Euclidean metric
 between covariance matrices exactly.
 
+The region is a square of side ROI_SIDE_PER_SCALE (24) x
+`ContextConfig.scale_factor` x keypoint scale, clamped to the image, and
+its grid nodes are STRIDE (4) px apart, each reading one PATCH (16) px
+square; a region with under two nodes gives no context.
+
 `attach_context` maps EIGH_CHUNK covariances at a time through one batched
 eigendecomposition, so a chunk bounds its memory: 128 KiB per 128x128
 matrix, a few (EIGH_CHUNK, 128, 128) stacks in flight. It feeds grid rows
@@ -30,6 +35,8 @@ from .keypoint import DESCRIPTOR_DIM, Keypoint
 
 PATCH = 16
 MIN_ROI_SIDE = PATCH
+ROI_SIDE_PER_SCALE = 24.0  # region side per unit keypoint scale at scale_factor 1
+STRIDE = 4  # grid node spacing, px
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
 EIGH_CHUNK = 8  # keypoints per batched eigendecomposition
@@ -37,17 +44,14 @@ EIGH_CHUNK = 8  # keypoints per batched eigendecomposition
 
 @dataclass(frozen=True)
 class ContextConfig:
-    """Region-of-interest sizing and sampling for context extraction.
+    """Region sizing for context extraction.
 
-    The region side is epsilon * roi_base * scale_factor times the keypoint
-    scale; scale_factor is the sweep knob and leaves the default geometry
-    unchanged at 1.0.
+    The region side is ROI_SIDE_PER_SCALE (24) x scale_factor x the keypoint
+    scale; scale_factor is the `sweep roi` knob and leaves the default
+    geometry unchanged at 1.0. The grid stride is the fixed STRIDE (4 px).
     """
 
-    epsilon: float = 6.0
-    roi_base: float = 4.0
     scale_factor: float = 1.0
-    stride: int = 4
 
 
 @dataclass(frozen=True)
@@ -58,23 +62,21 @@ class Roi:
     top: int
     side: int
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.left + self.side / 2.0, self.top + self.side / 2.0)
 
+def context_region(kp: Keypoint, width: int, height: int,
+                   cfg: ContextConfig = ContextConfig()) -> Roi | None:
+    """The keypoint's context region, or None when it cannot have a context.
 
-def context_roi(kp: Keypoint, epsilon: float, width: int, height: int,
-                roi_base: float = 4.0, scale_factor: float = 1.0) -> Roi:
-    """Square region centered on the keypoint, side proportional to its scale.
-
-    The square is clamped to the image: first its side shrinks to the smaller
-    image dimension if necessary, then it shifts inward so it fits entirely.
-    Raises RoiTooSmall when the resulting side is under 16 px.
+    The square is centred on the keypoint with side ROI_SIDE_PER_SCALE *
+    scale_factor * scale, clamped to the image: first its side shrinks to
+    the smaller image dimension if necessary, then it shifts inward so it
+    fits entirely. None when the side is under 16 px or its grid has under
+    two nodes.
     """
-    side = int(round(epsilon * roi_base * scale_factor * kp.scale))
+    side = int(round(ROI_SIDE_PER_SCALE * cfg.scale_factor * kp.scale))
     side = min(side, width, height)
-    if side < MIN_ROI_SIDE:
-        raise RoiTooSmall(f"side {side} is under the {MIN_ROI_SIDE}px minimum")
+    if side - PATCH < STRIDE:
+        return None
     left = int(round(kp.pos.u - side / 2.0))
     top = int(round(kp.pos.v - side / 2.0))
     left = min(max(left, 0), width - side)
@@ -82,45 +84,29 @@ def context_roi(kp: Keypoint, epsilon: float, width: int, height: int,
     return Roi(left, top, side)
 
 
-def context_region(kp: Keypoint, width: int, height: int,
-                   cfg: ContextConfig = ContextConfig()) -> Roi | None:
-    """The keypoint's context region, or None when it cannot have a context.
-
-    That is when there is no `context_roi` or its grid has under two nodes.
-    """
-    try:
-        roi = context_roi(kp, cfg.epsilon, width, height,
-                          roi_base=cfg.roi_base, scale_factor=cfg.scale_factor)
-    except RoiTooSmall:
-        return None
-    return roi if roi.side - PATCH >= cfg.stride else None
-
-
-def dense_descriptors(field: GradientField, roi: Roi, stride: int = 4) -> np.ndarray:
+def dense_descriptors(field: GradientField, roi: Roi) -> np.ndarray:
     """Descriptors on a dense grid inside the region, (n, 128) float64.
 
     Grid nodes are inset by half a patch from the region border and spaced
-    by `stride`, giving ((side - 16) // stride + 1)^2 nodes. Each node's
+    by STRIDE, giving ((side - 16) // STRIDE + 1)^2 nodes. Each node's
     descriptor is the plain (unweighted) 4x4-cell orientation histogram of
     its fixed 16x16 pixel patch, normalized like any other descriptor.
     """
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
     h, w = field.shape
     if roi.side < MIN_ROI_SIDE:
         raise RoiTooSmall(f"side {roi.side} is under the {MIN_ROI_SIDE}px minimum")
     if roi.left < 0 or roi.top < 0 or roi.left + roi.side > w or roi.top + roi.side > h:
         raise RoiTooSmall("region extends outside the image")
 
-    n_axis = (roi.side - PATCH) // stride + 1
+    n_axis = (roi.side - PATCH) // STRIDE + 1
     cell = PATCH // 4
-    # node (i, j), cell (a, b) reads the window at (top + stride*i + cell*a,
-    # left + stride*j + cell*b): a read-only strided view, copied once
+    # node (i, j), cell (a, b) reads the window at (top + STRIDE*i + cell*a,
+    # left + STRIDE*j + cell*b): a read-only strided view, copied once
     sums = field.window_sums(cell)
     sy, sx, sb = sums.strides
     view = np.lib.stride_tricks.as_strided(
         sums[roi.top:, roi.left:], shape=(n_axis, n_axis, 4, 4, sums.shape[2]),
-        strides=(stride * sy, stride * sx, cell * sy, cell * sx, sb), writeable=False)
+        strides=(STRIDE * sy, STRIDE * sx, cell * sy, cell * sx, sb), writeable=False)
     return _finalize_in_place(view.copy().reshape(n_axis * n_axis, DESCRIPTOR_DIM))
 
 
@@ -203,7 +189,7 @@ def attach_context(image: GrayImage, kps: list[Keypoint],
     out: list[Keypoint] = []
     for start in range(0, len(kept), EIGH_CHUNK):
         chunk = kept[start:start + EIGH_CHUNK]
-        covs = np.stack([_covariance(dense_descriptors(field, rois[i], cfg.stride))
+        covs = np.stack([_covariance(dense_descriptors(field, rois[i]))
                          for i in chunk])
         out += [kps[i].with_context(v) for i, v in zip(chunk, _log_euclidean(covs))]
     return out, len(kps) - len(kept)

@@ -8,6 +8,12 @@ response. Descriptors are 4x4 cells of 8-bin gradient-orientation histograms
 sampling grid stays axis-aligned: the stored orientation describes the
 dominant local gradient but does not rotate the descriptor, which favors
 repeatability in footage without in-plane roll.
+
+The detector's geometry is fixed by module constants: BASE_SIGMA 1.6 with
+SCALES_PER_OCTAVE 3 levels, up to four octaves derived from the image size,
+CONTRAST_THRESHOLD 0.01, EDGE_RATIO 10, DEDUP_RADIUS 2 px across octaves,
+and DESCRIPTOR_SPACING 0.75 px of sample spacing per unit scale. The one
+setting, `DetectorConfig.max_keypoints`, caps the strongest keypoints kept.
 """
 
 from __future__ import annotations
@@ -28,18 +34,17 @@ _N_CELLS = 4
 _PATCH_SAMPLES = 16
 _CLIP = 0.2
 _WINDOW_PIXELS = 1 << 18  # orientation window pixels per pass, ~20 MB of temporaries
+BASE_SIGMA = 1.6
+SCALES_PER_OCTAVE = 3
+CONTRAST_THRESHOLD = 0.01
+EDGE_RATIO = 10.0
+DEDUP_RADIUS = 2.0
+DESCRIPTOR_SPACING = 0.75  # sample spacing per unit scale
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    base_sigma: float = 1.6
-    scales_per_octave: int = 3
-    n_octaves: int = 0  # 0 = derive from image size
-    contrast_threshold: float = 0.01
-    edge_ratio: float = 10.0
     max_keypoints: int = 0  # 0 = unlimited
-    dedup_radius: float = 2.0
-    descriptor_spacing: float = 0.75  # sample spacing per unit scale
 
 
 def finalize_descriptor(hist: np.ndarray) -> np.ndarray:
@@ -74,13 +79,12 @@ def _finalize_in_place(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def compute_descriptors(field: GradientField, pos: np.ndarray, scales: np.ndarray,
-                        spacing_per_scale: float = 0.75) -> np.ndarray:
+def compute_descriptors(field: GradientField, pos: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Axis-aligned descriptors at given positions/scales, (n, 128) float32."""
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
     n = pos.shape[0]
     u, v = pos[:, 0, None, None], pos[:, 1, None, None]
-    step = np.maximum(0.6, spacing_per_scale * np.asarray(scales, np.float64)).reshape(n, 1, 1)
+    step = np.maximum(0.6, DESCRIPTOR_SPACING * np.asarray(scales, np.float64)).reshape(n, 1, 1)
     offs = np.arange(_PATCH_SAMPLES) - (_PATCH_SAMPLES - 1) / 2.0
     us, vs = np.broadcast_arrays(u + offs[None, None, :] * step, v + offs[None, :, None] * step)
     gx, gy = field.sample_gradients(us, vs)
@@ -158,21 +162,20 @@ def _orientations(field: GradientField, uvs: np.ndarray) -> np.ndarray:
     return np.where(sizes > 0, theta, 0.0)
 
 
-def _octave_candidates(dog: np.ndarray, octave: int, cfg: DetectorConfig) -> list[tuple]:
+def _octave_candidates(dog: np.ndarray, octave: int) -> list[tuple]:
     """Scan one octave's DoG stack for refined extrema.
 
     Returns tuples (response, u, v, scale) in full-resolution coordinates,
     ordered by level, then row-major position. All extrema of the octave
     are edge-tested and refined together with array operations.
     """
-    s = cfg.scales_per_octave
     margin = 4
     maxf = ndimage.maximum_filter(dog, size=3, mode="constant", cval=-np.inf)
     minf = ndimage.minimum_filter(dog, size=3, mode="constant", cval=np.inf)
     inner = (slice(1, -1), slice(margin, -margin), slice(margin, -margin))
     c = dog[inner]
     is_ext = ((c >= maxf[inner]) | (c <= minf[inner])) & \
-        (np.abs(c) >= 0.8 * cfg.contrast_threshold)
+        (np.abs(c) >= 0.8 * CONTRAST_THRESHOLD)
     lvl, y, x = np.nonzero(is_ext)
     lvl += 1
     y += margin
@@ -187,7 +190,7 @@ def _octave_candidates(dog: np.ndarray, octave: int, cfg: DetectorConfig) -> lis
     dxy = 0.25 * (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1))
     tr = dxx + dyy
     det = dxx * dyy - dxy * dxy
-    r = cfg.edge_ratio
+    r = EDGE_RATIO
     ok = (det > 0.0) & (tr * tr * r < det * (r + 1.0) ** 2)
     lvl, y, x, val, dxx, dyy, dxy = (a[ok] for a in (lvl, y, x, val, dxx, dyy, dxy))
 
@@ -202,11 +205,12 @@ def _octave_candidates(dog: np.ndarray, octave: int, cfg: DetectorConfig) -> lis
     off = np.clip(-_solve(hess, grad), -0.5, 0.5)
     # a BLAS dot per candidate: einsum or a written-out sum rounds differently
     response = val + 0.5 * np.matmul(grad[:, None, :], off[:, :, None])[:, 0, 0]
-    keep = np.abs(response) >= cfg.contrast_threshold
+    keep = np.abs(response) >= CONTRAST_THRESHOLD
     lvl, y, x, off, response = lvl[keep], y[keep], x[keep], off[keep], response[keep]
     step = 2.0 ** octave
     # scalar pow: numpy's vectorised pow may differ in the last bit
-    scales = [cfg.base_sigma * 2.0 ** e for e in (octave + (lvl + off[:, 2]) / s).tolist()]
+    scales = [BASE_SIGMA * 2.0 ** e
+              for e in (octave + (lvl + off[:, 2]) / SCALES_PER_OCTAVE).tolist()]
     return list(zip(np.abs(response).tolist(), ((x + off[:, 0]) * step).tolist(),
                     ((y + off[:, 1]) * step).tolist(), scales))
 
@@ -261,14 +265,11 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
     if h < MIN_IMAGE_SIDE or w < MIN_IMAGE_SIDE:
         raise ImageTooSmall(f"need at least {MIN_IMAGE_SIDE}px per side, got {w}x{h}")
 
-    s = cfg.scales_per_octave
-    n_oct = cfg.n_octaves
-    if n_oct <= 0:
-        n_oct = max(1, min(4, int(math.log2(min(h, w) / 24.0)) + 1))
-
-    sigmas = [cfg.base_sigma * 2.0 ** (i / s) for i in range(s + 3)]
+    s = SCALES_PER_OCTAVE
+    n_oct = max(1, min(4, int(math.log2(min(h, w) / 24.0)) + 1))
+    sigmas = [BASE_SIGMA * 2.0 ** (i / s) for i in range(s + 3)]
     base = ndimage.gaussian_filter(
-        image.pixels, math.sqrt(max(cfg.base_sigma ** 2 - 0.25, 0.01)), mode="nearest")
+        image.pixels, math.sqrt(max(BASE_SIGMA ** 2 - 0.25, 0.01)), mode="nearest")
 
     candidates: list[tuple] = []
     current = base
@@ -280,16 +281,16 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
             inc = math.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2)
             levels.append(ndimage.gaussian_filter(levels[-1], inc, mode="nearest"))
         dog = np.stack([levels[i + 1] - levels[i] for i in range(s + 2)])
-        candidates.extend(_octave_candidates(dog, o, cfg))
+        candidates.extend(_octave_candidates(dog, o))
         current = levels[s][::2, ::2]
 
     candidates.sort(key=lambda t: (-t[0], t[2], t[1], t[3]))
-    kept = _deduplicate(candidates, cfg.dedup_radius, cfg.max_keypoints)
+    kept = _deduplicate(candidates, DEDUP_RADIUS, cfg.max_keypoints)
 
     if field is None:
         field = GradientField(image)
     uvs = np.array([c[1:] for c in kept], dtype=np.float64).reshape(-1, 3)
-    descs = compute_descriptors(field, uvs[:, :2], uvs[:, 2], cfg.descriptor_spacing)
+    descs = compute_descriptors(field, uvs[:, :2], uvs[:, 2])
     thetas = _orientations(field, uvs)
     return [Keypoint(PixelPoint(float(u), float(v)), float(scale), float(theta), desc)
             for (_, u, v, scale), theta, desc in zip(kept, thetas, descs)]

@@ -140,9 +140,12 @@ def _read_keypoints(r: _Reader) -> list[Keypoint]:
 def _pack_raster(img: GrayImage | None) -> bytes:
     if img is None:
         return struct.pack("<B", 0)
-    return (struct.pack("<B", 1)
-            + struct.pack("<2I", img.height, img.width)
-            + img.pixels.astype("<f4").tobytes())
+    return struct.pack("<B", 1) + _pack_raster_body(img)
+
+
+def _pack_raster_body(img: GrayImage) -> bytes:
+    """Size and float32 pixels of a raster known to be present."""
+    return struct.pack("<2I", img.height, img.width) + img.pixels.astype("<f4").tobytes()
 
 
 def _read_raster(r: _Reader) -> GrayImage | None:
@@ -223,8 +226,7 @@ def save_sequence(seq: Sequence, path: str | Path) -> None:
             flags |= _FLAG_GT_POSE
         parts.append(struct.pack("<B", flags))
         if fr.image is not None:
-            parts.append(struct.pack("<2I", fr.image.height, fr.image.width))
-            parts.append(fr.image.pixels.astype("<f4").tobytes())
+            parts.append(_pack_raster_body(fr.image))
         if fr.keypoints is not None:
             parts.append(_pack_keypoints(fr.keypoints))
         if fr.gt_pose is not None:

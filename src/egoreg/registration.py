@@ -39,16 +39,21 @@ log = logging.getLogger(__name__)
 
 REFERENCE_DIAGONAL = 800.0  # 640x480; reprojection thresholds scale against it
 MIN_PNP_POINTS = 6
+RANSAC_CONFIDENCE = 0.999  # adaptive stop: P(some sample was all inliers)
+RANSAC_MAX_ITERATIONS = 2000
 GN_ITERS = 20
 
 
 @dataclass(frozen=True)
 class RansacConfig:
     reproj_threshold: float = 4.0  # px at the 640x480-equivalent scale
-    confidence: float = 0.999
-    max_iterations: int = 2000
     min_inliers: int = 12
     seed: int = 0
+
+
+def scaled_threshold(px: float, k: Intrinsics) -> float:
+    """A pixel threshold given at the 800 px reference diagonal, for `k`'s image."""
+    return px * k.diagonal / REFERENCE_DIAGONAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,12 +296,12 @@ def ransac_pnp(corrs: list[Correspondence2D3D], k: Intrinsics,
         raise TooFewCorrespondences(
             f"need at least min_inliers={cfg.min_inliers} correspondences, got {n}")
     xyz, uv = _as_arrays(corrs)
-    thresh = cfg.reproj_threshold * k.diagonal / REFERENCE_DIAGONAL
+    thresh = scaled_threshold(cfg.reproj_threshold, k)
     rng = np.random.default_rng(cfg.seed)
 
     best_count = 0
     best_mask = np.zeros(n, dtype=bool)
-    max_iters = cfg.max_iterations
+    max_iters = RANSAC_MAX_ITERATIONS
     it = 0
     while it < max_iters:
         it += 1
@@ -314,8 +319,8 @@ def ransac_pnp(corrs: list[Correspondence2D3D], k: Intrinsics,
             w = count / n
             denom = np.log1p(-min(w ** MIN_PNP_POINTS, 1.0 - 1e-12))
             if denom < 0.0:
-                needed = int(np.ceil(np.log(1.0 - cfg.confidence) / denom))
-                max_iters = min(cfg.max_iterations, max(needed, 1))
+                needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
+                max_iters = min(RANSAC_MAX_ITERATIONS, max(needed, 1))
 
     failed = PoseEstimate(None, np.zeros(n, dtype=bool), float("nan"), "failed", n)
     if best_count < max(cfg.min_inliers, MIN_PNP_POINTS):

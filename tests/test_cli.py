@@ -3,9 +3,13 @@ import sys
 
 import pytest
 
-from egoreg.cli import main
+from egoreg.cli import _build_parser, _match_configs, _ransac_config, main
+from egoreg.features import ContextConfig
 from egoreg.io import load_index, load_model, load_sequence, save_pruner, save_sequence
+from egoreg.matching import MatchConfig
 from egoreg.model import Sequence
+from egoreg.registration import RansacConfig
+from egoreg.retrieval import DEFAULT_SHORTLIST
 from egoreg.sequence import LinearPruner
 
 
@@ -160,6 +164,15 @@ def test_config_rejects_unknown_keys(scene_dir, tmp_path, capsys):
                            capsys)
     assert code == 2
     assert "warp_speed" in err
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser, _ = _build_parser()
+    for argv in (["match"], ["register"], ["sweep", "dim"], ["sweep", "roi"]):
+        args = parser.parse_args(argv + ["a.eseq", "b.emrg"])
+        assert _match_configs(args) == (MatchConfig(), ContextConfig())
+        assert args.topk == DEFAULT_SHORTLIST
+    assert _ransac_config(parser.parse_args(["register", "a.eseq", "b.emrg"])) == RansacConfig()
 
 
 # ------------------------------------------------------------- exit codes

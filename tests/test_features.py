@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.linalg import expm, logm
 
-from egoreg.errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
+from egoreg.errors import NotPositiveDefinite, TooFewSamples
 from egoreg.features import (
     ContextConfig,
     DetectorConfig,
@@ -22,7 +22,6 @@ from egoreg.features.context import (
     _covariance,
     _log_euclidean,
     context_region,
-    context_roi,
     covariance_descriptor,
     dense_descriptors,
     log_euclidean_vec,
@@ -174,31 +173,35 @@ def make_kp(u, v, scale):
     return Keypoint(PixelPoint(u, v), scale, 0.0, d / np.linalg.norm(d))
 
 
-def test_context_roi_side_formula():
-    # side = epsilon * roi_base * scale_factor * scale = 6 * 4 * 1 * 2 = 48
-    roi = context_roi(make_kp(100.0, 80.0, 2.0), 6.0, 320, 240)
+def test_context_region_side_formula():
+    # side = 24 * scale_factor * scale = 24 * 1 * 2 = 48
+    roi = context_region(make_kp(100.0, 80.0, 2.0), 320, 240)
     assert roi.side == 48
     assert roi.left == 100 - 24 and roi.top == 80 - 24
+    assert context_region(make_kp(100.0, 80.0, 2.0), 320, 240,
+                          ContextConfig(scale_factor=1.5)).side == 72
 
 
-def test_context_roi_clamps_to_image():
-    roi = context_roi(make_kp(2.0, 2.0, 2.0), 6.0, 320, 240)
+def test_context_region_clamps_to_image():
+    roi = context_region(make_kp(2.0, 2.0, 2.0), 320, 240)
     assert roi.left == 0 and roi.top == 0
-    big = context_roi(make_kp(100.0, 80.0, 100.0), 6.0, 320, 240)
+    big = context_region(make_kp(100.0, 80.0, 100.0), 320, 240)
     assert big.side == 240  # shrunk to the smaller image dimension
 
 
-def test_context_roi_too_small():
-    with pytest.raises(RoiTooSmall):
-        context_roi(make_kp(50.0, 50.0, 0.5), 6.0, 320, 240)
+def test_context_region_too_small():
+    # side 12 is under 16 px; side 17 holds a single grid node
+    assert context_region(make_kp(50.0, 50.0, 0.5), 320, 240) is None
+    assert context_region(make_kp(50.0, 50.0, 0.7), 320, 240) is None
+    assert context_region(make_kp(50.0, 50.0, 20 / 24), 320, 240).side == 20
 
 
 def test_dense_grid_count_oracle():
-    # side 32, stride 8: nodes inset by half patch -> 3x3 grid
+    # side 32, stride 4: nodes inset by half patch -> 5x5 grid
     rng = np.random.default_rng(1)
     field = GradientField(GrayImage(rng.uniform(0, 1, size=(64, 64))))
-    descs = dense_descriptors(field, Roi(10, 10, 32), stride=8)
-    assert descs.shape == (9, 128)
+    descs = dense_descriptors(field, Roi(10, 10, 32))
+    assert descs.shape == (25, 128)
     for d in descs:
         norm = np.linalg.norm(d)
         assert norm == pytest.approx(1.0, abs=1e-6) or norm == 0.0
@@ -207,7 +210,7 @@ def test_dense_grid_count_oracle():
 def test_dense_grid_count_default_stride():
     rng = np.random.default_rng(2)
     field = GradientField(GrayImage(rng.uniform(0, 1, size=(80, 80))))
-    descs = dense_descriptors(field, Roi(5, 5, 48), stride=4)
+    descs = dense_descriptors(field, Roi(5, 5, 48))
     assert descs.shape == (81, 128)  # ((48 - 16) // 4 + 1)^2
 
 
@@ -303,8 +306,8 @@ def test_attach_context_matches_per_keypoint_oracle():
     assert dropped == 2 and len(kept) == n
     assert [kp.pos for kp in with_ctx] == [kp.pos for kp in kept]
     for kp, got in zip(kept, with_ctx):
-        roi = context_roi(kp, cfg.epsilon, img.width, img.height)
-        want = log_euclidean_vec(covariance_descriptor(dense_descriptors(field, roi, cfg.stride)))
+        roi = context_region(kp, img.width, img.height, cfg)
+        want = log_euclidean_vec(covariance_descriptor(dense_descriptors(field, roi)))
         assert got.context.dtype == np.float32
         assert np.allclose(got.context, want, rtol=0.0, atol=1e-5)
 
@@ -465,8 +468,10 @@ def test_orientations_match_the_per_keypoint_loop(monkeypatch):
     assert _orientations(field, np.zeros((0, 3))).shape == (0,)
 
 
-def old_octave_candidates(dog, octave, cfg):
-    s = cfg.scales_per_octave
+def old_octave_candidates(dog, octave):
+    # the thresholds are read at call time, so a monkeypatch applies to both
+    s = detector.SCALES_PER_OCTAVE
+    contrast, r = detector.CONTRAST_THRESHOLD, detector.EDGE_RATIO
     n_levels, h, w = dog.shape
     out = []
     margin = 4
@@ -474,7 +479,7 @@ def old_octave_candidates(dog, octave, cfg):
     minf = ndimage.minimum_filter(dog, size=3, mode="constant", cval=np.inf)
     for lvl in range(1, n_levels - 1):
         c = dog[lvl]
-        is_ext = ((c >= maxf[lvl]) | (c <= minf[lvl])) & (np.abs(c) >= 0.8 * cfg.contrast_threshold)
+        is_ext = ((c >= maxf[lvl]) | (c <= minf[lvl])) & (np.abs(c) >= 0.8 * contrast)
         is_ext[:margin, :] = False
         is_ext[-margin:, :] = False
         is_ext[:, :margin] = False
@@ -487,7 +492,6 @@ def old_octave_candidates(dog, octave, cfg):
             dxy = 0.25 * (c[y + 1, x + 1] - c[y + 1, x - 1] - c[y - 1, x + 1] + c[y - 1, x - 1])
             tr = dxx + dyy
             det = dxx * dyy - dxy * dxy
-            r = cfg.edge_ratio
             if det <= 0.0 or tr * tr * r >= det * (r + 1.0) ** 2:
                 continue
             gx = 0.5 * (c[y, x + 1] - c[y, x - 1])
@@ -505,17 +509,17 @@ def old_octave_candidates(dog, octave, cfg):
             except np.linalg.LinAlgError:
                 off = np.zeros(3)
             response = val + 0.5 * float(grad @ off)
-            if abs(response) < cfg.contrast_threshold:
+            if abs(response) < contrast:
                 continue
-            scale = cfg.base_sigma * 2.0 ** (octave + (lvl + off[2]) / s)
+            scale = detector.BASE_SIGMA * 2.0 ** (octave + (lvl + off[2]) / s)
             out.append((abs(response), (x + off[0]) * 2.0 ** octave,
                         (y + off[1]) * 2.0 ** octave, scale))
     return out
 
 
-def dog_stack(img, octave, cfg=DetectorConfig()):
-    s = cfg.scales_per_octave
-    sigmas = [cfg.base_sigma * 2.0 ** (i / s) for i in range(s + 3)]
+def dog_stack(img, octave):
+    s = detector.SCALES_PER_OCTAVE
+    sigmas = [detector.BASE_SIGMA * 2.0 ** (i / s) for i in range(s + 3)]
     cur = ndimage.gaussian_filter(img.pixels, 1.5, mode="nearest")[::2 ** octave, ::2 ** octave]
     levels = [cur]
     for i in range(1, s + 3):
@@ -524,44 +528,46 @@ def dog_stack(img, octave, cfg=DetectorConfig()):
     return np.stack([levels[i + 1] - levels[i] for i in range(s + 2)])
 
 
-def test_octave_candidates_match_the_per_candidate_loop():
-    cfg = DetectorConfig()
+def test_octave_candidates_match_the_per_candidate_loop(monkeypatch):
     rng = np.random.default_rng(8)
     noisy = GrayImage(np.clip(blob_image(w=128, h=96).pixels
                               + rng.normal(0, 0.05, (96, 128)), 0.0, 1.0))
     n = 0
     for img in (noisy, textured(w=128, h=96), blob_image(w=128, h=96)):
         for octave in (0, 1):
-            dog = dog_stack(img, octave, cfg)
-            got = _octave_candidates(dog, octave, cfg)
-            assert got == old_octave_candidates(dog, octave, cfg)
+            dog = dog_stack(img, octave)
+            got = _octave_candidates(dog, octave)
+            assert got == old_octave_candidates(dog, octave)
             n += len(got)
     assert n > 40
     # raw noise: many extrema whose refinement term is as large as the value,
     # so a last-bit change in it shows in the response
     dog = rng.normal(0.0, 0.05, (5, 48, 64))
     for octave in (0, 2):
-        got = _octave_candidates(dog, octave, cfg)
-        assert len(got) > 300 and got == old_octave_candidates(dog, octave, cfg)
-    for cfg2 in (DetectorConfig(edge_ratio=3.0), DetectorConfig(contrast_threshold=0.03)):
-        dog = dog_stack(noisy, 0, cfg2)
-        assert _octave_candidates(dog, 0, cfg2) == old_octave_candidates(dog, 0, cfg2)
-    assert _octave_candidates(np.zeros((5, 32, 32)), 0, cfg) == []
+        got = _octave_candidates(dog, octave)
+        assert len(got) > 300 and got == old_octave_candidates(dog, octave)
+    dog = dog_stack(noisy, 0)
+    base = _octave_candidates(dog, 0)
+    for name, value in (("EDGE_RATIO", 3.0), ("CONTRAST_THRESHOLD", 0.03)):
+        with monkeypatch.context() as m:
+            m.setattr(detector, name, value)
+            got = _octave_candidates(dog, 0)
+            assert got != base and got == old_octave_candidates(dog, 0)
+    assert _octave_candidates(np.zeros((5, 32, 32)), 0) == []
 
 
 def test_octave_candidates_singular_hessian_takes_no_step():
     # levels 1 and 3 equal level 2 at a peak of level 2: the scale row and
     # column of the Hessian vanish, so it is exactly singular
-    cfg = DetectorConfig()
     dog = np.zeros((5, 32, 32))
     dog[2, 14:17, 10:13] = 0.05
     dog[2, 15, 11] = 0.1
     dog[1, 15, 11] = dog[3, 15, 11] = 0.1
     dog[2, 20, 22] = 0.2  # a regular peak in the same batch
-    got = _octave_candidates(dog, 0, cfg)
-    assert got == old_octave_candidates(dog, 0, cfg)
-    assert (0.1, 11.0, 15.0, cfg.base_sigma * 2.0 ** (2 / 3)) in got
-    assert (0.2, 22.0, 20.0, cfg.base_sigma * 2.0 ** (2 / 3)) in got
+    got = _octave_candidates(dog, 0)
+    assert got == old_octave_candidates(dog, 0)
+    assert (0.1, 11.0, 15.0, detector.BASE_SIGMA * 2.0 ** (2 / 3)) in got
+    assert (0.2, 22.0, 20.0, detector.BASE_SIGMA * 2.0 ** (2 / 3)) in got
 
 
 def test_covariance_is_exactly_symmetric():
@@ -617,9 +623,7 @@ def test_dense_descriptors_strided_view_is_bitwise_unchanged():
     field = GradientField(textured(w=70, h=53, seed=8))
     cached = field.window_sums(4).copy()
     for roi in (Roi(0, 0, 16), Roi(3, 5, 45), Roi(54, 37, 16), Roi(30, 10, 40), Roi(0, 0, 53)):
-        for stride in (1, 3, 4, 8, 40):
-            got = dense_descriptors(field, roi, stride)
-            assert np.array_equal(got, old_dense_descriptors(field, roi, stride))
+        assert np.array_equal(dense_descriptors(field, roi), old_dense_descriptors(field, roi))
     # the cached window sums are read, never written
     assert np.array_equal(field.window_sums(4), cached)
 
