@@ -16,6 +16,24 @@ import numpy as np
 N_ORIENT_BINS = 8
 
 
+def frozen(arr: np.ndarray, source) -> np.ndarray:
+    """`arr`, converted from `source`, made read-only with at most one copy.
+
+    A read-only view whose memory is an immutable `bytes` object (a loaded
+    file) is kept as it is, and so is an array that the conversion from
+    `source` already made new. Anything else may alias memory that its
+    owner can still write, so it is copied.
+    """
+    root = arr
+    while isinstance(root, np.ndarray) and root.base is not None:
+        root = root.base
+    immutable = isinstance(root, bytes) and not arr.flags.writeable
+    if not immutable and np.may_share_memory(arr, source):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """A (height, width) float image with values in [0, 1]."""
@@ -31,9 +49,7 @@ class GrayImage:
         # NaN fails both comparisons, so it is rejected too
         if not (float(px.min()) >= 0.0 and float(px.max()) <= 1.0):
             raise ValueError("pixel values must be numbers in [0, 1]")
-        px = px.copy()
-        px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "pixels", frozen(px, self.pixels))
 
     @property
     def height(self) -> int:

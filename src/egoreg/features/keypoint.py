@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..geometry import PixelPoint
+from .image import frozen
 
 DESCRIPTOR_DIM = 128
 CONTEXT_DIM = (DESCRIPTOR_DIM * DESCRIPTOR_DIM + DESCRIPTOR_DIM) // 2  # 8256
@@ -21,6 +22,9 @@ class Keypoint:
     orientation  dominant gradient direction, radians in [0, 2*pi)
     descriptor   L2-normalized 128-vector (float32)
     context      8256-vector region descriptor (float32), None until attached
+
+    Descriptor and context are read-only. They may be views of a loaded
+    file (see `egoreg.io`); arrays a caller can still write are copied.
     """
 
     pos: PixelPoint
@@ -33,18 +37,14 @@ class Keypoint:
         d = np.asarray(self.descriptor, dtype=np.float32).reshape(-1)
         if d.shape[0] != DESCRIPTOR_DIM:
             raise ValueError(f"descriptor must have length {DESCRIPTOR_DIM}")
-        d = d.copy()
-        d.flags.writeable = False
-        object.__setattr__(self, "descriptor", d)
+        object.__setattr__(self, "descriptor", frozen(d, self.descriptor))
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
         if self.context is not None:
             c = np.asarray(self.context, dtype=np.float32).reshape(-1)
             if c.shape[0] != CONTEXT_DIM:
                 raise ValueError(f"context must have length {CONTEXT_DIM}")
-            c = c.copy()
-            c.flags.writeable = False
-            object.__setattr__(self, "context", c)
+            object.__setattr__(self, "context", frozen(c, self.context))
 
     def with_context(self, context: np.ndarray) -> "Keypoint":
         return replace(self, context=context)

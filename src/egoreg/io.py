@@ -5,12 +5,21 @@ tables) is stored as 64-bit floats; descriptor, context, and raster blobs
 as 32-bit floats, which keeps multi-megabyte context tables compact.
 Save -> load round-trips are bitwise exact for data that is already
 float32-valued where the format stores float32.
+
+A load reads the file into one `bytes` buffer and copies no table out of
+it: keypoint descriptors and contexts and the retrieval index's tables are
+read-only arrays that share that buffer. The whole buffer, raster bytes
+included, stays alive while any of those arrays does. A save streams its
+parts to the open file, one table at a time, instead of joining them
+first, so a save that fails part-way (say, on a point id that does not fit
+32 bits) leaves a partial file behind.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -33,29 +42,39 @@ _FLAG_RASTER = 4
 _FLAG_KEYPOINTS = 2  # sequence frames
 _FLAG_GT_POSE = 8
 
+# one world point: its id and (x, y, z)
+_POINT_RECORD = np.dtype([("id", "<u4"), ("xyz", "<f8", 3)])
+
 
 class _Reader:
+    """Reads a file's bytes in order, at offsets into the one buffer."""
+
     def __init__(self, data: bytes, path: str):
         self.data = data
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past the next `n` bytes and return the offset they start at."""
         if self.off + n > len(self.data):
             raise CorruptTable(
                 f"{self.path}: needed {n} bytes at offset {self.off}, "
                 f"file has {len(self.data)}")
-        chunk = self.data[self.off:self.off + n]
         self.off += n
-        return chunk
+        return self.off - n
+
+    def take(self, n: int) -> bytes:
+        off = self.skip(n)
+        return self.data[off:off + n]
 
     def unpack(self, fmt: str):
         fmt = "<" + fmt
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
 
     def array(self, dtype, count: int) -> np.ndarray:
-        nbytes = int(np.dtype(dtype).itemsize) * count
-        return np.frombuffer(self.take(nbytes), dtype=dtype).copy()
+        """The next `count` values, as a read-only view of the file buffer."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.data, dtype, count, self.skip(dtype.itemsize * count))
 
     def done(self):
         if self.off != len(self.data):
@@ -96,26 +115,28 @@ def _read_intrinsics(r: _Reader) -> Intrinsics:
         raise CorruptTable(f"{r.path}: invalid intrinsics near offset {r.off}: {exc}") from exc
 
 
-def _pack_keypoints(kps: list[Keypoint]) -> bytes:
-    parts = [struct.pack("<I", len(kps))]
-    geo = np.array(
-        [[kp.pos.u, kp.pos.v, kp.scale, kp.orientation] for kp in kps],
-        dtype="<f8").reshape(len(kps), 4)
-    parts.append(geo.tobytes())
+def _table(values, dtype) -> memoryview:
+    """The bytes of `values` as a contiguous little-endian table, copied only
+    when they are not one already."""
+    return memoryview(np.ascontiguousarray(values, dtype=dtype))
+
+
+def _pack_keypoints(kps: list[Keypoint]) -> Iterator[bytes | memoryview]:
+    yield struct.pack("<I", len(kps))
+    yield _table([[kp.pos.u, kp.pos.v, kp.scale, kp.orientation] for kp in kps], "<f8")
     have_desc = bool(kps)
     have_ctx = bool(kps) and all(kp.context is not None for kp in kps)
-    flags = (_FLAG_DESCRIPTORS if have_desc else 0) | (_FLAG_CONTEXTS if have_ctx else 0)
-    parts.append(struct.pack("<B", flags))
+    yield struct.pack("<B", (_FLAG_DESCRIPTORS if have_desc else 0)
+                      | (_FLAG_CONTEXTS if have_ctx else 0))
     if have_desc:
-        parts.append(np.stack([kp.descriptor for kp in kps]).astype("<f4").tobytes())
+        yield _table(np.stack([kp.descriptor for kp in kps]), "<f4")
     if have_ctx:
-        parts.append(np.stack([kp.context for kp in kps]).astype("<f4").tobytes())
-    return b"".join(parts)
+        yield _table(np.stack([kp.context for kp in kps]), "<f4")
 
 
 def _read_keypoints(r: _Reader) -> list[Keypoint]:
     (n,) = r.unpack("I")
-    geo = r.array("<f8", 4 * n).reshape(n, 4)
+    geo = r.array("<f8", 4 * n).reshape(n, 4).tolist()
     (flags,) = r.unpack("B")
     descs = None
     ctxs = None
@@ -123,29 +144,28 @@ def _read_keypoints(r: _Reader) -> list[Keypoint]:
         descs = r.array("<f4", n * DESCRIPTOR_DIM).reshape(n, DESCRIPTOR_DIM)
     if flags & _FLAG_CONTEXTS:
         ctxs = r.array("<f4", n * CONTEXT_DIM).reshape(n, CONTEXT_DIM)
+    if n and descs is None:
+        raise CorruptTable(f"{r.path}: keypoint table without descriptors")
     kps = []
-    for i in range(n):
-        if descs is None:
-            raise CorruptTable(f"{r.path}: keypoint table without descriptors")
+    for i, (u, v, scale, orientation) in enumerate(geo):
         try:
-            kps.append(Keypoint(
-                PixelPoint(float(geo[i, 0]), float(geo[i, 1])),
-                float(geo[i, 2]), float(geo[i, 3]),
-                descs[i], ctxs[i] if ctxs is not None else None))
+            kps.append(Keypoint(PixelPoint(u, v), scale, orientation,
+                                descs[i], ctxs[i] if ctxs is not None else None))
         except ValueError as exc:
             raise CorruptTable(f"{r.path}: invalid keypoint {i}: {exc}") from exc
     return kps
 
 
-def _pack_raster(img: GrayImage | None) -> bytes:
-    if img is None:
-        return struct.pack("<B", 0)
-    return struct.pack("<B", 1) + _pack_raster_body(img)
+def _pack_raster(img: GrayImage | None) -> Iterator[bytes | memoryview]:
+    yield struct.pack("<B", img is not None)
+    if img is not None:
+        yield from _pack_raster_body(img)
 
 
-def _pack_raster_body(img: GrayImage) -> bytes:
+def _pack_raster_body(img: GrayImage) -> Iterator[bytes | memoryview]:
     """Size and float32 pixels of a raster known to be present."""
-    return struct.pack("<2I", img.height, img.width) + img.pixels.astype("<f4").tobytes()
+    yield struct.pack("<2I", img.height, img.width)
+    yield _table(img.pixels, "<f4")
 
 
 def _read_raster(r: _Reader) -> GrayImage | None:
@@ -158,39 +178,42 @@ def _read_raster_body(r: _Reader) -> GrayImage:
     h, w = r.unpack("2I")
     if h == 0 or w == 0 or h * w > 1 << 28:
         raise CorruptTable(f"{r.path}: implausible raster size {w}x{h}")
-    px = r.array("<f4", h * w).reshape(h, w).astype(np.float64)
     try:
-        return GrayImage(px)
+        return GrayImage(r.array("<f4", h * w).reshape(h, w))
     except ValueError as exc:
         raise CorruptTable(f"{r.path}: invalid raster: {exc}") from exc
 
 
-def save_model(model: Model3D, path: str | Path) -> None:
-    parts = [MODEL_MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    parts.append(struct.pack("<2I", len(model.points), len(model.images)))
-    for p in model.points:
-        parts.append(struct.pack("<I", p.id) + p.xyz.astype("<f8").tobytes())
+def _write(path: str | Path, parts: Iterable[bytes | memoryview]) -> None:
+    with open(path, "wb") as f:
+        f.writelines(parts)
+
+
+def _model_parts(model: Model3D) -> Iterator[bytes | memoryview]:
+    yield MODEL_MAGIC
+    yield struct.pack("<I", FORMAT_VERSION)
+    yield struct.pack("<2I", len(model.points), len(model.images))
+    yield memoryview(np.array([(p.id, p.xyz) for p in model.points], dtype=_POINT_RECORD))
     for img in model.images:
-        parts.append(struct.pack("<I", img.id))
-        parts.append(_pack_pose(img.pose))
-        parts.append(_pack_intrinsics(img.intrinsics))
-        parts.append(_pack_keypoints(img.keypoints))
-        parts.append(struct.pack("<I", len(img.links)))
-        for kp_idx in sorted(img.links):
-            parts.append(struct.pack("<2I", kp_idx, img.links[kp_idx]))
-        parts.append(_pack_raster(img.raster))
-    Path(path).write_bytes(b"".join(parts))
+        yield struct.pack("<I", img.id)
+        yield _pack_pose(img.pose)
+        yield _pack_intrinsics(img.intrinsics)
+        yield from _pack_keypoints(img.keypoints)
+        yield struct.pack("<I", len(img.links))
+        yield memoryview(np.array(sorted(img.links.items()), dtype="<u4"))
+        yield from _pack_raster(img.raster)
+
+
+def save_model(model: Model3D, path: str | Path) -> None:
+    _write(path, _model_parts(model))
 
 
 def load_model(path: str | Path) -> Model3D:
     r = _Reader(Path(path).read_bytes(), str(path))
     _check_header(r, MODEL_MAGIC)
     n_points, n_images = r.unpack("2I")
-    points = []
-    for _ in range(n_points):
-        (pid,) = r.unpack("I")
-        xyz = r.array("<f8", 3)
-        points.append(WorldPoint(pid, xyz))
+    table = r.array(_POINT_RECORD, n_points)
+    points = [WorldPoint(pid, xyz) for pid, xyz in zip(table["id"].tolist(), table["xyz"])]
     images = []
     for _ in range(n_images):
         (iid,) = r.unpack("I")
@@ -198,10 +221,7 @@ def load_model(path: str | Path) -> Model3D:
         intr = _read_intrinsics(r)
         kps = _read_keypoints(r)
         (n_links,) = r.unpack("I")
-        links = {}
-        for _ in range(n_links):
-            kp_idx, pid = r.unpack("2I")
-            links[kp_idx] = pid
+        links = dict(r.array("<u4", 2 * n_links).reshape(n_links, 2).tolist())
         raster = _read_raster(r)
         images.append(ModelImage(iid, pose, intr, kps, links, raster))
     r.done()
@@ -211,12 +231,13 @@ def load_model(path: str | Path) -> Model3D:
         raise CorruptTable(f"{path}: {exc}") from exc
 
 
-def save_sequence(seq: Sequence, path: str | Path) -> None:
-    parts = [SEQUENCE_MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    parts.append(struct.pack("<I", len(seq.frames)))
+def _sequence_parts(seq: Sequence) -> Iterator[bytes | memoryview]:
+    yield SEQUENCE_MAGIC
+    yield struct.pack("<I", FORMAT_VERSION)
+    yield struct.pack("<I", len(seq.frames))
     for fr in seq.frames:
-        parts.append(struct.pack("<d", fr.timestamp))
-        parts.append(_pack_intrinsics(fr.intrinsics))
+        yield struct.pack("<d", fr.timestamp)
+        yield _pack_intrinsics(fr.intrinsics)
         flags = 0
         if fr.image is not None:
             flags |= 1
@@ -224,14 +245,17 @@ def save_sequence(seq: Sequence, path: str | Path) -> None:
             flags |= _FLAG_KEYPOINTS
         if fr.gt_pose is not None:
             flags |= _FLAG_GT_POSE
-        parts.append(struct.pack("<B", flags))
+        yield struct.pack("<B", flags)
         if fr.image is not None:
-            parts.append(_pack_raster_body(fr.image))
+            yield from _pack_raster_body(fr.image)
         if fr.keypoints is not None:
-            parts.append(_pack_keypoints(fr.keypoints))
+            yield from _pack_keypoints(fr.keypoints)
         if fr.gt_pose is not None:
-            parts.append(_pack_pose(fr.gt_pose))
-    Path(path).write_bytes(b"".join(parts))
+            yield _pack_pose(fr.gt_pose)
+
+
+def save_sequence(seq: Sequence, path: str | Path) -> None:
+    _write(path, _sequence_parts(seq))
 
 
 def load_sequence(path: str | Path) -> Sequence:
@@ -255,15 +279,13 @@ def load_sequence(path: str | Path) -> Sequence:
 
 
 def save_index(vocab: Vocabulary, index: InvertedIndex, path: str | Path) -> None:
-    parts = [INDEX_MAGIC, struct.pack("<I", FORMAT_VERSION)]
     k, d = vocab.centers.shape
-    parts.append(struct.pack("<2I", k, d))
-    parts.append(vocab.centers.astype("<f8").tobytes())
-    parts.append(index.idf.astype("<f8").tobytes())
-    parts.append(struct.pack("<I", len(index.image_ids)))
-    parts.append(np.asarray(index.image_ids, dtype="<u4").tobytes())
-    parts.append(index.vectors.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    _write(path, [
+        INDEX_MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<2I", k, d),
+        _table(vocab.centers, "<f8"), _table(index.idf, "<f8"),
+        struct.pack("<I", len(index.image_ids)), _table(index.image_ids, "<u4"),
+        _table(index.vectors, "<f8"),
+    ])
 
 
 def load_index(path: str | Path) -> tuple[Vocabulary, InvertedIndex]:

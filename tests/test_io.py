@@ -1,9 +1,14 @@
+import struct
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import random_pose
 from egoreg.errors import BadMagic, CorruptTable, VersionUnsupported
 from egoreg.features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, Keypoint
+from egoreg.features.image import frozen
 from egoreg.geometry import Intrinsics, PixelPoint, WorldPoint
 from egoreg.io import (
     load_index,
@@ -32,12 +37,12 @@ def make_keypoint(rng, with_context=True):
     )
 
 
-def make_model(rng, with_context=True, with_raster=True):
+def make_model(rng, with_context=True, with_raster=True, n_keypoints=4):
     intr = Intrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
     points = [WorldPoint(i, rng.normal(size=3)) for i in range(6)]
     images = []
     for iid in range(2):
-        kps = [make_keypoint(rng, with_context) for _ in range(4)]
+        kps = [make_keypoint(rng, with_context) for _ in range(n_keypoints)]
         links = {0: 2, 3: 5}
         raster = GrayImage(rng.random((24, 32)).astype(np.float32).astype(np.float64)) \
             if with_raster else None
@@ -127,13 +132,13 @@ def test_model_rejects_truncation_and_trailing(rng, tmp_path):
 # ---------------------------------------------------------------- sequence
 
 
-def make_sequence(rng):
+def make_sequence(rng, n_keypoints=3):
     intr = Intrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
     frames = [
         SequenceFrame(
             0.0, intr,
             image=GrayImage(rng.random((24, 32)).astype(np.float32).astype(np.float64)),
-            keypoints=[make_keypoint(rng) for _ in range(3)],
+            keypoints=[make_keypoint(rng) for _ in range(n_keypoints)],
             gt_pose=random_pose(rng),
         ),
         # frame with every optional absent
@@ -214,6 +219,240 @@ def test_index_rejects_wrong_magic(rng, tmp_path):
     path.write_bytes(b"JUNK" + path.read_bytes()[4:])
     with pytest.raises(BadMagic):
         load_index(path)
+
+
+# ------------------------------------------- saved bytes and loaded views
+# The packers that joined every part into one bytes object before writing:
+# the reference that the streaming savers must match byte for byte.
+
+
+def old_pack_pose(pose):
+    return np.concatenate([pose.R.reshape(9), pose.t]).astype("<f8").tobytes()
+
+
+def old_pack_intrinsics(k):
+    return struct.pack("<4d2I", k.fx, k.fy, k.cx, k.cy, k.width, k.height)
+
+
+def old_pack_keypoints(kps):
+    parts = [struct.pack("<I", len(kps))]
+    geo = np.array(
+        [[kp.pos.u, kp.pos.v, kp.scale, kp.orientation] for kp in kps],
+        dtype="<f8").reshape(len(kps), 4)
+    parts.append(geo.tobytes())
+    have_desc = bool(kps)
+    have_ctx = bool(kps) and all(kp.context is not None for kp in kps)
+    flags = (1 if have_desc else 0) | (2 if have_ctx else 0)
+    parts.append(struct.pack("<B", flags))
+    if have_desc:
+        parts.append(np.stack([kp.descriptor for kp in kps]).astype("<f4").tobytes())
+    if have_ctx:
+        parts.append(np.stack([kp.context for kp in kps]).astype("<f4").tobytes())
+    return b"".join(parts)
+
+
+def old_pack_raster_body(img):
+    return struct.pack("<2I", img.height, img.width) + img.pixels.astype("<f4").tobytes()
+
+
+def old_model_bytes(model):
+    parts = [b"EMRG", struct.pack("<I", 1)]
+    parts.append(struct.pack("<2I", len(model.points), len(model.images)))
+    for p in model.points:
+        parts.append(struct.pack("<I", p.id) + p.xyz.astype("<f8").tobytes())
+    for img in model.images:
+        parts.append(struct.pack("<I", img.id))
+        parts.append(old_pack_pose(img.pose))
+        parts.append(old_pack_intrinsics(img.intrinsics))
+        parts.append(old_pack_keypoints(img.keypoints))
+        parts.append(struct.pack("<I", len(img.links)))
+        for kp_idx in sorted(img.links):
+            parts.append(struct.pack("<2I", kp_idx, img.links[kp_idx]))
+        if img.raster is None:
+            parts.append(struct.pack("<B", 0))
+        else:
+            parts.append(struct.pack("<B", 1) + old_pack_raster_body(img.raster))
+    return b"".join(parts)
+
+
+def old_sequence_bytes(seq):
+    parts = [b"ESEQ", struct.pack("<I", 1)]
+    parts.append(struct.pack("<I", len(seq.frames)))
+    for fr in seq.frames:
+        parts.append(struct.pack("<d", fr.timestamp))
+        parts.append(old_pack_intrinsics(fr.intrinsics))
+        flags = 0
+        if fr.image is not None:
+            flags |= 1
+        if fr.keypoints is not None:
+            flags |= 2
+        if fr.gt_pose is not None:
+            flags |= 8
+        parts.append(struct.pack("<B", flags))
+        if fr.image is not None:
+            parts.append(old_pack_raster_body(fr.image))
+        if fr.keypoints is not None:
+            parts.append(old_pack_keypoints(fr.keypoints))
+        if fr.gt_pose is not None:
+            parts.append(old_pack_pose(fr.gt_pose))
+    return b"".join(parts)
+
+
+def old_index_bytes(vocab, index):
+    parts = [b"ERIX", struct.pack("<I", 1)]
+    k, d = vocab.centers.shape
+    parts.append(struct.pack("<2I", k, d))
+    parts.append(vocab.centers.astype("<f8").tobytes())
+    parts.append(index.idf.astype("<f8").tobytes())
+    parts.append(struct.pack("<I", len(index.image_ids)))
+    parts.append(np.asarray(index.image_ids, dtype="<u4").tobytes())
+    parts.append(index.vectors.astype("<f8").tobytes())
+    return b"".join(parts)
+
+
+def model_variants(rng):
+    """Models with and without contexts and rasters, mixed, and an empty image."""
+    full = make_model(rng)
+    bare = make_model(rng, with_context=False, with_raster=False)
+    mixed = make_model(rng, with_raster=False)
+    img = mixed.images[1]
+    img.keypoints[2] = make_keypoint(rng, with_context=False)  # one missing context
+    mixed.images.append(ModelImage(7, img.pose, img.intrinsics, [], {}, full.images[0].raster))
+    return [full, bare, Model3D(mixed.points, mixed.images)]
+
+
+def test_saved_bytes_match_the_joined_packers(rng, tmp_path):
+    path = tmp_path / "out.bin"
+    for model in model_variants(rng):
+        save_model(model, path)
+        assert path.read_bytes() == old_model_bytes(model)
+        path.write_bytes(old_model_bytes(model))
+        loaded = load_model(path)
+        for ia, ib in zip(model.images, loaded.images):
+            assert ia.links == ib.links
+            # a table stores contexts only when every keypoint has one
+            kept = all(kp.context is not None for kp in ia.keypoints)
+            assert_keypoints_equal([kp if kept else kp.with_context(None) for kp in ia.keypoints],
+                                   ib.keypoints)
+        assert [p.id for p in loaded.points] == [p.id for p in model.points]
+        assert all(np.array_equal(a.xyz, b.xyz) for a, b in zip(model.points, loaded.points))
+    seq = make_sequence(rng)
+    intr = seq.frames[0].intrinsics
+    # keypoints without a raster, and a frame with no keypoints at all
+    seq.frames += [SequenceFrame(1.0, intr, keypoints=[make_keypoint(rng, False)]),
+                   SequenceFrame(1.5, intr, keypoints=[])]
+    save_sequence(seq, path)
+    assert path.read_bytes() == old_sequence_bytes(seq)
+    vocab = Vocabulary(rng.normal(size=(5, 3)))
+    index = InvertedIndex([3, 1, 4, 7], rng.random((4, 5)), rng.random(5))
+    save_index(vocab, index, path)
+    assert path.read_bytes() == old_index_bytes(vocab, index)
+
+
+def test_loaded_links_and_ids_keep_the_model_checks(rng, tmp_path):
+    model = make_model(rng)
+    path = tmp_path / "model.bin"
+    img = model.images[0]
+
+    def with_links(links):
+        return SimpleNamespace(points=model.points, images=[
+            ModelImage(img.id, img.pose, img.intrinsics, img.keypoints, links, img.raster)])
+
+    cases = [
+        (SimpleNamespace(points=model.points + [WorldPoint(0, np.zeros(3))], images=model.images),
+         "duplicate world point ids"),
+        (with_links({0: 99}), "missing point 99"),
+        (with_links({4: 2}), "out-of-range keypoint 4"),
+    ]
+    for broken, message in cases:
+        save_model(broken, path)
+        assert path.read_bytes() == old_model_bytes(broken)
+        with pytest.raises(CorruptTable, match=message):
+            load_model(path)
+
+
+def test_corrupt_files_name_what_was_read(rng, tmp_path):
+    model = make_model(rng)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    path.write_bytes(b"XXXX" + data[4:])
+    with pytest.raises(BadMagic, match=r"got b'XXXX'$"):
+        load_model(path)
+    start = data.find(model.images[0].keypoints[0].context.tobytes())
+    assert start > 0
+    path.write_bytes(data[:start + 1000])  # inside the first context block
+    with pytest.raises(CorruptTable, match=f"needed {4 * 4 * CONTEXT_DIM} bytes at offset {start}"):
+        load_model(path)
+
+
+def test_loaded_tables_are_read_only_views_of_the_file(rng, tmp_path):
+    save_model(make_model(rng), tmp_path / "model.bin")
+    save_sequence(make_sequence(rng), tmp_path / "seq.bin")
+    tables = [img.keypoints for img in load_model(tmp_path / "model.bin").images]
+    tables.append(load_sequence(tmp_path / "seq.bin").frames[0].keypoints)
+    for kps in tables:
+        root = kps[0].context
+        while isinstance(root, np.ndarray):
+            root = root.base
+        assert isinstance(root, bytes)
+        buffer = np.frombuffer(root, np.uint8)
+        for kp in kps:
+            assert np.shares_memory(kp.context, buffer)
+            assert np.shares_memory(kp.descriptor, buffer)
+            for arr in (kp.descriptor, kp.context):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+
+def read_only_view(a):
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
+@pytest.mark.parametrize("view", [lambda a: a, read_only_view], ids=["writeable", "read-only view"])
+def test_constructors_copy_arrays_their_caller_can_write(rng, view):
+    desc = rng.random(DESCRIPTOR_DIM).astype(np.float32)
+    ctx = rng.random(CONTEXT_DIM).astype(np.float32)
+    px = rng.random((6, 8))
+    kp = Keypoint(PixelPoint(1.0, 2.0), 1.0, 0.0, view(desc), view(ctx))
+    img = GrayImage(view(px))
+    kept = [a.copy() for a in (desc, ctx, px)]
+    for a in (desc, ctx, px):
+        a[...] = 0.5
+    for a, b in zip((kp.descriptor, kp.context, img.pixels), kept):
+        assert np.array_equal(a, b) and not a.flags.writeable
+
+
+def test_frozen_copies_at_most_once():
+    src = np.arange(6, dtype=np.float32)
+    converted = np.asarray(src, dtype=np.float64)
+    assert frozen(converted, src) is converted  # the conversion made it new
+    file_view = np.frombuffer(src.tobytes(), np.float32)
+    assert frozen(file_view, file_view) is file_view
+    for arr in (src, read_only_view(src)):
+        out = frozen(arr, arr)
+        assert not np.shares_memory(out, src) and not out.flags.writeable
+
+
+def test_load_peak_memory_stays_near_file_size(tmp_path):
+    # 2 images x 40 keypoints x 33 KB of contexts: ~2.6 MB per file
+    rng = np.random.default_rng(5)
+    cases = [(save_model, load_model, make_model(rng, n_keypoints=40)),
+             (save_sequence, load_sequence, make_sequence(rng, n_keypoints=80))]
+    for save, load, obj in cases:
+        path = tmp_path / "data.bin"
+        save(obj, path)
+        size = path.stat().st_size
+        assert size > 2_000_000
+        tracemalloc.start()
+        try:
+            load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * size, (load.__name__, peak / size)
 
 
 # ------------------------------------------------------------------ pruner
