@@ -106,7 +106,11 @@ class GradientField:
         return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
 
     def window_sums(self, size: int) -> np.ndarray:
-        """`cell_sums` of all size x size windows by top-left pixel, cached."""
+        """`cell_sums` of all size x size windows by top-left pixel, cached.
+
+        The cache checks, then stores, with no lock: call this once for a
+        size before threads share the field (as `attach_context` does).
+        """
         if size not in self._windows:
             lo, hi = slice(None, -size), slice(size, None)
             self._windows[size] = self.cell_sums(lo, hi, lo, hi)

@@ -36,11 +36,13 @@ SEQUENCE_MAGIC = b"ESEQ"
 INDEX_MAGIC = b"ERIX"
 FORMAT_VERSION = 1
 
+# keypoint tables: which per-keypoint float32 tables follow
 _FLAG_DESCRIPTORS = 1
 _FLAG_CONTEXTS = 2
-_FLAG_RASTER = 4
-_FLAG_KEYPOINTS = 2  # sequence frames
-_FLAG_GT_POSE = 8
+# sequence frames: which optional parts follow
+_FRAME_RASTER = 1
+_FRAME_KEYPOINTS = 2
+_FRAME_GT_POSE = 8
 
 # one world point: its id and (x, y, z)
 _POINT_RECORD = np.dtype([("id", "<u4"), ("xyz", "<f8", 3)])
@@ -240,11 +242,11 @@ def _sequence_parts(seq: Sequence) -> Iterator[bytes | memoryview]:
         yield _pack_intrinsics(fr.intrinsics)
         flags = 0
         if fr.image is not None:
-            flags |= 1
+            flags |= _FRAME_RASTER
         if fr.keypoints is not None:
-            flags |= _FLAG_KEYPOINTS
+            flags |= _FRAME_KEYPOINTS
         if fr.gt_pose is not None:
-            flags |= _FLAG_GT_POSE
+            flags |= _FRAME_GT_POSE
         yield struct.pack("<B", flags)
         if fr.image is not None:
             yield from _pack_raster_body(fr.image)
@@ -267,9 +269,9 @@ def load_sequence(path: str | Path) -> Sequence:
         (ts,) = r.unpack("d")
         intr = _read_intrinsics(r)
         (flags,) = r.unpack("B")
-        image = _read_raster_body(r) if flags & 1 else None
-        kps = _read_keypoints(r) if flags & _FLAG_KEYPOINTS else None
-        gt = _read_pose(r) if flags & _FLAG_GT_POSE else None
+        image = _read_raster_body(r) if flags & _FRAME_RASTER else None
+        kps = _read_keypoints(r) if flags & _FRAME_KEYPOINTS else None
+        gt = _read_pose(r) if flags & _FRAME_GT_POSE else None
         frames.append(SequenceFrame(ts, intr, image, kps, gt))
     r.done()
     try:

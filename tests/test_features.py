@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,7 @@ from egoreg.features.context import (
     dense_descriptors,
     log_euclidean_vec,
 )
-from egoreg.features import detector
+from egoreg.features import context, detector
 from egoreg.features.detector import _octave_candidates, _orientations, _solve, finalize_descriptor
 from egoreg.geometry import PixelPoint
 
@@ -290,26 +293,83 @@ def test_attach_context_shapes_and_drops():
         assert kp.context is not None and kp.context.shape == (8256,)
 
 
-def test_attach_context_matches_per_keypoint_oracle():
+def oracle_scene(n):
+    """An image, and n keypoints that have a context with two that do not."""
     rng = np.random.default_rng(11)
     img = GrayImage(rng.uniform(0, 1, size=(96, 128)))
-    field = GradientField(img)
-    cfg = ContextConfig()
-    n = 2 * EIGH_CHUNK + 3
     kps = [make_kp(float(u), float(v), float(s)) for u, v, s in zip(
         rng.uniform(0, 128, n), rng.uniform(0, 96, n), rng.uniform(0.9, 3.0, n))]
     # under 16 px, and 17 px (a single grid node): neither can have a context
     kps.insert(n // 2, make_kp(60.0, 40.0, 0.4))
     kps.insert(n // 2 + 3, make_kp(30.0, 50.0, 0.7))
-    with_ctx, dropped = attach_context(img, kps, cfg, field=field)
+    return img, kps
+
+
+def test_attach_context_matches_per_keypoint_oracle(monkeypatch):
+    # five chunks, the last one short: the helper thread takes two of them
+    n = 4 * EIGH_CHUNK + 3
+    img, kps = oracle_scene(n)
+    cfg = ContextConfig()
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for helper in (False, True):
+            monkeypatch.setattr(context, "_helper_thread_pays", lambda: helper)
+            # a fresh field each time, so the helper path fills its own cache
+            runs[helper] = attach_context(img, kps, cfg, field=GradientField(img))
+    finally:
+        sys.setswitchinterval(interval)
+    (with_ctx, dropped), (threaded, dropped_threaded) = runs[False], runs[True]
     kept = [kp for kp in kps if context_region(kp, img.width, img.height, cfg) is not None]
-    assert dropped == 2 and len(kept) == n
-    assert [kp.pos for kp in with_ctx] == [kp.pos for kp in kept]
+    assert dropped == dropped_threaded == 2 and len(kept) == n
+    assert [kp.pos for kp in with_ctx] == [kp.pos for kp in threaded] == [kp.pos for kp in kept]
+    assert all(np.array_equal(a.context, b.context) for a, b in zip(with_ctx, threaded))
+    field = GradientField(img)
     for kp, got in zip(kept, with_ctx):
         roi = context_region(kp, img.width, img.height, cfg)
         want = log_euclidean_vec(covariance_descriptor(dense_descriptors(field, roi)))
         assert got.context.dtype == np.float32
         assert np.allclose(got.context, want, rtol=0.0, atol=1e-5)
+
+
+def test_attach_context_raises_a_helper_chunk_error_and_joins_the_helper(monkeypatch):
+    img, kps = oracle_scene(4 * EIGH_CHUNK)
+    raised_in = []
+
+    def failing_off_the_caller(c):
+        if threading.current_thread() is not threading.main_thread():
+            raised_in.append(threading.current_thread().name)
+            raise NotPositiveDefinite("helper chunk")
+        return _log_euclidean(c)
+
+    monkeypatch.setattr(context, "_helper_thread_pays", lambda: True)
+    monkeypatch.setattr(context, "_log_euclidean", failing_off_the_caller)
+    threads = threading.active_count()
+    with pytest.raises(NotPositiveDefinite, match="helper chunk"):
+        attach_context(img, kps)
+    assert raised_in and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("env, cpus, want", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({}, 2, False),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "2"}, 2, False),
+    # the first variable set decides, as in OpenBLAS
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+], ids=["openblas-1", "openblas-2", "unset", "omp-1-alone", "omp-2-alone",
+        "openblas-before-omp", "goto-before-omp", "one-cpu"])
+def test_helper_thread_needs_two_cpus_and_a_single_threaded_blas(monkeypatch, env, cpus, want):
+    for name in context.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(context.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert context._helper_thread_pays() is want
 
 
 # ------------------------------------------- array passes vs the old loops

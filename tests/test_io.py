@@ -338,11 +338,18 @@ def test_saved_bytes_match_the_joined_packers(rng, tmp_path):
         assert all(np.array_equal(a.xyz, b.xyz) for a, b in zip(model.points, loaded.points))
     seq = make_sequence(rng)
     intr = seq.frames[0].intrinsics
-    # keypoints without a raster, and a frame with no keypoints at all
+    # keypoints without a raster, a frame with no keypoints at all, and a
+    # raster or a pose alone
     seq.frames += [SequenceFrame(1.0, intr, keypoints=[make_keypoint(rng, False)]),
-                   SequenceFrame(1.5, intr, keypoints=[])]
+                   SequenceFrame(1.5, intr, keypoints=[]),
+                   SequenceFrame(2.0, intr, image=seq.frames[0].image),
+                   SequenceFrame(2.5, intr, gt_pose=random_pose(rng))]
     save_sequence(seq, path)
     assert path.read_bytes() == old_sequence_bytes(seq)
+    # every frame flag reads back: the loaded sequence saves to the same bytes
+    again = tmp_path / "again.bin"
+    save_sequence(load_sequence(path), again)
+    assert again.read_bytes() == path.read_bytes()
     vocab = Vocabulary(rng.normal(size=(5, 3)))
     index = InvertedIndex([3, 1, 4, 7], rng.random((4, 5)), rng.random(5))
     save_index(vocab, index, path)
