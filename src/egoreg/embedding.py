@@ -238,6 +238,25 @@ def assemble_affinity(P: np.ndarray, R: np.ndarray,
     return AffinityMatrix(w, p, q)
 
 
+def _normalized_laplacian(w: np.ndarray, nz: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """I - D^-1/2 W D^-1/2 over the rows `nz`, made exactly symmetric.
+
+    `inv_sqrt` holds the rows' D^-1/2. Built in place in the one (m, m)
+    copy that `w[np.ix_(nz, nz)]` makes, bitwise equal to (L + L.T) / 2
+    with L = eye(m) - w[np.ix_(nz, nz)] * inv_sqrt[:, None] *
+    inv_sqrt[None, :]; 0 - x rather than -x keeps its zeros positive.
+    """
+    lap = w[np.ix_(nz, nz)]
+    lap *= inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
+    diag = 1.0 - lap.diagonal()
+    np.subtract(0.0, lap, out=lap)
+    np.fill_diagonal(lap, diag)
+    lap += lap.T
+    lap /= 2.0
+    return lap
+
+
 def solve_embedding(affinity: AffinityMatrix, dim: int) -> EmbeddedSet:
     """Bottom non-trivial generalized eigenvectors of the graph Laplacian.
 
@@ -259,13 +278,8 @@ def solve_embedding(affinity: AffinityMatrix, dim: int) -> EmbeddedSet:
     if m < 2:
         raise DegenerateInput("graph has fewer than two connected vertices")
 
-    wr = w[np.ix_(nz, nz)]
-    dr = deg[nz]
-    inv_sqrt = 1.0 / np.sqrt(dr)
-    sym = wr * inv_sqrt[:, None] * inv_sqrt[None, :]
-    lap = np.eye(m) - sym
-    lap = (lap + lap.T) / 2.0
-    evals, evecs = np.linalg.eigh(lap)
+    inv_sqrt = 1.0 / np.sqrt(deg[nz])
+    evals, evecs = np.linalg.eigh(_normalized_laplacian(w, nz, inv_sqrt))
 
     thresh = EIGENVALUE_ZERO_TOL * max(1.0, float(evals[-1]))
     keep = np.nonzero(evals > thresh)[0]

@@ -20,26 +20,21 @@ matrix, a few (EIGH_CHUNK, 128, 128) stacks in flight. It feeds grid rows
 in their fixed row-major order; the row sort that makes the public
 `covariance_descriptor` bitwise invariant to sample order lives only there.
 
-When BLAS runs single-threaded and the process may use two CPUs (see
-`_helper_thread_pays`), the calling thread computes the even chunks and one
-helper thread the odd ones, so two chunks are in flight; the eigensolver
-releases the interpreter lock. With a multi-threaded BLAS the helper would
-only contend with BLAS's own threads, so every chunk runs on the caller.
-Each chunk's arithmetic is the same on both paths, so contexts are bitwise
-identical. One helper, not one per CPU: each thread grows its own malloc
-arena, and a second helper's arena cost ~10% more peak RSS on a day frame.
+Chunks go through `egoreg.parallel.map_on_two`, so with a single-threaded
+BLAS on two CPUs two chunks are in flight; the eigensolver releases the
+interpreter lock. Each chunk's arithmetic is the same on both threads, so
+contexts are bitwise identical.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
+from ..parallel import map_on_two
 from .detector import _finalize_in_place
 from .image import GradientField, GrayImage
 from .keypoint import DESCRIPTOR_DIM, Keypoint
@@ -52,8 +47,6 @@ STRIDE = 4  # grid node spacing, px
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
 EIGH_CHUNK = 8  # keypoints per batched eigendecomposition
-# the variables OpenBLAS reads its thread count from at load, in its order
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -184,28 +177,6 @@ def log_euclidean_vec(c: np.ndarray) -> np.ndarray:
     return _log_euclidean(c[None])[0]
 
 
-def _helper_thread_pays() -> bool:
-    """True when a helper thread can take eigh chunks without contention.
-
-    That needs at least two CPUs in this process's affinity set and a
-    single-threaded BLAS: the first of BLAS_THREAD_VARS that is set equals
-    "1". Unset, BLAS starts a thread per CPU, and a second Python thread
-    made contexts 1.3-1.6x slower on two cores.
-    """
-    # sched_getaffinity is Linux-only; elsewhere every CPU counts
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return False
-    for name in BLAS_THREAD_VARS:
-        value = os.environ.get(name)
-        if value is not None:
-            return value == "1"
-    return False
-
-
 def attach_context(image: GrayImage, kps: list[Keypoint],
                    cfg: ContextConfig = ContextConfig(),
                    field: GradientField | None = None) -> tuple[list[Keypoint], int]:
@@ -215,10 +186,10 @@ def attach_context(image: GrayImage, kps: list[Keypoint],
     counted by the second return value; the others come back in input
     order. Contexts equal the per-keypoint composition dense_descriptors ->
     covariance_descriptor -> log_euclidean_vec up to round-off, and are
-    computed EIGH_CHUNK at a time. When `_helper_thread_pays`, one helper
-    thread computes every other chunk, so two chunks are in flight (see the
-    module docstring); the contexts are the same bits either way, and an
-    error in a helper chunk is raised here with its own type.
+    computed EIGH_CHUNK at a time, two chunks in flight through
+    `map_on_two` (see the module docstring); the contexts are the same bits
+    either way, and an error in a helper chunk is raised here with its own
+    type.
     """
     if field is None:
         field = GradientField(image)
@@ -230,14 +201,8 @@ def attach_context(image: GrayImage, kps: list[Keypoint],
         covs = np.stack([_covariance(dense_descriptors(field, rois[i])) for i in chunk])
         return [kps[i].with_context(v) for i, v in zip(chunk, _log_euclidean(covs))]
 
-    if len(chunks) > 1 and _helper_thread_pays():
-        # filled here: the cache's check-then-store must not race the helper
+    if chunks:
+        # filled here: the cache's check-then-store must not race a helper thread
         field.window_sums(CELL)
-        parts: list[list[Keypoint]] = [[]] * len(chunks)
-        with ThreadPoolExecutor(1) as helper:
-            odd = [helper.submit(with_contexts, chunk) for chunk in chunks[1::2]]
-            parts[0::2] = [with_contexts(chunk) for chunk in chunks[0::2]]
-            parts[1::2] = [f.result() for f in odd]
-    else:
-        parts = [with_contexts(chunk) for chunk in chunks]
+    parts = map_on_two(with_contexts, chunks)
     return [kp for part in parts for kp in part], len(kps) - len(kept)

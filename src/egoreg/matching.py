@@ -30,6 +30,7 @@ from .embedding import (
 )
 from .errors import EmptyInput, RaggedTracks
 from .features import Keypoint, contexts, descriptors, positions
+from .parallel import map_on_two
 
 MODE_NN = "nn"
 MODE_SINGLE = "single"
@@ -158,7 +159,11 @@ def _embed_and_assign(query: _Query, M: list[Keypoint], cfg: MatchConfig) -> lis
     cm = contexts(M)
     cm -= query.mu  # in place: contexts() returns a new array on every call
     R = gaussian_kernel(query.cq, cm, None)
+    # two images are matched at a time, so neither carries its (q, 8256)
+    # context stack or its kernels into the solve
+    del cm
     aff = assemble_affinity(P, R, query.S, query.G)
+    del P, R
     emb = solve_embedding(aff, cfg.embedding_dim)
     if emb.zero_degree[aff.p:].any():
         # zero-degree model rows sit at the origin; exclude them from costs
@@ -211,8 +216,12 @@ def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
     kernels) is built once per frame and shared, read-only, by every
     image. Each image is then matched with one pairwise product per
     kernel, and results are keyed by model image id in shortlist order.
-    An image that fails to match contributes an empty list rather than
-    aborting the frame.
+    Images are matched two at a time through `map_on_two` (one helper
+    thread when BLAS is single-threaded on two CPUs); each image's
+    arithmetic is the same on either thread, so the pairs are the same
+    bits and in the same order either way. An image that fails to match
+    (EmptyInput) contributes an empty list rather than aborting the frame;
+    any other error is raised here with its own type.
     """
     if not F or not shortlist:
         return {img.id: [] for img in shortlist}
@@ -232,4 +241,4 @@ def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
         except EmptyInput:
             return []
 
-    return {img.id: run(img) for img in shortlist}
+    return dict(zip([img.id for img in shortlist], map_on_two(run, shortlist)))

@@ -33,7 +33,7 @@ from .geometry import Intrinsics, Pose
 from .matching import MatchConfig, MatchPair, match_frame_to_shortlist
 from .model import Model3D, Sequence
 from .retrieval import DEFAULT_SHORTLIST, InvertedIndex, Vocabulary, shortlist
-from .sequence import LinearPruner, frame_quality_feature, track_keypoints
+from .sequence import LinearPruner, frame_pyramid, frame_quality_feature, track_keypoints
 
 log = logging.getLogger(__name__)
 
@@ -399,11 +399,14 @@ def match_sequence(sequence: Sequence, model: Model3D,
     Orchestrates pruning, feature extraction, backward tracking (in
     spatio-temporal mode, where keypoints whose tracks die are discarded),
     retrieval shortlisting, and per-image matching. Frames that fail a stage
-    yield an empty record rather than aborting the run.
+    yield an empty record rather than aborting the run. Tracking keeps the
+    pyramids of the last `temporal_window` frames, so each frame's pyramid
+    is built once.
     """
     if not sequence.frames:
         return []
     out: list[FrameMatches] = []
+    pyramids: dict[int, list[np.ndarray]] = {}  # frame index -> frame_pyramid
 
     kept = range(len(sequence.frames))
     if pruner is not None:
@@ -432,7 +435,13 @@ def match_sequence(sequence: Sequence, model: Model3D,
             k_eff = min(match_cfg.temporal_window, i)
             past = [sequence.frames[j].image for j in range(i - k_eff, i)]
             if k_eff > 0 and all(im is not None for im in past) and frame.image is not None:
-                tracks = track_keypoints(past + [frame.image], kps)
+                window = range(i - k_eff, i + 1)
+                pyramids = {j: pyramids[j] if j in pyramids
+                            else frame_pyramid(sequence.frames[j].image) for j in window}
+                tracks = track_keypoints(past + [frame.image], kps,
+                                         [pyramids[j] for j in window])
+                # frame i + 1 reaches back to frame i + 1 - temporal_window
+                pyramids.pop(i - match_cfg.temporal_window, None)
                 keep_idx = [t.keypoint_idx for t in tracks if t.alive]
                 if keep_idx:
                     kps = [kps[j] for j in keep_idx]

@@ -243,6 +243,11 @@ def train_pruner(features: list[FrameQualityFeature], labels: list[int],
     return LinearPruner(w_raw, b_raw, threshold), accuracy
 
 
+def frame_pyramid(frame: GrayImage) -> list[np.ndarray]:
+    """The tracker's Gaussian pyramid of one frame, as `track_keypoints` takes it."""
+    return _pyramid(frame.pixels, TRACK_LEVELS)
+
+
 def _pyramid(px: np.ndarray, levels: int) -> list[np.ndarray]:
     pyr = [px]
     for _ in range(levels - 1):
@@ -354,14 +359,17 @@ def _align_translation(src_pyr: list[np.ndarray], dst_pyr: list[np.ndarray],
     return p, residual
 
 
-def track_keypoints(frames: list[GrayImage], kps: list[Keypoint]) -> list[Track]:
+def track_keypoints(frames: list[GrayImage], kps: list[Keypoint],
+                    pyramids: list[list[np.ndarray]] | None = None) -> list[Track]:
     """Follow frame-T keypoints backward through frames T-K .. T-1.
 
     `frames` is chronological and ends with the frame the keypoints belong
     to; it must hold at least two frames of identical size. A track dies
     when the aligned window's mean absolute intensity difference exceeds
     0.25 or the point leaves the image; dead tracks keep their last valid
-    position for the remaining (earlier) frames.
+    position for the remaining (earlier) frames. `pyramids`, when given,
+    holds each frame's `frame_pyramid`, so a caller tracking consecutive
+    frames builds each pyramid once; the tracks are the same bits.
     """
     if len(frames) < 2:
         raise ValueError("tracking needs the current frame plus at least one past frame")
@@ -371,7 +379,10 @@ def track_keypoints(frames: list[GrayImage], kps: list[Keypoint]) -> list[Track]
             raise SizeMismatch("all frames must share one size")
     h, w = shape
     k = len(frames) - 1
-    pyramids = [_pyramid(f.pixels, TRACK_LEVELS) for f in frames]
+    if pyramids is None:
+        pyramids = [frame_pyramid(f) for f in frames]
+    elif len(pyramids) != len(frames):
+        raise ValueError(f"{len(pyramids)} pyramids for {len(frames)} frames")
 
     n = len(kps)
     positions = np.zeros((n, k + 1, 2), dtype=np.float64)

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from egoreg import parallel
 from egoreg.geometry import Intrinsics, Pose
 
 
@@ -25,3 +28,25 @@ def rng():
 @pytest.fixture
 def intrinsics():
     return Intrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
+
+
+@pytest.fixture
+def on_both_paths(monkeypatch):
+    """run(call) -> (call() on one thread, call() with a helper thread).
+
+    The second call has `parallel.map_on_two` hand every odd item to its
+    helper thread; both run under a tiny switch interval, so the threads
+    interleave as finely as they can.
+    """
+    def run(call):
+        out = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for helper in (False, True):
+                monkeypatch.setattr(parallel, "_helper_thread_pays", lambda: helper)
+                out[helper] = call()
+        finally:
+            sys.setswitchinterval(interval)
+        return out[False], out[True]
+    return run

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from egoreg.embedding import (
     AffinityMatrix,
+    _normalized_laplacian,
     assemble_affinity,
     embedding_objective,
     gaussian_kernel,
@@ -354,3 +355,35 @@ def test_solve_embedding_degenerate():
     aff = AffinityMatrix(np.zeros((4, 4)), 2, 2)
     with pytest.raises(DegenerateInput):
         solve_embedding(aff, dim=2)
+
+
+def laplacian_reference(w, nz, inv_sqrt):
+    """The symmetric normalized Laplacian as solve_embedding built it with
+    one (m, m) temporary per step."""
+    sym = w[np.ix_(nz, nz)] * inv_sqrt[:, None] * inv_sqrt[None, :]
+    lap = np.eye(int(nz.sum())) - sym
+    return (lap + lap.T) / 2.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_in_place_laplacian_equals_the_temporaries_formula_bitwise(seed, zero_rows):
+    rng = np.random.default_rng(seed)
+    p, q = rng.integers(2, 30, size=2)
+    P = rng.uniform(0.0, 1.0, size=(p, q))
+    # exact zeros off the diagonal, whose sign the in-place form must keep
+    P[rng.uniform(size=P.shape) < 0.3] = 0.0
+    P[:, P.max(axis=0) == 0.0] = 0.5
+    if zero_rows:
+        P[:, rng.choice(q, size=max(1, q // 4), replace=False)] = 0.0
+    S = spatial_similarity(rng.uniform(0, 100, size=(p, 2))) if seed % 2 else None
+    if zero_rows and S is None:
+        P[rng.integers(p)] = 0.0  # a query row with no edge either
+    aff = assemble_affinity(P, rng.uniform(0.0, 1.0, size=(p, q)), S)
+    deg = aff.W.sum(axis=1)
+    nz = deg > 0.0
+    assert nz.all() != zero_rows
+    inv_sqrt = 1.0 / np.sqrt(deg[nz])
+    got = _normalized_laplacian(aff.W, nz, inv_sqrt)
+    want = laplacian_reference(aff.W, nz, inv_sqrt)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -29,6 +28,7 @@ from egoreg.features.context import (
     dense_descriptors,
     log_euclidean_vec,
 )
+from egoreg import parallel
 from egoreg.features import context, detector
 from egoreg.features.detector import _octave_candidates, _orientations, _solve, finalize_descriptor
 from egoreg.geometry import PixelPoint
@@ -305,22 +305,14 @@ def oracle_scene(n):
     return img, kps
 
 
-def test_attach_context_matches_per_keypoint_oracle(monkeypatch):
+def test_attach_context_matches_per_keypoint_oracle(on_both_paths):
     # five chunks, the last one short: the helper thread takes two of them
     n = 4 * EIGH_CHUNK + 3
     img, kps = oracle_scene(n)
     cfg = ContextConfig()
-    runs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for helper in (False, True):
-            monkeypatch.setattr(context, "_helper_thread_pays", lambda: helper)
-            # a fresh field each time, so the helper path fills its own cache
-            runs[helper] = attach_context(img, kps, cfg, field=GradientField(img))
-    finally:
-        sys.setswitchinterval(interval)
-    (with_ctx, dropped), (threaded, dropped_threaded) = runs[False], runs[True]
+    # a fresh field each time, so the helper path fills its own cache
+    (with_ctx, dropped), (threaded, dropped_threaded) = on_both_paths(
+        lambda: attach_context(img, kps, cfg, field=GradientField(img)))
     kept = [kp for kp in kps if context_region(kp, img.width, img.height, cfg) is not None]
     assert dropped == dropped_threaded == 2 and len(kept) == n
     assert [kp.pos for kp in with_ctx] == [kp.pos for kp in threaded] == [kp.pos for kp in kept]
@@ -343,7 +335,7 @@ def test_attach_context_raises_a_helper_chunk_error_and_joins_the_helper(monkeyp
             raise NotPositiveDefinite("helper chunk")
         return _log_euclidean(c)
 
-    monkeypatch.setattr(context, "_helper_thread_pays", lambda: True)
+    monkeypatch.setattr(parallel, "_helper_thread_pays", lambda: True)
     monkeypatch.setattr(context, "_log_euclidean", failing_off_the_caller)
     threads = threading.active_count()
     with pytest.raises(NotPositiveDefinite, match="helper chunk"):
@@ -364,12 +356,12 @@ def test_attach_context_raises_a_helper_chunk_error_and_joins_the_helper(monkeyp
 ], ids=["openblas-1", "openblas-2", "unset", "omp-1-alone", "omp-2-alone",
         "openblas-before-omp", "goto-before-omp", "one-cpu"])
 def test_helper_thread_needs_two_cpus_and_a_single_threaded_blas(monkeypatch, env, cpus, want):
-    for name in context.BLAS_THREAD_VARS:
+    for name in parallel.BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    monkeypatch.setattr(context.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert context._helper_thread_pays() is want
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert parallel._helper_thread_pays() is want
 
 
 # ------------------------------------------- array passes vs the old loops

@@ -1,4 +1,6 @@
 import itertools
+import threading
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egoreg import matching, parallel
 from egoreg.embedding import pairwise_sq_dists
 from egoreg.errors import EmptyInput
 from egoreg.features import Keypoint, descriptors, positions
@@ -15,6 +18,7 @@ from egoreg.matching import (
     MODES,
     MatchConfig,
     MatchPair,
+    _embed_and_assign,
     _query,
     hungarian,
     match_frame_to_shortlist,
@@ -323,3 +327,90 @@ def test_shortlist_shares_query_side_without_changing_matches():
         for img in (images[0], images[2]):
             assert got[img.id] == single(img.keypoints)
             assert got[img.id]
+
+
+# ------------------------------------------------------- two at a time
+
+
+def fan_out_scene(rng):
+    """A query with tracks, and five model images in shortlist order: two
+    that match, one whose rows are disconnected, one without keypoints, and
+    one more that matches."""
+    query_kps, base = make_keypoints(rng, 20)
+    model_a, _ = make_keypoints(rng, 20, desc_noise=0.05, base=base)
+    model_b, _ = make_keypoints(rng, 14, desc_noise=0.2, base=base[3:17])
+    model_c, _ = make_keypoints(rng, 16, desc_noise=0.1, base=base[2:18])
+    # a context far from every query context: its row's kernel underflows
+    # to zero, so it has no edge and the image raises EmptyInput
+    far = [replace(kp, context=np.full(CTX_DIM, 1e4, dtype=np.float32)) for kp in model_b[:1]]
+    images = [SimpleNamespace(id=7, keypoints=model_a),
+              SimpleNamespace(id=2, keypoints=far + model_b[1:]),
+              SimpleNamespace(id=3, keypoints=[]),
+              SimpleNamespace(id=5, keypoints=model_b),
+              SimpleNamespace(id=4, keypoints=model_c)]
+    pos = positions(query_kps)
+    tracks = np.stack([pos + rng.normal(scale=2.0, size=pos.shape), pos], axis=1)
+    return query_kps, tracks, images
+
+
+@pytest.mark.parametrize("n_images", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mode", MODES)
+def test_shortlist_two_at_a_time_gives_the_same_pairs_in_order(on_both_paths, mode, n_images):
+    query_kps, tracks, images = fan_out_scene(np.random.default_rng(6))
+    images = images[:n_images]
+    cfg = MatchConfig(mode=mode, embedding_dim=8)
+    alone, two = on_both_paths(lambda: match_frame_to_shortlist(query_kps, tracks, images, cfg))
+    assert list(alone) == list(two) == [img.id for img in images]
+    assert alone == two
+    assert alone[7]
+    if n_images >= 2 and mode != "nn":
+        assert alone[2] == []  # the disconnected row
+    if n_images >= 3:
+        assert alone[3] == []
+
+
+def test_a_helper_image_error_is_raised_with_its_own_type(monkeypatch):
+    query_kps, tracks, images = fan_out_scene(np.random.default_rng(6))
+    # the second image lacks contexts, and the helper thread matches it
+    images[1] = SimpleNamespace(id=2, keypoints=[replace(kp, context=None)
+                                                 for kp in images[1].keypoints])
+    raised_in = []
+    embed = matching._embed_and_assign
+
+    def recording(query, M, cfg):
+        try:
+            return embed(query, M, cfg)
+        except ValueError:
+            raised_in.append(threading.current_thread() is threading.main_thread())
+            raise
+
+    monkeypatch.setattr(parallel, "_helper_thread_pays", lambda: True)
+    monkeypatch.setattr(matching, "_embed_and_assign", recording)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="without an attached context"):
+        match_frame_to_shortlist(query_kps, tracks, images, MatchConfig(embedding_dim=8))
+    assert raised_in == [False] and threading.active_count() == threads
+
+
+def test_one_image_peak_memory_leaves_out_the_context_stack_during_the_solve():
+    # 200 x 180 with full-width contexts: the (180, 8256) float32 context
+    # stack is the largest temporary; freed before the kernels are
+    # assembled, it is not alive with the solve's (380, 380) matrices
+    rng = np.random.default_rng(3)
+    query_kps, base = make_keypoints(rng, 200, spread=15.0)
+    model_kps, _ = make_keypoints(rng, 180, desc_noise=0.1, base=base[:180], spread=15.0)
+    pos = positions(query_kps)
+    query = _query(query_kps, np.stack([pos + 1.0, pos], axis=1))
+    stack = 180 * CTX_DIM * 4
+    square = 380 * 380 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = _embed_and_assign(query, model_kps, MatchConfig())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) > 150
+    # measured: the stack plus ~1.0 squares; with the stack alive through
+    # the solve it was the stack plus ~6 squares
+    assert stack < peak < stack + 1.5 * square

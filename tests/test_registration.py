@@ -2,13 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import random_pose
-from egoreg import matching
+from egoreg import matching, registration, sequence
 from egoreg.embedding import gaussian_kernel
 from egoreg.errors import DegenerateConfiguration, TooFewCorrespondences
 from egoreg.evaluation import pose_errors
 from egoreg.features import (
+    CONTEXT_DIM,
     DESCRIPTOR_DIM,
     ContextConfig,
     DetectorConfig,
@@ -248,6 +250,41 @@ def registered_within_tolerance(scene, seq):
     return ok
 
 
+def record_fields(rec):
+    est = rec.estimate
+    pose = None if est.pose is None else (est.pose.R.tobytes(), est.pose.t.tobytes())
+    return (rec.frame_index, est.status, pose, est.inlier_mask.tobytes(),
+            np.float64(est.mean_reproj).tobytes(), est.n_correspondences,
+            rec.shortlist_ids, rec.n_keypoints, rec.n_matches, rec.n_unlinked)
+
+
+def test_night_clip_registers_the_same_on_one_thread_and_two(small_day_night_scene,
+                                                             on_both_paths, monkeypatch):
+    # raw night frames: contexts and the shortlist's images both go through
+    # the helper thread on the second path
+    scene = small_day_night_scene
+    seen = []
+    lift = registration.lift_matches
+
+    def recording(matches, query_kps, model):
+        seen.append(matches)
+        return lift(matches, query_kps, model)
+
+    monkeypatch.setattr(registration, "lift_matches", recording)
+
+    def run():
+        seen.clear()
+        records = register_sequence(scene.night, scene.model,
+                                    match_cfg=MatchConfig(mode="sptemp"),
+                                    det_cfg=DetectorConfig(max_keypoints=200))
+        return [record_fields(r) for r in records], list(seen)
+
+    (alone, alone_pairs), (two, two_pairs) = on_both_paths(run)
+    assert len(alone) == len(scene.night.frames) and alone == two
+    assert alone_pairs == two_pairs
+    assert sum(len(v) for m in alone_pairs for v in m.values()) > 0
+
+
 def test_sptemp_registers_day_frames(small_day_night_scene):
     scene = small_day_night_scene
     assert all(registered_within_tolerance(scene, scene.day))
@@ -323,3 +360,58 @@ def test_zero_weight_pruner_never_computes_frame_features(monkeypatch, intrinsic
         # frames without a raster (frame 2) are always kept
         want = [0, 1, 2, 3] if bias >= threshold else [2]
         assert [fm.frame_index for fm in got] == want
+
+
+# ------------------------------------------------------ pyramid reuse
+
+
+def moving_clip(intrinsics, n_frames):
+    """A smooth texture sliding (2, 1) px a frame, with keypoints that carry
+    contexts already, and a one-image model."""
+    rng = np.random.default_rng(4)
+    px = ndimage.gaussian_filter(rng.uniform(0, 1, (intrinsics.height, intrinsics.width)), 2.0)
+    zero = np.zeros(CONTEXT_DIM, np.float32)
+    kps = [replace(make_kp(float(u), float(v)), context=zero)
+           for u in range(60, 280, 40) for v in range(60, 200, 40)]
+    frames = [SequenceFrame(0.1 * i, intrinsics,
+                            GrayImage(np.roll(px, (i, 2 * i), axis=(0, 1))), kps)
+              for i in range(n_frames)]
+    model = Model3D([], [ModelImage(0, random_pose(rng), intrinsics, kps)])
+    return Sequence(frames), model
+
+
+def test_reused_pyramids_give_the_tracks_of_fresh_ones(monkeypatch, intrinsics):
+    clip, model = moving_clip(intrinsics, 6)
+    past_frames, alive = [], []
+
+    def checked(frames, kps, pyramids=None):
+        assert pyramids is not None
+        got = track_keypoints(frames, kps, pyramids)
+        want = track_keypoints(frames, kps)
+        assert ([(t.keypoint_idx, t.alive, t.positions.tobytes()) for t in got]
+                == [(t.keypoint_idx, t.alive, t.positions.tobytes()) for t in want])
+        past_frames.append(len(frames) - 1)
+        alive.append(sum(t.alive for t in got))
+        return got
+
+    monkeypatch.setattr(registration, "track_keypoints", checked)
+    monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
+    match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
+    assert past_frames == [1, 2, 3, 3, 3]
+    assert min(alive) > 0
+
+
+def test_match_sequence_builds_each_frame_pyramid_once(monkeypatch, intrinsics):
+    clip, model = moving_clip(intrinsics, 6)
+    built = []
+    pyramid = sequence._pyramid
+
+    def counting(px, levels):
+        built.append(px)
+        return pyramid(px, levels)
+
+    monkeypatch.setattr(sequence, "_pyramid", counting)
+    monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
+    match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
+    assert len(built) == 6
+    assert all(px is fr.image.pixels for px, fr in zip(built, clip.frames))
