@@ -17,7 +17,7 @@ from .evaluation import (MatchReport, RegistrationReport, count_inliers,
                          pose_errors, registration_curve, registration_report)
 from .features import (CONTEXT_DIM, DESCRIPTOR_DIM, ContextConfig,
                        DetectorConfig, GradientField, GrayImage, Keypoint,
-                       attach_context, compute_descriptors,
+                       KeypointTable, attach_context, compute_descriptors,
                        covariance_descriptor, dense_descriptors,
                        extract_keypoints, log_euclidean_vec)
 from .geometry import (Intrinsics, PixelPoint, Pose, WorldPoint,

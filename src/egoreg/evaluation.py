@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import Keypoint
+from .features import KeypointTable
 from .geometry import Intrinsics, Pose
 from .matching import MatchPair
 from .model import Model3D
@@ -68,7 +68,7 @@ class MatchReport:
 
 
 def count_inliers(per_frame_matches: list[dict[int, list[MatchPair]]],
-                  per_frame_kps: list[list[Keypoint]],
+                  per_frame_kps: list[KeypointTable],
                   gt_poses: list[Pose], model: Model3D,
                   k: Intrinsics | list[Intrinsics],
                   threshold_px: float) -> MatchReport:

@@ -5,13 +5,15 @@ from .context import (
     Roi,
     attach_context,
     context_region,
+    context_regions,
     covariance_descriptor,
     dense_descriptors,
     log_euclidean_vec,
 )
 from .detector import DetectorConfig, compute_descriptors, extract_keypoints
 from .image import GradientField, GrayImage, bilinear_sample
-from .keypoint import CONTEXT_DIM, DESCRIPTOR_DIM, Keypoint, contexts, descriptors, positions
+from .keypoint import (CONTEXT_DIM, DESCRIPTOR_DIM, Keypoint, Keypoints, KeypointTable, as_table,
+                       contexts, descriptors, positions)
 
 __all__ = [
     "CONTEXT_DIM",
@@ -21,11 +23,15 @@ __all__ = [
     "GradientField",
     "GrayImage",
     "Keypoint",
+    "KeypointTable",
+    "Keypoints",
     "Roi",
+    "as_table",
     "attach_context",
     "bilinear_sample",
     "compute_descriptors",
     "context_region",
+    "context_regions",
     "contexts",
     "covariance_descriptor",
     "dense_descriptors",

@@ -28,8 +28,9 @@ contexts are bitwise identical.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from ..errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
 from ..parallel import map_on_two
 from .detector import _finalize_in_place
 from .image import GradientField, GrayImage
-from .keypoint import DESCRIPTOR_DIM, Keypoint
+from .keypoint import CONTEXT_DIM, DESCRIPTOR_DIM, Keypoint, Keypoints, KeypointTable, as_table
 
 PATCH = 16
 CELL = PATCH // 4  # a patch is 4x4 histogram cells
@@ -70,25 +71,33 @@ class Roi:
     side: int
 
 
-def context_region(kp: Keypoint, width: int, height: int,
-                   cfg: ContextConfig = ContextConfig()) -> Roi | None:
-    """The keypoint's context region, or None when it cannot have a context.
+def context_regions(kps: Keypoints, width: int, height: int,
+                    cfg: ContextConfig = ContextConfig()) -> list[Roi | None]:
+    """Each keypoint's context region, or None where it cannot have a context.
 
     The square is centred on the keypoint with side ROI_SIDE_PER_SCALE *
     scale_factor * scale, clamped to the image: first its side shrinks to
     the smaller image dimension if necessary, then it shifts inward so it
     fits entirely. None when the side is under 16 px or its grid has under
-    two nodes.
+    two nodes. Sides and corners round half to even, as `round` does; the
+    whole table is sized in one array pass.
     """
-    side = int(round(ROI_SIDE_PER_SCALE * cfg.scale_factor * kp.scale))
-    side = min(side, width, height)
-    if side - PATCH < STRIDE:
-        return None
-    left = int(round(kp.pos.u - side / 2.0))
-    top = int(round(kp.pos.v - side / 2.0))
-    left = min(max(left, 0), width - side)
-    top = min(max(top, 0), height - side)
-    return Roi(left, top, side)
+    table = as_table(kps)
+    side = np.rint(ROI_SIDE_PER_SCALE * cfg.scale_factor * table.scale).astype(np.int64)
+    side = np.minimum(side, min(width, height))
+    left = np.rint(table.xy[:, 0] - side / 2.0).astype(np.int64)
+    top = np.rint(table.xy[:, 1] - side / 2.0).astype(np.int64)
+    left = np.minimum(np.maximum(left, 0), width - side)
+    top = np.minimum(np.maximum(top, 0), height - side)
+    fits = side - PATCH >= STRIDE
+    return [Roi(lt, tp, sd) if ok else None for lt, tp, sd, ok
+            in zip(left.tolist(), top.tolist(), side.tolist(), fits.tolist())]
+
+
+def context_region(kp: Keypoint, width: int, height: int,
+                   cfg: ContextConfig = ContextConfig()) -> Roi | None:
+    """One keypoint's `context_regions` entry."""
+    return context_regions([kp], width, height, cfg)[0]
 
 
 def dense_descriptors(field: GradientField, roi: Roi) -> np.ndarray:
@@ -148,18 +157,30 @@ def covariance_descriptor(samples: np.ndarray) -> np.ndarray:
     return _covariance(x[np.lexsort(x.T[::-1])])
 
 
+@functools.cache
+def _half_vector(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of a d x d matrix's upper triangle in row-major order,
+    of the mirrored lower-triangle entries, and the half-vector weights."""
+    iu, ju = np.triu_indices(d)
+    out = iu * d + ju, ju * d + iu, np.where(iu == ju, 1.0, math.sqrt(2.0))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _log_euclidean(c: np.ndarray) -> np.ndarray:
     """Half-vectorized matrix logarithms of a (k, d, d) SPD stack, (k, d(d+1)/2)."""
     evals, evecs = np.linalg.eigh(c)
     if evals[:, 0].min() <= 0.0:
         raise NotPositiveDefinite(f"minimum eigenvalue {evals[:, 0].min():.6g}")
     logm = np.matmul(evecs * np.log(evals)[:, None, :], evecs.transpose(0, 2, 1))
-    iu, ju = np.triu_indices(c.shape[-1])
-    # symmetrised only where the half-vector reads
-    out = logm[:, iu, ju]
-    out += logm[:, ju, iu]
+    upper, lower, weight = _half_vector(c.shape[-1])
+    # symmetrised only where the half-vector reads, one gather per triangle
+    flat = logm.reshape(len(logm), -1)
+    out = flat.take(upper, axis=1)
+    out += flat.take(lower, axis=1)
     out /= 2.0
-    out *= np.where(iu == ju, 1.0, math.sqrt(2.0))
+    out *= weight
     return out
 
 
@@ -177,32 +198,36 @@ def log_euclidean_vec(c: np.ndarray) -> np.ndarray:
     return _log_euclidean(c[None])[0]
 
 
-def attach_context(image: GrayImage, kps: list[Keypoint],
+def attach_context(image: GrayImage, kps: Keypoints,
                    cfg: ContextConfig = ContextConfig(),
-                   field: GradientField | None = None) -> tuple[list[Keypoint], int]:
-    """Attach a context vector to each keypoint.
+                   field: GradientField | None = None) -> tuple[KeypointTable, int]:
+    """The keypoints that can have a context, with their contexts attached.
 
-    Keypoints for which `context_region` finds no region are dropped and
+    Keypoints for which `context_regions` finds no region are dropped and
     counted by the second return value; the others come back in input
-    order. Contexts equal the per-keypoint composition dense_descriptors ->
-    covariance_descriptor -> log_euclidean_vec up to round-off, and are
-    computed EIGH_CHUNK at a time, two chunks in flight through
+    order, with any contexts they had replaced. Contexts equal the
+    per-keypoint composition dense_descriptors -> covariance_descriptor ->
+    log_euclidean_vec up to round-off, and are computed EIGH_CHUNK at a
+    time into one (n, 8256) float32 column, two chunks in flight through
     `map_on_two` (see the module docstring); the contexts are the same bits
     either way, and an error in a helper chunk is raised here with its own
     type.
     """
+    table = as_table(kps)
     if field is None:
         field = GradientField(image)
-    rois = [context_region(kp, image.width, image.height, cfg) for kp in kps]
+    rois = context_regions(table, image.width, image.height, cfg)
     kept = [i for i, roi in enumerate(rois) if roi is not None]
-    chunks = [kept[start:start + EIGH_CHUNK] for start in range(0, len(kept), EIGH_CHUNK)]
+    out = np.empty((len(kept), CONTEXT_DIM), dtype=np.float32)
 
-    def with_contexts(chunk: list[int]) -> list[Keypoint]:
+    def fill(start: int) -> None:
+        chunk = kept[start:start + EIGH_CHUNK]
         covs = np.stack([_covariance(dense_descriptors(field, rois[i])) for i in chunk])
-        return [kps[i].with_context(v) for i, v in zip(chunk, _log_euclidean(covs))]
+        out[start:start + len(chunk)] = _log_euclidean(covs)
 
-    if chunks:
+    if kept:
         # filled here: the cache's check-then-store must not race a helper thread
         field.window_sums(CELL)
-    parts = map_on_two(with_contexts, chunks)
-    return [kp for part in parts for kp in part], len(kps) - len(kept)
+    map_on_two(fill, list(range(0, len(kept), EIGH_CHUNK)))
+    out.flags.writeable = False
+    return replace(table.take(kept), contexts=out), len(table) - len(kept)

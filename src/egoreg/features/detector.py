@@ -25,9 +25,8 @@ import numpy as np
 from scipy import ndimage
 
 from ..errors import ImageTooSmall
-from ..geometry import PixelPoint
 from .image import GradientField, GrayImage
-from .keypoint import DESCRIPTOR_DIM, Keypoint
+from .keypoint import DESCRIPTOR_DIM, KeypointTable
 
 MIN_IMAGE_SIDE = 32
 _N_CELLS = 4
@@ -253,11 +252,11 @@ def _deduplicate(candidates: list[tuple], radius: float, limit: int) -> list[tup
 
 
 def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
-                      field: GradientField | None = None) -> list[Keypoint]:
+                      field: GradientField | None = None) -> KeypointTable:
     """Detect scale-space blob keypoints, strongest response first.
 
     Raises ImageTooSmall for images under 32 pixels on a side. A uniform
-    image yields an empty list. Output order is deterministic: descending
+    image yields an empty table. Output order is deterministic: descending
     response, ties broken by (v, u, scale). A caller that also attaches
     contexts passes the image's GradientField as `field` to share it.
     """
@@ -292,5 +291,4 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
     uvs = np.array([c[1:] for c in kept], dtype=np.float64).reshape(-1, 3)
     descs = compute_descriptors(field, uvs[:, :2], uvs[:, 2])
     thetas = _orientations(field, uvs)
-    return [Keypoint(PixelPoint(float(u), float(v)), float(scale), float(theta), desc)
-            for (_, u, v, scale), theta, desc in zip(kept, thetas, descs)]
+    return KeypointTable.adopt(uvs[:, :2].copy(), uvs[:, 2].copy(), thetas, descs)

@@ -19,15 +19,18 @@ N_ORIENT_BINS = 8
 def frozen(arr: np.ndarray, source) -> np.ndarray:
     """`arr`, converted from `source`, made read-only with at most one copy.
 
-    A read-only view whose memory is an immutable `bytes` object (a loaded
-    file) is kept as it is, and so is an array that the conversion from
-    `source` already made new. Anything else may alias memory that its
-    owner can still write, so it is copied.
+    A read-only array is kept as it is when its memory is an immutable
+    `bytes` object (a loaded file) or belongs to a read-only array (one
+    that `KeypointTable.adopt` or an earlier call sealed), and so is an
+    array that the conversion from `source` already made new. Anything
+    else may alias memory that its owner can still write, so it is copied.
     """
     root = arr
     while isinstance(root, np.ndarray) and root.base is not None:
         root = root.base
-    immutable = isinstance(root, bytes) and not arr.flags.writeable
+    sealed = isinstance(root, bytes) or (isinstance(root, np.ndarray)
+                                         and not root.flags.writeable)
+    immutable = sealed and not arr.flags.writeable
     if not immutable and np.may_share_memory(arr, source):
         arr = arr.copy()
     arr.flags.writeable = False
@@ -97,23 +100,19 @@ class GradientField:
     def shape(self) -> tuple[int, int]:
         return self.image.pixels.shape
 
-    def cell_sums(self, y0, y1, x0, x1) -> np.ndarray:
-        """Summed orientation-bin weights over [y0, y1) x [x0, x1) windows.
-
-        Accepts broadcastable integer index arrays; returns (..., 8).
-        """
-        ii = self.integral
-        return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
-
     def window_sums(self, size: int) -> np.ndarray:
-        """`cell_sums` of all size x size windows by top-left pixel, cached.
+        """Summed orientation-bin weights of every size x size window, cached.
 
-        The cache checks, then stores, with no lock: call this once for a
-        size before threads share the field (as `attach_context` does).
+        Entry (y, x) holds the (8,) sums over rows y .. y + size - 1 and
+        columns x .. x + size - 1, read off the integral in four lookups;
+        the array is (h - size + 1, w - size + 1, 8). The cache checks, then
+        stores, with no lock: call this once for a size before threads
+        share the field (as `attach_context` does).
         """
         if size not in self._windows:
+            ii = self.integral
             lo, hi = slice(None, -size), slice(size, None)
-            self._windows[size] = self.cell_sums(lo, hi, lo, hi)
+            self._windows[size] = ii[hi, hi] - ii[lo, hi] - ii[hi, lo] + ii[lo, lo]
         return self._windows[size]
 
     def sample_gradients(self, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,16 @@
-"""Keypoint container and array packing helpers."""
+"""Keypoint tables, their row views, and array accessors.
+
+A `KeypointTable` stores a set of keypoints as read-only columns, checked
+once per table; it is the layout the library passes between detection,
+contexts, tracking, matching and files. A `Keypoint` is one keypoint on
+its own: indexing or iterating a table yields Keypoints whose descriptor
+and context are views of the table's rows, and a list of Keypoints
+becomes a table through `as_table`.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,8 +32,11 @@ class Keypoint:
     descriptor   L2-normalized 128-vector (float32)
     context      8256-vector region descriptor (float32), None until attached
 
-    Descriptor and context are read-only. They may be views of a loaded
-    file (see `egoreg.io`); arrays a caller can still write are copied.
+    Descriptor and context are read-only. A Keypoint read from a
+    `KeypointTable` is a row view: they are views of the table's columns,
+    which store the data (and may in turn be views of a loaded file, see
+    `egoreg.io`). A Keypoint built directly checks its values and copies
+    arrays a caller can still write.
     """
 
     pos: PixelPoint
@@ -46,34 +58,152 @@ class Keypoint:
                 raise ValueError(f"context must have length {CONTEXT_DIM}")
             object.__setattr__(self, "context", frozen(c, self.context))
 
-    def with_context(self, context: np.ndarray) -> "Keypoint":
+    def with_context(self, context: np.ndarray | None) -> "Keypoint":
         return replace(self, context=context)
 
 
-def positions(kps: list[Keypoint]) -> np.ndarray:
-    """(n, 2) array of keypoint (u, v) positions."""
-    if not kps:
-        return np.zeros((0, 2), dtype=np.float64)
-    return np.array([[k.pos.u, k.pos.v] for k in kps], dtype=np.float64)
+def _row_view(u: float, v: float, scale: float, orientation: float,
+              descriptor: np.ndarray, context: np.ndarray | None) -> Keypoint:
+    """A Keypoint over values a table has already checked."""
+    kp = object.__new__(Keypoint)
+    kp.__dict__.update(pos=PixelPoint(u, v), scale=scale, orientation=orientation,
+                       descriptor=descriptor, context=context)
+    return kp
 
 
-def descriptors(kps: list[Keypoint]) -> np.ndarray:
-    """(n, 128) float64 stack of descriptors."""
-    if not kps:
-        return np.zeros((0, DESCRIPTOR_DIM), dtype=np.float64)
-    return np.stack([k.descriptor for k in kps]).astype(np.float64)
+def _column(name: str, values, dtype, width: int | None) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim != (1 if width is None else 2) or (width is not None and arr.shape[1] != width):
+        shape = "(n,)" if width is None else f"(n, {width})"
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    return frozen(arr, values)
 
 
-def contexts(kps: list[Keypoint]) -> np.ndarray:
-    """(n, 8256) float32 stack of context vectors; raises if any is missing.
+@dataclass(frozen=True, eq=False)
+class KeypointTable:
+    """n keypoints as columns; the table stores the data.
 
-    The stack keeps the storage precision and is a new array on every call.
-    Context kernels take their pairwise product in float32 (see
-    `embedding.gaussian_kernel`); descriptors stay float64 because their
-    128-column product is cheap next to the 8256-column one.
+    xy           (n, 2) float64 sub-pixel (u, v) positions
+    scale        (n,) float64, positive
+    orientation  (n,) float64 radians
+    descriptors  (n, 128) float32
+    contexts     (n, 8256) float32, or None when the keypoints have none
+
+    Columns are read-only. The constructor checks shapes and scales once
+    for the whole table and copies a column only when its caller can still
+    write it; a loaded table's descriptor and context columns stay views of
+    the file (see `egoreg.io`), and `adopt` takes arrays a producer has
+    just made. `len`, indexing and iteration see the rows as `Keypoint`
+    row views; a slice or `take` selects rows as a new table.
     """
-    if not kps:
-        return np.zeros((0, CONTEXT_DIM), dtype=np.float32)
-    if any(k.context is None for k in kps):
+
+    xy: np.ndarray
+    scale: np.ndarray
+    orientation: np.ndarray
+    descriptors: np.ndarray
+    contexts: np.ndarray | None = None
+
+    def __post_init__(self):
+        cols = {"xy": _column("xy", self.xy, np.float64, 2),
+                "scale": _column("scale", self.scale, np.float64, None),
+                "orientation": _column("orientation", self.orientation, np.float64, None),
+                "descriptors": _column("descriptors", self.descriptors, np.float32,
+                                       DESCRIPTOR_DIM)}
+        if self.contexts is not None:
+            cols["contexts"] = _column("contexts", self.contexts, np.float32, CONTEXT_DIM)
+        n = len(cols["xy"])
+        if any(len(col) != n for col in cols.values()):
+            raise ValueError("columns differ in length")
+        if (cols["scale"] <= 0.0).any():
+            raise ValueError("scale must be positive")
+        for name, col in cols.items():
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def adopt(cls, xy: np.ndarray, scale: np.ndarray, orientation: np.ndarray,
+              descriptors: np.ndarray, contexts: np.ndarray | None = None) -> "KeypointTable":
+        """A table over arrays the caller has just made and will not write:
+        they are made read-only in place instead of being copied."""
+        for col in (xy, scale, orientation, descriptors, contexts):
+            if col is not None:
+                col.flags.writeable = False
+        return cls(xy, scale, orientation, descriptors, contexts)
+
+    def __len__(self) -> int:
+        return len(self.xy)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]  # IndexError past either end
+        u, v = self.xy[i].tolist()
+        return _row_view(u, v, self.scale[i].item(), self.orientation[i].item(),
+                         self.descriptors[i],
+                         None if self.contexts is None else self.contexts[i])
+
+    def __iter__(self) -> Iterator[Keypoint]:
+        ctx = [None] * len(self) if self.contexts is None else self.contexts
+        for (u, v), s, o, d, c in zip(self.xy.tolist(), self.scale.tolist(),
+                                      self.orientation.tolist(), self.descriptors, ctx):
+            yield _row_view(u, v, s, o, d, c)
+
+    def take(self, rows) -> "KeypointTable":
+        """The given rows in the given order; the table itself when every
+        row is kept in order."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        if len(rows) == len(self) and np.array_equal(rows, np.arange(len(self))):
+            return self
+        return KeypointTable.adopt(
+            self.xy[rows], self.scale[rows], self.orientation[rows], self.descriptors[rows],
+            None if self.contexts is None else self.contexts[rows])
+
+
+# what functions that take keypoints accept; `as_table` makes it a table
+Keypoints = KeypointTable | Iterable[Keypoint]
+
+
+def as_table(kps: Keypoints) -> KeypointTable:
+    """`kps` as a table: a table as it is, Keypoints stacked once.
+
+    The table has contexts only when every Keypoint has one, as a saved
+    table does.
+    """
+    if isinstance(kps, KeypointTable):
+        return kps
+    kps = list(kps)
+    n = len(kps)
+    descs = (np.stack([kp.descriptor for kp in kps]) if kps
+             else np.zeros((0, DESCRIPTOR_DIM), dtype=np.float32))
+    have_ctx = bool(kps) and all(kp.context is not None for kp in kps)
+    return KeypointTable.adopt(
+        np.array([(kp.pos.u, kp.pos.v) for kp in kps], dtype=np.float64).reshape(n, 2),
+        np.array([kp.scale for kp in kps], dtype=np.float64),
+        np.array([kp.orientation for kp in kps], dtype=np.float64),
+        descs, np.stack([kp.context for kp in kps]) if have_ctx else None)
+
+
+def positions(kps: Keypoints) -> np.ndarray:
+    """(n, 2) read-only array of keypoint (u, v) positions."""
+    return as_table(kps).xy
+
+
+def descriptors(kps: Keypoints) -> np.ndarray:
+    """(n, 128) float64 copy of the descriptors."""
+    return as_table(kps).descriptors.astype(np.float64)
+
+
+def contexts(kps: Keypoints) -> np.ndarray:
+    """(n, 8256) float32 context column, read-only; raises if contexts are missing.
+
+    Context kernels take their pairwise product in float32 (see
+    `embedding.gaussian_kernel`) on a centred copy, `contexts(kps) - mu`,
+    which is a new aligned array even where the column is an unaligned
+    view of a file; descriptors stay float64 because their 128-column
+    product is cheap next to the 8256-column one.
+    """
+    table = as_table(kps)
+    if table.contexts is None:
+        if not len(table):
+            return np.zeros((0, CONTEXT_DIM), dtype=np.float32)
         raise ValueError("keypoint without an attached context")
-    return np.stack([k.context for k in kps])
+    return table.contexts

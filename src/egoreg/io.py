@@ -7,12 +7,19 @@ Save -> load round-trips are bitwise exact for data that is already
 float32-valued where the format stores float32.
 
 A load reads the file into one `bytes` buffer and copies no table out of
-it: keypoint descriptors and contexts and the retrieval index's tables are
-read-only arrays that share that buffer. The whole buffer, raster bytes
-included, stays alive while any of those arrays does. A save streams its
-parts to the open file, one table at a time, instead of joining them
-first, so a save that fails part-way (say, on a point id that does not fit
-32 bits) leaves a partial file behind.
+it: each keypoint table loads as one `KeypointTable`, checked once, whose
+descriptor and context columns are read-only views of that buffer (its
+small geometry columns are copied out); the buffer stores the data, and
+the `Keypoint` rows a table yields are views of those views. The
+retrieval index's tables share the buffer the same way. The whole buffer,
+raster bytes included, stays alive while any of those arrays does. A
+float32 column starts one byte after a flags field, so it is unaligned;
+the context kernels read it through a centred copy.
+
+A save streams its parts to the open file, one table at a time, writing
+each column as it is stored, instead of joining them first, so a save
+that fails part-way (say, on a point id that does not fit 32 bits) leaves
+a partial file behind.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadMagic, CorruptTable, VersionUnsupported
-from .features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, Keypoint
-from .geometry import Intrinsics, PixelPoint, Pose, WorldPoint
+from .features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, KeypointTable
+from .geometry import Intrinsics, Pose, WorldPoint
 from .model import Model3D, ModelImage, Sequence, SequenceFrame
 from .retrieval import InvertedIndex, Vocabulary
 from .sequence import FEATURE_DIM, LinearPruner
@@ -123,39 +130,36 @@ def _table(values, dtype) -> memoryview:
     return memoryview(np.ascontiguousarray(values, dtype=dtype))
 
 
-def _pack_keypoints(kps: list[Keypoint]) -> Iterator[bytes | memoryview]:
-    yield struct.pack("<I", len(kps))
-    yield _table([[kp.pos.u, kp.pos.v, kp.scale, kp.orientation] for kp in kps], "<f8")
-    have_desc = bool(kps)
-    have_ctx = bool(kps) and all(kp.context is not None for kp in kps)
-    yield struct.pack("<B", (_FLAG_DESCRIPTORS if have_desc else 0)
-                      | (_FLAG_CONTEXTS if have_ctx else 0))
-    if have_desc:
-        yield _table(np.stack([kp.descriptor for kp in kps]), "<f4")
+def _pack_keypoints(kps: KeypointTable) -> Iterator[bytes | memoryview]:
+    n = len(kps)
+    yield struct.pack("<I", n)
+    # rows of (u, v, scale, orientation)
+    yield _table(np.column_stack([kps.xy, kps.scale, kps.orientation]), "<f8")
+    have_ctx = n > 0 and kps.contexts is not None
+    yield struct.pack("<B", (_FLAG_DESCRIPTORS if n else 0) | (_FLAG_CONTEXTS if have_ctx else 0))
+    if n:
+        yield _table(kps.descriptors, "<f4")
     if have_ctx:
-        yield _table(np.stack([kp.context for kp in kps]), "<f4")
+        yield _table(kps.contexts, "<f4")
 
 
-def _read_keypoints(r: _Reader) -> list[Keypoint]:
+def _read_keypoints(r: _Reader) -> KeypointTable:
     (n,) = r.unpack("I")
-    geo = r.array("<f8", 4 * n).reshape(n, 4).tolist()
+    geo = r.array("<f8", 4 * n).reshape(n, 4)
     (flags,) = r.unpack("B")
-    descs = None
+    descs = np.zeros((0, DESCRIPTOR_DIM), dtype=np.float32)
     ctxs = None
     if flags & _FLAG_DESCRIPTORS:
         descs = r.array("<f4", n * DESCRIPTOR_DIM).reshape(n, DESCRIPTOR_DIM)
+    elif n:
+        raise CorruptTable(f"{r.path}: keypoint table without descriptors")
     if flags & _FLAG_CONTEXTS:
         ctxs = r.array("<f4", n * CONTEXT_DIM).reshape(n, CONTEXT_DIM)
-    if n and descs is None:
-        raise CorruptTable(f"{r.path}: keypoint table without descriptors")
-    kps = []
-    for i, (u, v, scale, orientation) in enumerate(geo):
-        try:
-            kps.append(Keypoint(PixelPoint(u, v), scale, orientation,
-                                descs[i], ctxs[i] if ctxs is not None else None))
-        except ValueError as exc:
-            raise CorruptTable(f"{r.path}: invalid keypoint {i}: {exc}") from exc
-    return kps
+    try:
+        return KeypointTable.adopt(geo[:, :2].copy(), geo[:, 2].copy(), geo[:, 3].copy(),
+                                   descs, ctxs)
+    except ValueError as exc:
+        raise CorruptTable(f"{r.path}: invalid keypoint table: {exc}") from exc
 
 
 def _pack_raster(img: GrayImage | None) -> Iterator[bytes | memoryview]:

@@ -29,7 +29,7 @@ from .embedding import (
     temporal_similarity,
 )
 from .errors import EmptyInput, RaggedTracks
-from .features import Keypoint, contexts, descriptors, positions
+from .features import Keypoints, KeypointTable, as_table, contexts, descriptors, positions
 from .parallel import map_on_two
 
 MODE_NN = "nn"
@@ -134,15 +134,16 @@ class _Query(NamedTuple):
     G: np.ndarray | None
 
 
-def _query(F: list[Keypoint], track_pos: np.ndarray | None) -> _Query:
-    """Stack F once; with track positions also build its spatial and temporal kernels."""
-    if not F:
+def _query(F: KeypointTable, track_pos: np.ndarray | None) -> _Query:
+    """F's columns, centred once; with track positions also its spatial and
+    temporal kernels."""
+    if not len(F):
         raise EmptyInput("both keypoint sets must be non-empty")
-    dq, cq = descriptors(F), contexts(F)
+    dq, c = descriptors(F), contexts(F)
     # a float64 accumulator makes the mean of identical rows exact, so
     # coincident contexts centre to exact zeros
-    mu = cq.mean(axis=0, dtype=np.float64).astype(np.float32)
-    cq -= mu
+    mu = c.mean(axis=0, dtype=np.float64).astype(np.float32)
+    cq = c - mu
     if track_pos is None:
         return _Query(dq, cq, mu, None, None)
     tp = np.asarray(track_pos, dtype=np.float64)
@@ -152,15 +153,14 @@ def _query(F: list[Keypoint], track_pos: np.ndarray | None) -> _Query:
     return _Query(dq, cq, mu, spatial_similarity(positions(F)), temporal_similarity(tp))
 
 
-def _embed_and_assign(query: _Query, M: list[Keypoint], cfg: MatchConfig) -> list[MatchPair]:
-    if not M:
+def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> list[MatchPair]:
+    if not len(M):
         raise EmptyInput("both keypoint sets must be non-empty")
     P = gaussian_kernel(query.dq, descriptors(M), None)
-    cm = contexts(M)
-    cm -= query.mu  # in place: contexts() returns a new array on every call
+    cm = contexts(M) - query.mu  # one pass over the column into a new array
     R = gaussian_kernel(query.cq, cm, None)
     # two images are matched at a time, so neither carries its (q, 8256)
-    # context stack or its kernels into the solve
+    # centred contexts or its kernels into the solve
     del cm
     aff = assemble_affinity(P, R, query.S, query.G)
     del P, R
@@ -172,13 +172,13 @@ def _embed_and_assign(query: _Query, M: list[Keypoint], cfg: MatchConfig) -> lis
     return ratio_filter(assignment, emb.query, emb.model, cfg.ratio_threshold)
 
 
-def match_single_frame(F: list[Keypoint], M: list[Keypoint],
+def match_single_frame(F: Keypoints, M: Keypoints,
                        cfg: MatchConfig = MatchConfig(mode=MODE_SINGLE)) -> list[MatchPair]:
     """Match one query frame against one model image, descriptors + contexts only."""
-    return _embed_and_assign(_query(F, None), M, cfg)
+    return _embed_and_assign(_query(as_table(F), None), as_table(M), cfg)
 
 
-def match_spatiotemporal(F: list[Keypoint], track_pos: np.ndarray, M: list[Keypoint],
+def match_spatiotemporal(F: Keypoints, track_pos: np.ndarray, M: Keypoints,
                          cfg: MatchConfig = MatchConfig()) -> list[MatchPair]:
     """Match with query-side spatial and temporal structure.
 
@@ -187,16 +187,16 @@ def match_spatiotemporal(F: list[Keypoint], track_pos: np.ndarray, M: list[Keypo
     (current positions only) for spatial-only matching, which makes the
     temporal kernel all-ones. Untrackable keypoints must already be removed.
     """
-    return _embed_and_assign(_query(F, track_pos), M, cfg)
+    return _embed_and_assign(_query(as_table(F), track_pos), as_table(M), cfg)
 
 
-def match_nearest_neighbor(F: list[Keypoint], M: list[Keypoint]) -> list[MatchPair]:
+def match_nearest_neighbor(F: Keypoints, M: Keypoints) -> list[MatchPair]:
     """Baseline: every query keypoint to its nearest model descriptor.
 
     No assignment constraint and no rejection; the recorded ratio is the
     informational first-to-second descriptor distance ratio.
     """
-    if not F or not M:
+    if not len(F) or not len(M):
         raise EmptyInput("both keypoint sets must be non-empty")
     d = np.sqrt(pairwise_sq_dists(descriptors(F), descriptors(M)))
     j = np.argmin(d, axis=1)
@@ -207,12 +207,12 @@ def match_nearest_neighbor(F: list[Keypoint], M: list[Keypoint]) -> list[MatchPa
             for i, (jj, b, r) in enumerate(zip(j.tolist(), best.tolist(), ratio.tolist()))]
 
 
-def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
+def match_frame_to_shortlist(F: Keypoints, track_pos: np.ndarray | None,
                              shortlist: list, cfg: MatchConfig) -> dict[int, list[MatchPair]]:
     """Match one query frame against each shortlisted model image.
 
     `shortlist` holds objects with `id` and `keypoints` attributes. The
-    query side (descriptor and context stacks, spatial and temporal
+    query side (descriptors, centred contexts, spatial and temporal
     kernels) is built once per frame and shared, read-only, by every
     image. Each image is then matched with one pairwise product per
     kernel, and results are keyed by model image id in shortlist order.
@@ -223,7 +223,8 @@ def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
     (EmptyInput) contributes an empty list rather than aborting the frame;
     any other error is raised here with its own type.
     """
-    if not F or not shortlist:
+    F = as_table(F)
+    if not len(F) or not shortlist:
         return {img.id: [] for img in shortlist}
     if cfg.mode in (MODE_NN, MODE_SINGLE):
         tp = None
@@ -234,10 +235,11 @@ def match_frame_to_shortlist(F: list[Keypoint], track_pos: np.ndarray | None,
     query = _query(F, tp) if cfg.needs_contexts else None
 
     def run(img) -> list[MatchPair]:
+        M = as_table(img.keypoints)
         try:
             if query is None:
-                return match_nearest_neighbor(F, img.keypoints)
-            return _embed_and_assign(query, img.keypoints, cfg)
+                return match_nearest_neighbor(F, M)
+            return _embed_and_assign(query, M, cfg)
         except EmptyInput:
             return []
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptTable
-from .features import GrayImage, Keypoint
+from .features import GrayImage, KeypointTable, as_table
 from .geometry import Intrinsics, Pose, WorldPoint
 
 
@@ -17,15 +17,19 @@ class ModelImage:
 
     `links` maps keypoint index to world point id. Raster and context data
     are optional; matching needs contexts, region-size sweeps need rasters
-    to recompute them.
+    to recompute them. `keypoints` is a table; a list of Keypoints given
+    here becomes one (see `features.as_table`).
     """
 
     id: int
     pose: Pose
     intrinsics: Intrinsics
-    keypoints: list[Keypoint]
+    keypoints: KeypointTable
     links: dict[int, int] = field(default_factory=dict)
     raster: GrayImage | None = None
+
+    def __post_init__(self):
+        self.keypoints = as_table(self.keypoints)
 
 
 @dataclass(eq=False)
@@ -67,13 +71,21 @@ class Model3D:
 
 @dataclass(eq=False)
 class SequenceFrame:
-    """One query video frame; raster and precomputed keypoints are optional."""
+    """One query video frame; raster and precomputed keypoints are optional.
+
+    Precomputed keypoints are a table; a list of Keypoints given here
+    becomes one.
+    """
 
     timestamp: float
     intrinsics: Intrinsics
     image: GrayImage | None = None
-    keypoints: list[Keypoint] | None = None
+    keypoints: KeypointTable | None = None
     gt_pose: Pose | None = None
+
+    def __post_init__(self):
+        if self.keypoints is not None:
+            self.keypoints = as_table(self.keypoints)
 
 
 @dataclass(eq=False)

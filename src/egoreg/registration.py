@@ -23,11 +23,14 @@ from .features import (
     ContextConfig,
     DetectorConfig,
     GradientField,
-    Keypoint,
+    Keypoints,
+    KeypointTable,
+    as_table,
     attach_context,
-    context_region,
+    context_regions,
     descriptors,
     extract_keypoints,
+    positions,
 )
 from .geometry import Intrinsics, Pose
 from .matching import MatchConfig, MatchPair, match_frame_to_shortlist
@@ -96,7 +99,7 @@ class RegistrationRecord:
     n_unlinked: int
 
 
-def lift_matches(matches: dict[int, list[MatchPair]], query_kps: list[Keypoint],
+def lift_matches(matches: dict[int, list[MatchPair]], query_kps: Keypoints,
                  model: Model3D) -> tuple[list[Correspondence2D3D], int]:
     """Turn per-image matches into unique 2D-3D correspondences.
 
@@ -107,6 +110,7 @@ def lift_matches(matches: dict[int, list[MatchPair]], query_kps: list[Keypoint],
     """
     candidates: list[Correspondence2D3D] = []
     unlinked = 0
+    xy = positions(query_kps)
     for image_id, pairs in matches.items():
         img = model.image(image_id)
         for pair in pairs:
@@ -114,9 +118,8 @@ def lift_matches(matches: dict[int, list[MatchPair]], query_kps: list[Keypoint],
             if pid is None:
                 unlinked += 1
                 continue
-            kp = query_kps[pair.query_idx]
             candidates.append(Correspondence2D3D(
-                pixel=np.array([kp.pos.u, kp.pos.v]),
+                pixel=xy[pair.query_idx].copy(),
                 point=model.point(pid).xyz.copy(),
                 point_id=pid,
                 query_idx=pair.query_idx,
@@ -341,28 +344,26 @@ def ransac_pnp(corrs: list[Correspondence2D3D], k: Intrinsics,
 def ensure_contexts(model: Model3D, ctx_cfg: ContextConfig) -> None:
     """Compute missing model keypoint contexts from stored rasters, in place.
 
-    Keypoints without a `context_region` are removed and links renumbered.
+    Keypoints without a context region are removed and links renumbered.
     """
     for img in model.images:
-        if not img.keypoints or all(kp.context is not None for kp in img.keypoints):
+        if not len(img.keypoints) or img.keypoints.contexts is not None:
             continue
         if img.raster is None:
             raise EmptyInput(
                 f"model image {img.id} lacks contexts and has no raster to compute them")
-        w, h = img.raster.width, img.raster.height
-        kept = [i for i, kp in enumerate(img.keypoints)
-                if context_region(kp, w, h, ctx_cfg) is not None]
-        img.keypoints, _ = attach_context(
-            img.raster, [img.keypoints[i] for i in kept], ctx_cfg)
+        rois = context_regions(img.keypoints, img.raster.width, img.raster.height, ctx_cfg)
+        kept = [i for i, roi in enumerate(rois) if roi is not None]
+        img.keypoints, _ = attach_context(img.raster, img.keypoints.take(kept), ctx_cfg)
         remap = {old: new for new, old in enumerate(kept)}
         img.links = {remap[i]: pid for i, pid in img.links.items() if i in remap}
 
 
 def _frame_keypoints(frame, det_cfg: DetectorConfig, ctx_cfg: ContextConfig,
-                     need_context: bool) -> list[Keypoint]:
+                     need_context: bool) -> KeypointTable:
     if frame.keypoints is not None:
         kps = frame.keypoints
-        if need_context and kps and any(kp.context is None for kp in kps):
+        if need_context and len(kps) and kps.contexts is None:
             if frame.image is None:
                 raise EmptyInput("precomputed keypoints lack contexts and frame has no raster")
             kps, _ = attach_context(frame.image, kps, ctx_cfg)
@@ -381,7 +382,7 @@ class FrameMatches:
     """Per-frame matching output, before any pose estimation."""
 
     frame_index: int
-    keypoints: list
+    keypoints: KeypointTable
     matches: dict
     shortlist_ids: list
 
@@ -427,7 +428,7 @@ def match_sequence(sequence: Sequence, model: Model3D,
             kps = _frame_keypoints(frame, det_cfg, ctx_cfg, match_cfg.needs_contexts)
         except EmptyInput as exc:
             log.warning("frame %d: %s", i, exc)
-            out.append(FrameMatches(i, [], {}, []))
+            out.append(FrameMatches(i, as_table([]), {}, []))
             continue
 
         track_pos = None
@@ -444,11 +445,11 @@ def match_sequence(sequence: Sequence, model: Model3D,
                 pyramids.pop(i - match_cfg.temporal_window, None)
                 keep_idx = [t.keypoint_idx for t in tracks if t.alive]
                 if keep_idx:
-                    kps = [kps[j] for j in keep_idx]
+                    kps = kps.take(keep_idx)
                     track_pos = np.stack([tracks[j].positions for j in keep_idx])
 
-        if not kps:
-            out.append(FrameMatches(i, [], {}, []))
+        if not len(kps):
+            out.append(FrameMatches(i, kps, {}, []))
             continue
 
         if vocab is not None and index is not None:
@@ -482,7 +483,7 @@ def register_sequence(sequence: Sequence, model: Model3D,
         pruner, shortlist_size)
     records: list[RegistrationRecord] = []
     for fm in frame_matches:
-        if not fm.keypoints:
+        if not len(fm.keypoints):
             failed = PoseEstimate(None, np.zeros(0, dtype=bool), float("nan"), "failed", 0)
             records.append(RegistrationRecord(fm.frame_index, failed, [], 0, 0, 0))
             continue

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .features import (ContextConfig, GradientField, GrayImage, Keypoint,
+from .features import (ContextConfig, GradientField, GrayImage, KeypointTable,
                        attach_context, compute_descriptors)
-from .geometry import Intrinsics, PixelPoint, Pose, WorldPoint, project_many
+from .geometry import Intrinsics, Pose, WorldPoint, project_many
 from .model import Model3D, ModelImage, Sequence, SequenceFrame
 
 MOTIF_SIDE = 16
@@ -326,9 +326,7 @@ def _model_image(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
     pos = uv[obs]
     scales = sizes[obs] / SPLAT_PX_PER_SCALE
     descs = compute_descriptors(grad, pos, scales)
-    kps = [Keypoint(PixelPoint(float(pos[k, 0]), float(pos[k, 1])),
-                    float(scales[k]), 0.0, descs[k])
-           for k in range(len(obs))]
+    kps = KeypointTable.adopt(pos, scales, np.zeros(len(obs)), descs)
     kps, dropped = attach_context(raster, kps, ctx_cfg, field=grad)
     if dropped:
         raise DegenerateInput("model keypoint lost its context region; "

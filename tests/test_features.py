@@ -24,6 +24,7 @@ from egoreg.features.context import (
     _covariance,
     _log_euclidean,
     context_region,
+    context_regions,
     covariance_descriptor,
     dense_descriptors,
     log_euclidean_vec,
@@ -76,13 +77,18 @@ def test_gradient_field_flat_image_is_zero():
     assert np.all(field.magnitude == 0.0)
 
 
-def test_gradient_field_cell_sums_match_direct():
+def test_gradient_field_window_sums_match_direct():
     rng = np.random.default_rng(0)
-    field = GradientField(GrayImage(rng.uniform(0, 1, size=(24, 30))))
-    direct = field.cell_sums(np.array(3), np.array(11), np.array(5), np.array(13))
-    ii = field.integral
-    manual = ii[11, 13] - ii[3, 13] - ii[11, 5] + ii[3, 5]
-    assert np.allclose(direct, manual)
+    img = GrayImage(rng.uniform(0, 1, size=(24, 30)))
+    field = GradientField(img)
+    stack = old_gradient_stack(img)
+    for size in (1, 4, 8):
+        sums = field.window_sums(size)
+        assert sums.shape == (24 - size + 1, 30 - size + 1, 8)
+        for y, x in ((0, 0), (3, 5), (24 - size, 30 - size), (11, 2)):
+            direct = stack[y:y + size, x:x + size].sum(axis=(0, 1))
+            assert np.allclose(sums[y, x], direct, rtol=1e-12, atol=1e-12)
+        assert field.window_sums(size) is sums  # cached
 
 
 # --------------------------------------------------------------- detector
@@ -134,7 +140,7 @@ def test_detector_descriptors_are_unit_norm():
 
 def test_detector_flat_image_finds_nothing():
     img = GrayImage(np.full((64, 64), 0.4))
-    assert extract_keypoints(img, DetectorConfig()) == []
+    assert len(extract_keypoints(img, DetectorConfig())) == 0
 
 
 def test_detector_max_keypoints_keeps_strongest():
@@ -197,6 +203,37 @@ def test_context_region_too_small():
     assert context_region(make_kp(50.0, 50.0, 0.5), 320, 240) is None
     assert context_region(make_kp(50.0, 50.0, 0.7), 320, 240) is None
     assert context_region(make_kp(50.0, 50.0, 20 / 24), 320, 240).side == 20
+
+
+def old_context_region(kp, width, height, scale_factor=1.0):
+    """The per-keypoint arithmetic that `context_regions` replaced."""
+    side = int(round(24.0 * scale_factor * kp.scale))
+    side = min(side, width, height)
+    if side - 16 < 4:
+        return None
+    left = int(round(kp.pos.u - side / 2.0))
+    top = int(round(kp.pos.v - side / 2.0))
+    return Roi(min(max(left, 0), width - side), min(max(top, 0), height - side), side)
+
+
+def test_context_regions_match_the_per_keypoint_formula():
+    rng = np.random.default_rng(16)
+    n = 300
+    u = rng.uniform(-10.0, 330.0, n)
+    v = rng.uniform(-10.0, 250.0, n)
+    scale = rng.uniform(0.3, 12.0, n)
+    # exact halves: the side and the corners round half to even
+    u[:40] = np.round(u[:40]) + 0.5
+    scale[:20] = (2 * np.arange(20) + 41) / 48.0  # 24 * scale = k + 0.5
+    kps = [make_kp(float(a), float(b), float(c)) for a, b, c in zip(u, v, scale)]
+    for factor in (1.0, 1.5, 0.7):
+        cfg = ContextConfig(scale_factor=factor)
+        got = context_regions(kps, 320, 240, cfg)
+        want = [old_context_region(kp, 320, 240, factor) for kp in kps]
+        assert got == want
+        assert got == [context_region(kp, 320, 240, cfg) for kp in kps]
+        assert any(r is None for r in got) and any(r is not None for r in got)
+    assert context_regions([], 320, 240) == []
 
 
 def test_dense_grid_count_oracle():
@@ -644,6 +681,27 @@ def test_log_euclidean_symmetrises_only_what_it_returns():
     iu, ju = np.triu_indices(128)
     want = logm_[:, iu, ju] * np.where(iu == ju, 1.0, np.sqrt(2.0))
     assert np.array_equal(_log_euclidean(c), want)
+
+
+def old_log_euclidean(c):
+    """`_log_euclidean` as it read the half-vector with 2-D fancy indexing."""
+    evals, evecs = np.linalg.eigh(c)
+    logm_ = np.matmul(evecs * np.log(evals)[:, None, :], evecs.transpose(0, 2, 1))
+    iu, ju = np.triu_indices(c.shape[-1])
+    out = logm_[:, iu, ju]
+    out += logm_[:, ju, iu]
+    out /= 2.0
+    out *= np.where(iu == ju, 1.0, np.sqrt(2.0))
+    return out
+
+
+def test_log_euclidean_flat_gathers_are_bitwise_unchanged():
+    rng = np.random.default_rng(15)
+    for d, k in ((128, EIGH_CHUNK), (128, 3), (7, 5), (1, 2)):
+        c = np.stack([random_spd(rng, d, 1e4) for _ in range(k)])
+        got = _log_euclidean(c)
+        assert got.shape == (k, d * (d + 1) // 2)
+        assert np.array_equal(got, old_log_euclidean(c))
 
 
 def test_batched_refinement_solve_matches_one_at_a_time():

@@ -316,7 +316,9 @@ def model_variants(rng):
     bare = make_model(rng, with_context=False, with_raster=False)
     mixed = make_model(rng, with_raster=False)
     img = mixed.images[1]
-    img.keypoints[2] = make_keypoint(rng, with_context=False)  # one missing context
+    rows = list(img.keypoints)
+    rows[2] = make_keypoint(rng, with_context=False)  # one missing context
+    mixed.images[1] = ModelImage(img.id, img.pose, img.intrinsics, rows, img.links, img.raster)
     mixed.images.append(ModelImage(7, img.pose, img.intrinsics, [], {}, full.images[0].raster))
     return [full, bare, Model3D(mixed.points, mixed.images)]
 

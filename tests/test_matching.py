@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from egoreg import matching, parallel
 from egoreg.embedding import pairwise_sq_dists
 from egoreg.errors import EmptyInput
-from egoreg.features import Keypoint, descriptors, positions
+from egoreg.features import Keypoint, as_table, descriptors, positions
 from egoreg.geometry import PixelPoint
 from egoreg.matching import (
     MODES,
@@ -282,7 +282,7 @@ def test_coincident_contexts_leave_descriptors_to_decide():
     def with_context(kps, ctx):
         return [Keypoint(kp.pos, kp.scale, kp.orientation, kp.descriptor, ctx) for kp in kps]
 
-    assert not _query(with_context(query_kps, row), None).cq.any()
+    assert not _query(as_table(with_context(query_kps, row)), None).cq.any()
     same = match_single_frame(with_context(query_kps, row), with_context(model_kps, row), cfg)
     zero = np.zeros(CTX_DIM, dtype=np.float32)
     flat = match_single_frame(with_context(query_kps, zero), with_context(model_kps, zero), cfg)
@@ -399,8 +399,9 @@ def test_one_image_peak_memory_leaves_out_the_context_stack_during_the_solve():
     rng = np.random.default_rng(3)
     query_kps, base = make_keypoints(rng, 200, spread=15.0)
     model_kps, _ = make_keypoints(rng, 180, desc_noise=0.1, base=base[:180], spread=15.0)
+    model_kps = as_table(model_kps)  # a model image's table, built before the frame
     pos = positions(query_kps)
-    query = _query(query_kps, np.stack([pos + 1.0, pos], axis=1))
+    query = _query(as_table(query_kps), np.stack([pos + 1.0, pos], axis=1))
     stack = 180 * CTX_DIM * 4
     square = 380 * 380 * 8
     tracemalloc.start()

@@ -16,6 +16,7 @@ from egoreg.features import (
     DetectorConfig,
     GrayImage,
     Keypoint,
+    as_table,
     attach_context,
     contexts,
     extract_keypoints,
@@ -312,12 +313,11 @@ def day_frame_query(scene):
 def test_centred_float32_context_kernel_is_close_to_float64(small_day_night_scene):
     scene = small_day_night_scene
     day_kps, _ = day_frame_query(scene)
-    for F in (day_kps, scene.model.images[0].keypoints):
+    for F in (as_table(day_kps), scene.model.images[0].keypoints):
         query = matching._query(F, None)
         assert query.cq.dtype == np.float32
         for img in scene.model.images:
-            cm = contexts(img.keypoints)
-            cm -= query.mu
+            cm = contexts(img.keypoints) - query.mu
             r32 = gaussian_kernel(query.cq, cm, None)
             r64 = gaussian_kernel(contexts(F).astype(np.float64),
                                   contexts(img.keypoints).astype(np.float64), None)
