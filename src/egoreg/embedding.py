@@ -65,9 +65,6 @@ class EmbeddedSet:
     def dim(self) -> int:
         return self.query.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.query, self.model])
-
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """||a_i - b_j||^2 in the norms-plus-dot form, clipped at zero."""
@@ -302,8 +299,3 @@ def solve_embedding(affinity: AffinityMatrix, dim: int) -> EmbeddedSet:
         truncated=truncated,
         zero_degree=~nz,
     )
-
-
-def embedding_objective(affinity: AffinityMatrix, z: np.ndarray) -> float:
-    """sum_ij ||z_i - z_j||^2 W_ij for stacked coordinates z."""
-    return float(np.sum(pairwise_sq_dists(z, z) * affinity.W))

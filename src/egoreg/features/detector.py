@@ -169,12 +169,12 @@ def _octave_candidates(dog: np.ndarray, octave: int) -> list[tuple]:
     are edge-tested and refined together with array operations.
     """
     margin = 4
-    maxf = ndimage.maximum_filter(dog, size=3, mode="constant", cval=-np.inf)
-    minf = ndimage.minimum_filter(dog, size=3, mode="constant", cval=np.inf)
     inner = (slice(1, -1), slice(margin, -margin), slice(margin, -margin))
     c = dog[inner]
-    is_ext = ((c >= maxf[inner]) | (c <= minf[inner])) & \
-        (np.abs(c) >= 0.8 * CONTRAST_THRESHOLD)
+    # one filtered stack alive at a time
+    is_ext = c >= ndimage.maximum_filter(dog, size=3, mode="constant", cval=-np.inf)[inner]
+    is_ext |= c <= ndimage.minimum_filter(dog, size=3, mode="constant", cval=np.inf)[inner]
+    is_ext &= np.abs(c) >= 0.8 * CONTRAST_THRESHOLD
     lvl, y, x = np.nonzero(is_ext)
     lvl += 1
     y += margin
@@ -280,8 +280,9 @@ def extract_keypoints(image: GrayImage, cfg: DetectorConfig = DetectorConfig(),
             inc = math.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2)
             levels.append(ndimage.gaussian_filter(levels[-1], inc, mode="nearest"))
         dog = np.stack([levels[i + 1] - levels[i] for i in range(s + 2)])
-        candidates.extend(_octave_candidates(dog, o))
         current = levels[s][::2, ::2]
+        del levels  # the scan below needs only the DoG stack
+        candidates.extend(_octave_candidates(dog, o))
 
     candidates.sort(key=lambda t: (-t[0], t[2], t[1], t[3]))
     kept = _deduplicate(candidates, DEDUP_RADIUS, cfg.max_keypoints)

@@ -1,10 +1,10 @@
 """Grayscale image container and cached gradient structures.
 
-The gradient field precomputes, once per image, everything the descriptor
-machinery needs: per-pixel gradients, magnitudes and orientations, and a
-magnitude-weighted soft assignment of orientations to 8 bins, plus a 2D
-integral of that 8-channel stack so axis-aligned rectangular cell sums cost
-O(1) lookups.
+The gradient field precomputes, once per image, the per-pixel gradients,
+magnitudes and orientations the descriptor machinery needs. Its window
+sums, cached per window size, read a magnitude-weighted soft assignment of
+orientations to 8 bins off the 2D integral of that 8-channel stack, so
+axis-aligned rectangular cell sums cost O(1) lookups.
 """
 
 from __future__ import annotations
@@ -67,38 +67,42 @@ class GradientField:
     """Per-image cache of gradients and binned-orientation integrals."""
 
     def __init__(self, image: GrayImage):
-        px = image.pixels
-        gy, gx = np.gradient(px)
-        mag = np.hypot(gx, gy)
-        ang = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
-
-        # Soft assignment of each pixel's orientation to its two nearest bins,
-        # weighted by gradient magnitude.
-        pos = ang * (N_ORIENT_BINS / (2.0 * np.pi))
-        lo = np.floor(pos).astype(np.intp) % N_ORIENT_BINS
-        frac = pos - np.floor(pos)
-        hi = (lo + 1) % N_ORIENT_BINS
-
-        h, w = px.shape
-        stack = np.zeros((h, w, N_ORIENT_BINS), dtype=np.float64)
-        np.put_along_axis(stack, lo[..., None], (mag * (1.0 - frac))[..., None], axis=2)
-        np.put_along_axis(stack, hi[..., None], (mag * frac)[..., None], axis=2)
-
-        integral = np.zeros((h + 1, w + 1, N_ORIENT_BINS), dtype=np.float64)
-        np.cumsum(stack, axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-
+        gy, gx = np.gradient(image.pixels)
         self.image = image
         self.gx = gx
         self.gy = gy
-        self.magnitude = mag
-        self.angle = ang  # radians in [0, 2*pi)
-        self.integral = integral
+        self.magnitude = np.hypot(gx, gy)
+        self.angle = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)  # radians in [0, 2*pi)
         self._windows: dict[int, np.ndarray] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.image.pixels.shape
+
+    @property
+    def integral(self) -> np.ndarray:
+        """The (h + 1, w + 1, 8) integral of the soft-binned orientation stack.
+
+        Built on every read and not kept: only `window_sums` needs it, once
+        per size, so a field holds ~5 MB less at 320x240 (the size of one
+        integral) and builds no integral for detection alone.
+        """
+        # Soft assignment of each pixel's orientation to its two nearest bins,
+        # weighted by gradient magnitude, scattered and summed in place.
+        pos = self.angle * (N_ORIENT_BINS / (2.0 * np.pi))
+        lo = np.floor(pos).astype(np.intp) % N_ORIENT_BINS
+        frac = pos - np.floor(pos)
+        hi = (lo + 1) % N_ORIENT_BINS
+
+        h, w = self.shape
+        integral = np.zeros((h + 1, w + 1, N_ORIENT_BINS), dtype=np.float64)
+        stack = integral[1:, 1:]
+        mag = self.magnitude
+        np.put_along_axis(stack, lo[..., None], (mag * (1.0 - frac))[..., None], axis=2)
+        np.put_along_axis(stack, hi[..., None], (mag * frac)[..., None], axis=2)
+        np.cumsum(stack, axis=0, out=stack)
+        np.cumsum(stack, axis=1, out=stack)
+        return integral
 
     def window_sums(self, size: int) -> np.ndarray:
         """Summed orientation-bin weights of every size x size window, cached.
@@ -112,7 +116,10 @@ class GradientField:
         if size not in self._windows:
             ii = self.integral
             lo, hi = slice(None, -size), slice(size, None)
-            self._windows[size] = ii[hi, hi] - ii[lo, hi] - ii[hi, lo] + ii[lo, lo]
+            sums = ii[hi, hi] - ii[lo, hi]
+            sums -= ii[hi, lo]
+            sums += ii[lo, lo]
+            self._windows[size] = sums
         return self._windows[size]
 
     def sample_gradients(self, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

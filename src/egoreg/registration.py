@@ -35,6 +35,7 @@ from .features import (
 from .geometry import Intrinsics, Pose
 from .matching import MatchConfig, MatchPair, match_frame_to_shortlist
 from .model import Model3D, Sequence
+from .parallel import map_on_two
 from .retrieval import DEFAULT_SHORTLIST, InvertedIndex, Vocabulary, shortlist
 from .sequence import LinearPruner, frame_pyramid, frame_quality_feature, track_keypoints
 
@@ -387,6 +388,20 @@ class FrameMatches:
     shortlist_ids: list
 
 
+def _tracking_window(sequence: Sequence, i: int, cfg: MatchConfig) -> range | None:
+    """Frames i - k .. i that frame i tracks back through, or None.
+
+    k is `cfg.temporal_window`, fewer at the clip's start; a frame tracks
+    only in a mode that uses tracks, and when it and its k past frames all
+    carry a raster.
+    """
+    window = range(i - min(cfg.temporal_window, i), i + 1)
+    if (not cfg.tracks or len(window) < 2
+            or any(sequence.frames[j].image is None for j in window)):
+        return None
+    return window
+
+
 def match_sequence(sequence: Sequence, model: Model3D,
                    vocab: Vocabulary | None = None,
                    index: InvertedIndex | None = None,
@@ -400,13 +415,21 @@ def match_sequence(sequence: Sequence, model: Model3D,
     Orchestrates pruning, feature extraction, backward tracking (in
     spatio-temporal mode, where keypoints whose tracks die are discarded),
     retrieval shortlisting, and per-image matching. Frames that fail a stage
-    yield an empty record rather than aborting the run. Tracking keeps the
-    pyramids of the last `temporal_window` frames, so each frame's pyramid
-    is built once.
+    yield an empty record rather than aborting the run.
+
+    Kept frames go through `map_on_two` two at a time, each running its
+    whole pipeline on its own lane; a frame does not depend on another
+    frame's matches, so the records are the same bits in the same order on
+    one lane or two. Two frames in flight hold two frames' features at
+    once: for a raw 320x240 frame, its gradient field with the window sums
+    contexts read (~7 MB) and its (200, 8256) float32 context column
+    (6.6 MB). An odd last frame runs alone, with the helper thread left to
+    its contexts and shortlisted images. Tracking keeps the pyramids of the
+    last `temporal_window` frames, built on the calling thread in frame
+    order before each pair starts, so each frame's pyramid is built once.
     """
     if not sequence.frames:
         return []
-    out: list[FrameMatches] = []
     pyramids: dict[int, list[np.ndarray]] = {}  # frame index -> frame_pyramid
 
     kept = range(len(sequence.frames))
@@ -422,35 +445,26 @@ def match_sequence(sequence: Sequence, model: Model3D,
 
         kept = [i for i, fr in enumerate(sequence.frames) if fr.image is None or keep(i, fr.image)]
 
-    for i in kept:
+    def match_frame(item: tuple[int, range | None]) -> FrameMatches:
+        i, window = item
         frame = sequence.frames[i]
         try:
             kps = _frame_keypoints(frame, det_cfg, ctx_cfg, match_cfg.needs_contexts)
         except EmptyInput as exc:
             log.warning("frame %d: %s", i, exc)
-            out.append(FrameMatches(i, as_table([]), {}, []))
-            continue
+            return FrameMatches(i, as_table([]), {}, [])
 
         track_pos = None
-        if match_cfg.tracks and kps:
-            k_eff = min(match_cfg.temporal_window, i)
-            past = [sequence.frames[j].image for j in range(i - k_eff, i)]
-            if k_eff > 0 and all(im is not None for im in past) and frame.image is not None:
-                window = range(i - k_eff, i + 1)
-                pyramids = {j: pyramids[j] if j in pyramids
-                            else frame_pyramid(sequence.frames[j].image) for j in window}
-                tracks = track_keypoints(past + [frame.image], kps,
-                                         [pyramids[j] for j in window])
-                # frame i + 1 reaches back to frame i + 1 - temporal_window
-                pyramids.pop(i - match_cfg.temporal_window, None)
-                keep_idx = [t.keypoint_idx for t in tracks if t.alive]
-                if keep_idx:
-                    kps = kps.take(keep_idx)
-                    track_pos = np.stack([tracks[j].positions for j in keep_idx])
+        if window is not None and len(kps):
+            tracks = track_keypoints([sequence.frames[j].image for j in window], kps,
+                                     [pyramids[j] for j in window])
+            keep_idx = [t.keypoint_idx for t in tracks if t.alive]
+            if keep_idx:
+                kps = kps.take(keep_idx)
+                track_pos = np.stack([tracks[j].positions for j in keep_idx])
 
         if not len(kps):
-            out.append(FrameMatches(i, kps, {}, []))
-            continue
+            return FrameMatches(i, kps, {}, [])
 
         if vocab is not None and index is not None:
             ranked = shortlist(descriptors(kps), vocab, index, shortlist_size)
@@ -459,7 +473,19 @@ def match_sequence(sequence: Sequence, model: Model3D,
             images = sorted(model.images, key=lambda im: im.id)[:shortlist_size]
 
         matches = match_frame_to_shortlist(kps, track_pos, images, match_cfg)
-        out.append(FrameMatches(i, kps, matches, [img.id for img in images]))
+        return FrameMatches(i, kps, matches, [img.id for img in images])
+
+    out: list[FrameMatches] = []
+    for start in range(0, len(kept), 2):
+        pair = [(i, _tracking_window(sequence, i, match_cfg)) for i in kept[start:start + 2]]
+        for _, window in pair:
+            for j in window or ():
+                if j not in pyramids:
+                    pyramids[j] = frame_pyramid(sequence.frames[j].image)
+        out += map_on_two(match_frame, pair)
+        # later frames reach back no further than frame last + 1 - temporal_window
+        last = pair[-1][0]
+        pyramids = {j: p for j, p in pyramids.items() if j > last - match_cfg.temporal_window}
     return out
 
 

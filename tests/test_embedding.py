@@ -7,9 +7,9 @@ from egoreg.embedding import (
     AffinityMatrix,
     _normalized_laplacian,
     assemble_affinity,
-    embedding_objective,
     gaussian_kernel,
     median_sigma,
+    pairwise_sq_dists,
     solve_embedding,
     spatial_similarity,
     temporal_distance_profile,
@@ -285,11 +285,21 @@ def test_affinity_matrix_rejects_bad_input():
 # ------------------------------------------------------------ embedding
 
 
+def stacked(emb):
+    """Query rows then model rows of an embedding, one (p + q, dim) array."""
+    return np.vstack([emb.query, emb.model])
+
+
+def embedding_objective(affinity, z):
+    """sum_ij ||z_i - z_j||^2 W_ij for stacked coordinates z."""
+    return float(np.sum(pairwise_sq_dists(z, z) * affinity.W))
+
+
 def generalized_residual(aff, emb):
     w = aff.W
     deg = w.sum(axis=1)
     lap = np.diag(deg) - w
-    z = emb.stacked()
+    z = stacked(emb)
     worst = 0.0
     for j, lam in enumerate(emb.eigenvalues):
         r = lap @ z[:, j] - lam * deg * z[:, j]
@@ -304,7 +314,7 @@ def test_solve_embedding_eigen_residual():
     assert emb.dim == 5 and not emb.truncated
     assert generalized_residual(aff, emb) < 1e-8
     # Z^T D Z = I over the returned vectors
-    z = emb.stacked()
+    z = stacked(emb)
     d = aff.W.sum(axis=1)
     gram = z.T @ (z * d[:, None])
     assert np.allclose(gram, np.eye(5), atol=1e-9)
@@ -314,7 +324,7 @@ def test_solve_embedding_objective_identity():
     rng = np.random.default_rng(7)
     aff = random_affinity(rng, 6, 9, with_query_block=True)
     emb = solve_embedding(aff, dim=4)
-    obj = embedding_objective(aff, emb.stacked())
+    obj = embedding_objective(aff, stacked(emb))
     assert obj == pytest.approx(2.0 * emb.eigenvalues.sum(), rel=1e-9)
 
 
@@ -329,7 +339,7 @@ def test_solve_embedding_properties(seed, p, q, sptemp):
     assert generalized_residual(aff, emb) < 1e-8
     assert np.all(emb.eigenvalues > 0.0)
     assert emb.query.shape[0] == p and emb.model.shape[0] == q
-    obj = embedding_objective(aff, emb.stacked())
+    obj = embedding_objective(aff, stacked(emb))
     assert obj == pytest.approx(2.0 * emb.eigenvalues.sum(), rel=1e-8, abs=1e-12)
 
 

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,120 @@ def test_night_clip_registers_the_same_on_one_thread_and_two(small_day_night_sce
     assert sum(len(v) for m in alone_pairs for v in m.values()) > 0
 
 
+# ---------------------------------------------- frames on one lane or two
+
+
+@pytest.fixture(scope="module")
+def five_frame_clips():
+    """Five raw day frames and five night frames with 60 keypoints and
+    contexts precomputed, against a two-image model."""
+    scene = synth_scene(replace(night_preset(0), n_points=200, n_model_images=2,
+                                n_query_frames=5))
+    night = []
+    for fr in scene.night.frames:
+        kps = extract_keypoints(fr.image, DetectorConfig(max_keypoints=60))
+        kps, _ = attach_context(fr.image, kps, ContextConfig())
+        night.append(replace(fr, keypoints=kps))
+    return scene.model, {"day": scene.day, "night": Sequence(night)}
+
+
+class DropFrame:
+    """A pruner that drops the `drop`-th frame it is asked about."""
+
+    def __init__(self, drop):
+        self.drop, self.asked = drop, 0
+
+    def fixed_decision(self):
+        return None
+
+    def keep(self, feature):
+        self.asked += 1
+        return self.asked - 1 != self.drop
+
+
+def match_fields(fm):
+    kps = fm.keypoints
+    ctx = None if kps.contexts is None else kps.contexts.tobytes()
+    pairs = {image_id: [(m.query_idx, m.model_idx, np.float64(m.embed_dist).tobytes(),
+                         np.float64(m.ratio).tobytes()) for m in ms]
+             for image_id, ms in fm.matches.items()}
+    return fm.frame_index, kps.xy.tobytes(), ctx, pairs, fm.shortlist_ids
+
+
+def lanes_agree(on_both_paths, monkeypatch, clip, model, window=3, pruner=None):
+    """register_sequence on one lane and on two: records and matches agree
+    bit for bit. Returns the records and the frames the helper lane ran."""
+    seen, off_main = [], []
+    match = registration.match_sequence
+    frame_keypoints = registration._frame_keypoints
+
+    def recording(*args):
+        out = match(*args)
+        seen.append([match_fields(fm) for fm in out])
+        return out
+
+    def noting_lane(frame, *args):
+        if threading.current_thread() is not threading.main_thread():
+            off_main.append(clip.frames.index(frame))
+        return frame_keypoints(frame, *args)
+
+    monkeypatch.setattr(registration, "match_sequence", recording)
+    monkeypatch.setattr(registration, "_frame_keypoints", noting_lane)
+
+    def run():
+        seen.clear()
+        records = register_sequence(
+            clip, model, match_cfg=MatchConfig(mode="sptemp", temporal_window=window),
+            det_cfg=DetectorConfig(max_keypoints=60),
+            pruner=pruner() if pruner else None)
+        return [record_fields(r) for r in records], seen[0]
+
+    (alone, alone_matches), (two, two_matches) = on_both_paths(run)
+    assert alone == two
+    assert alone_matches == two_matches
+    return alone, off_main
+
+
+@pytest.mark.parametrize("kind, n_frames, window", [
+    ("day", 1, 3), ("day", 2, 1), ("day", 3, 3), ("day", 5, 3),
+    ("night", 1, 3), ("night", 2, 1), ("night", 3, 3), ("night", 5, 1), ("night", 5, 3),
+])
+def test_frames_match_the_same_on_one_lane_and_two(five_frame_clips, on_both_paths,
+                                                   monkeypatch, kind, n_frames, window):
+    model, clips = five_frame_clips
+    clip = Sequence(clips[kind].frames[:n_frames])
+    records, off_main = lanes_agree(on_both_paths, monkeypatch, clip, model, window)
+    assert [r[0] for r in records] == list(range(n_frames))
+    assert all(r[-3] > 0 for r in records)  # every frame kept keypoints
+    if kind == "day":  # night sptemp frames keep few or no pairs
+        assert all(r[-2] > 0 for r in records)
+    # the second frame of each pair ran on the helper lane, a lone last one did not
+    assert off_main == list(range(1, n_frames - n_frames % 2, 2))
+
+
+def test_a_pruned_middle_frame_keeps_the_lanes_in_step(five_frame_clips, on_both_paths,
+                                                       monkeypatch):
+    model, clips = five_frame_clips
+    clip = Sequence(clips["day"].frames[:4])
+    records, off_main = lanes_agree(on_both_paths, monkeypatch, clip, model,
+                                    pruner=lambda: DropFrame(1))
+    assert [r[0] for r in records] == [0, 2, 3]
+    assert off_main == [2]  # frames 0 and 2 share a lane pair, frame 3 runs alone
+
+
+def test_an_empty_frame_on_the_helper_lane_gives_an_empty_record(five_frame_clips,
+                                                                 on_both_paths, monkeypatch):
+    model, clips = five_frame_clips
+    frames = list(clips["day"].frames[:3])
+    frames[1] = replace(frames[1], image=None, keypoints=None)
+    records, off_main = lanes_agree(on_both_paths, monkeypatch, Sequence(frames), model)
+    assert [r[0] for r in records] == [0, 1, 2]
+    _, status, pose, *_, shortlist_ids, n_keypoints, n_matches, _ = records[1]
+    assert (status, pose, shortlist_ids, n_keypoints, n_matches) == ("failed", None, [], 0, 0)
+    assert off_main == [1]
+    assert records[2][-2] > 0  # the frame after it still matches, without tracks
+
+
 def test_sptemp_registers_day_frames(small_day_night_scene):
     scene = small_day_night_scene
     assert all(registered_within_tolerance(scene, scene.day))
@@ -397,7 +512,8 @@ def test_reused_pyramids_give_the_tracks_of_fresh_ones(monkeypatch, intrinsics):
     monkeypatch.setattr(registration, "track_keypoints", checked)
     monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
     match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
-    assert past_frames == [1, 2, 3, 3, 3]
+    # sorted: with a helper thread, the two frames of a pair track concurrently
+    assert sorted(past_frames) == [1, 2, 3, 3, 3]
     assert min(alive) > 0
 
 
