@@ -64,7 +64,7 @@ class GrayImage:
 
 
 class GradientField:
-    """Per-image cache of gradients and binned-orientation integrals."""
+    """Per-image cache of gradients and orientation-bin window sums."""
 
     def __init__(self, image: GrayImage):
         gy, gx = np.gradient(image.pixels)
@@ -79,42 +79,35 @@ class GradientField:
     def shape(self) -> tuple[int, int]:
         return self.image.pixels.shape
 
-    @property
-    def integral(self) -> np.ndarray:
-        """The (h + 1, w + 1, 8) integral of the soft-binned orientation stack.
-
-        Built on every read and not kept: only `window_sums` needs it, once
-        per size, so a field holds ~5 MB less at 320x240 (the size of one
-        integral) and builds no integral for detection alone.
-        """
-        # Soft assignment of each pixel's orientation to its two nearest bins,
-        # weighted by gradient magnitude, scattered and summed in place.
-        pos = self.angle * (N_ORIENT_BINS / (2.0 * np.pi))
-        lo = np.floor(pos).astype(np.intp) % N_ORIENT_BINS
-        frac = pos - np.floor(pos)
-        hi = (lo + 1) % N_ORIENT_BINS
-
-        h, w = self.shape
-        integral = np.zeros((h + 1, w + 1, N_ORIENT_BINS), dtype=np.float64)
-        stack = integral[1:, 1:]
-        mag = self.magnitude
-        np.put_along_axis(stack, lo[..., None], (mag * (1.0 - frac))[..., None], axis=2)
-        np.put_along_axis(stack, hi[..., None], (mag * frac)[..., None], axis=2)
-        np.cumsum(stack, axis=0, out=stack)
-        np.cumsum(stack, axis=1, out=stack)
-        return integral
-
     def window_sums(self, size: int) -> np.ndarray:
         """Summed orientation-bin weights of every size x size window, cached.
 
         Entry (y, x) holds the (8,) sums over rows y .. y + size - 1 and
-        columns x .. x + size - 1, read off the integral in four lookups;
-        the array is (h - size + 1, w - size + 1, 8). The cache checks, then
-        stores, with no lock: call this once for a size before threads
-        share the field (as `attach_context` does).
+        columns x .. x + size - 1, read off the (h + 1, w + 1, 8) integral of
+        the soft-binned orientation stack in four lookups; the array is
+        (h - size + 1, w - size + 1, 8). The integral is built here and not
+        kept, so a field holds ~5 MB less at 320x240 and detection alone
+        builds none. The cache checks, then stores, with no lock: call this
+        once for a size before threads share the field (as `attach_context`
+        does).
         """
         if size not in self._windows:
-            ii = self.integral
+            # Soft assignment of each pixel's orientation to its two nearest
+            # bins, weighted by gradient magnitude, scattered and summed in place.
+            pos = self.angle * (N_ORIENT_BINS / (2.0 * np.pi))
+            lo_bin = np.floor(pos).astype(np.intp) % N_ORIENT_BINS
+            frac = pos - np.floor(pos)
+            hi_bin = (lo_bin + 1) % N_ORIENT_BINS
+
+            h, w = self.shape
+            ii = np.zeros((h + 1, w + 1, N_ORIENT_BINS), dtype=np.float64)
+            stack = ii[1:, 1:]
+            mag = self.magnitude
+            np.put_along_axis(stack, lo_bin[..., None], (mag * (1.0 - frac))[..., None], axis=2)
+            np.put_along_axis(stack, hi_bin[..., None], (mag * frac)[..., None], axis=2)
+            np.cumsum(stack, axis=0, out=stack)
+            np.cumsum(stack, axis=1, out=stack)
+
             lo, hi = slice(None, -size), slice(size, None)
             sums = ii[hi, hi] - ii[lo, hi]
             sums -= ii[hi, lo]

@@ -439,9 +439,18 @@ def test_gradient_field_scatter_is_bitwise_unchanged():
     for img in (textured(), blob_image(), GrayImage(np.full((5, 7), 0.3))):
         field = GradientField(img)
         h, w = img.pixels.shape
-        want = np.zeros((h + 1, w + 1, 8))
-        want[1:, 1:] = old_gradient_stack(img).cumsum(axis=0).cumsum(axis=1)
-        assert np.array_equal(field.integral, want)
+        stack = old_gradient_stack(img)
+        ii = np.zeros((h + 1, w + 1, 8))
+        ii[1:, 1:] = stack.cumsum(axis=0).cumsum(axis=1)
+        for size in (1, 3, 4):
+            lo, hi = slice(None, -size), slice(size, None)
+            want = ii[hi, hi] - ii[lo, hi] - ii[hi, lo] + ii[lo, lo]
+            got = field.window_sums(size)
+            assert np.array_equal(got, want)
+            direct = np.array([[stack[y:y + size, x:x + size].sum(axis=(0, 1))
+                                for x in range(w - size + 1)]
+                               for y in range(h - size + 1)])
+            np.testing.assert_allclose(got, direct, rtol=1e-9, atol=1e-9)
 
 
 def old_sample_gradients(field, us, vs):

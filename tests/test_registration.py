@@ -505,15 +505,16 @@ def test_reused_pyramids_give_the_tracks_of_fresh_ones(monkeypatch, intrinsics):
         want = track_keypoints(frames, kps)
         assert ([(t.keypoint_idx, t.alive, t.positions.tobytes()) for t in got]
                 == [(t.keypoint_idx, t.alive, t.positions.tobytes()) for t in want])
-        past_frames.append(len(frames) - 1)
+        index = next(i for i, fr in enumerate(clip.frames) if fr.image is frames[-1])
+        past_frames.append((index, len(frames) - 1))
         alive.append(sum(t.alive for t in got))
         return got
 
     monkeypatch.setattr(registration, "track_keypoints", checked)
     monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
     match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
-    # sorted: with a helper thread, the two frames of a pair track concurrently
-    assert sorted(past_frames) == [1, 2, 3, 3, 3]
+    # sorted by frame: the two frames of a pair track concurrently
+    assert sorted(past_frames) == [(1, 1), (2, 2), (3, 3), (4, 3), (5, 3)]
     assert min(alive) > 0
 
 
