@@ -28,7 +28,7 @@ from .matching import (MODES, MatchConfig, MatchPair, hungarian,
                        match_frame_to_shortlist, match_nearest_neighbor,
                        match_single_frame, match_spatiotemporal, ratio_filter)
 from .model import Model3D, ModelImage, Sequence, SequenceFrame
-from .registration import (Correspondence2D3D, FrameMatches, PoseEstimate,
+from .registration import (Correspondences, FrameMatches, PoseEstimate,
                            RansacConfig, RegistrationRecord, ensure_contexts,
                            lift_matches, match_sequence, pnp_solve, ransac_pnp,
                            register_sequence)

@@ -155,13 +155,10 @@ def _symmetrize_exact(m: np.ndarray) -> np.ndarray:
 
 
 def spatial_similarity(pos: np.ndarray, sigma: float | None = None) -> np.ndarray:
-    """Gaussian proximity kernel on (p, 2) pixel positions, exactly symmetric."""
+    """`gaussian_kernel` on (p, 2) pixel positions, exactly symmetric with a
+    unit diagonal; one point, or points that all coincide, give all ones."""
     pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
-    d2 = pairwise_sq_dists(pos, pos)
-    if sigma is None:
-        sigma = _median_bandwidth(d2, True)
-    s = np.exp(-d2 / (sigma * sigma))
-    s = _symmetrize_exact(s)
+    s = _symmetrize_exact(gaussian_kernel(pos, pos, sigma))
     np.fill_diagonal(s, 1.0)
     return s
 

@@ -18,7 +18,7 @@ from .features import KeypointTable
 from .geometry import Intrinsics, Pose
 from .matching import MatchPair
 from .model import Model3D
-from .registration import _as_arrays, _reproj_errors, lift_matches
+from .registration import _reproj_errors, lift_matches
 
 
 def pose_errors(estimate: Pose, reference: Pose) -> tuple[float, float]:
@@ -88,11 +88,9 @@ def count_inliers(per_frame_matches: list[dict[int, list[MatchPair]]],
     for i in range(n):
         corrs, _ = lift_matches(per_frame_matches[i], per_frame_kps[i], model)
         matches[i] = len(corrs)
-        if not corrs:
-            continue
-        xyz, uv = _as_arrays(corrs)
         # the error is inf behind the camera, so those never count
-        err, _ = _reproj_errors(gt_poses[i].R, gt_poses[i].t, xyz, uv, intr[i])
+        err, _ = _reproj_errors(gt_poses[i].R, gt_poses[i].t, corrs.point, corrs.pixel,
+                                intr[i])
         inliers[i] = int(np.sum(err < threshold_px))
     return MatchReport(inliers, matches)
 

@@ -1,16 +1,16 @@
 """2D-3D lifting and absolute pose estimation.
 
 Matches against shortlisted model images are lifted to 2D-3D
-correspondences through the model's keypoint-to-point links, deduplicated,
-and fed to a RANSAC loop around a direct linear transform pose solver with
-Gauss-Newton reprojection refinement. A frame registers when the final
-consensus holds at least `min_inliers` correspondences.
+correspondences through the model's keypoint-to-point links, deduplicated
+into one `Correspondences` table in embedded-distance order, and fed to a
+RANSAC loop around a DLT pose solver with Gauss-Newton refinement. A frame
+registers when the final consensus holds `min_inliers` correspondences.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .matching import MatchConfig, MatchPair, match_frame_to_shortlist
 from .model import Model3D, Sequence
 from .parallel import map_on_two
 from .retrieval import DEFAULT_SHORTLIST, InvertedIndex, Vocabulary, shortlist
-from .sequence import LinearPruner, frame_pyramid, frame_quality_feature, track_keypoints
+from .sequence import (LinearPruner, frame_pyramid, frame_quality_feature,  # noqa: F401 (re-export)
+                       prune_frames, track_keypoints)
 
 log = logging.getLogger(__name__)
 
@@ -61,12 +62,22 @@ def scaled_threshold(px: float, k: Intrinsics) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Correspondence2D3D:
-    pixel: np.ndarray       # (2,) query pixel
-    point: np.ndarray       # (3,) world coordinates
-    point_id: int
-    query_idx: int
-    embed_dist: float
+class Correspondences:
+    """n 2D-3D correspondences as columns; `lift_matches` orders the rows by
+    (embedded distance, query index, point id), best match first."""
+
+    pixel: np.ndarray      # (n, 2) float64 query pixels
+    point: np.ndarray      # (n, 3) float64 world coordinates
+    point_id: np.ndarray   # (n,) int64
+    query_idx: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return len(self.point_id)
+
+    def take(self, rows) -> Correspondences:
+        """The given rows (indices or a boolean mask) as a new table."""
+        return Correspondences(self.pixel[rows], self.point[rows],
+                               self.point_id[rows], self.query_idx[rows])
 
 
 @dataclass(eq=False)
@@ -78,6 +89,11 @@ class PoseEstimate:
     mean_reproj: float
     status: str  # "registered" or "failed"
     n_correspondences: int
+
+    @classmethod
+    def failed(cls, n: int) -> PoseEstimate:
+        """No pose for a frame with n correspondences."""
+        return cls(None, np.zeros(n, dtype=bool), float("nan"), "failed", n)
 
     @property
     def registered(self) -> bool:
@@ -101,42 +117,41 @@ class RegistrationRecord:
 
 
 def lift_matches(matches: dict[int, list[MatchPair]], query_kps: Keypoints,
-                 model: Model3D) -> tuple[list[Correspondence2D3D], int]:
-    """Turn per-image matches into unique 2D-3D correspondences.
+                 model: Model3D) -> tuple[Correspondences, int]:
+    """Turn per-image matches into one table of unique 2D-3D correspondences.
 
-    Matches to unlinked model keypoints are dropped and counted. When
-    several matches claim the same world point or the same query keypoint,
-    the smallest embedded distance wins; ties resolve by query then point
-    id so the result is deterministic.
+    Matches to unlinked model keypoints are dropped and counted. Candidates
+    are sorted by (embedded distance, query index, point id); a candidate
+    is kept when neither its world point nor its query keypoint was claimed
+    by an earlier one. So the smallest embedded distance wins, ties resolve
+    deterministically, and the table's rows stay in that order.
     """
-    candidates: list[Correspondence2D3D] = []
+    query_idx, point_id, dist = [], [], []
     unlinked = 0
-    xy = positions(query_kps)
     for image_id, pairs in matches.items():
-        img = model.image(image_id)
+        links = model.image(image_id).links
         for pair in pairs:
-            pid = img.links.get(pair.model_idx)
+            pid = links.get(pair.model_idx)
             if pid is None:
                 unlinked += 1
                 continue
-            candidates.append(Correspondence2D3D(
-                pixel=xy[pair.query_idx].copy(),
-                point=model.point(pid).xyz.copy(),
-                point_id=pid,
-                query_idx=pair.query_idx,
-                embed_dist=pair.embed_dist,
-            ))
-    candidates.sort(key=lambda c: (c.embed_dist, c.query_idx, c.point_id))
-    seen_points: set[int] = set()
-    seen_queries: set[int] = set()
-    out = []
-    for c in candidates:
-        if c.point_id in seen_points or c.query_idx in seen_queries:
-            continue
-        seen_points.add(c.point_id)
-        seen_queries.add(c.query_idx)
-        out.append(c)
-    return out, unlinked
+            query_idx.append(pair.query_idx)
+            point_id.append(pid)
+            dist.append(pair.embed_dist)
+    query_idx = np.array(query_idx, dtype=np.int64)
+    point_id = np.array(point_id, dtype=np.int64)
+    order = np.lexsort((point_id, query_idx, np.array(dist, dtype=np.float64)))
+    query_idx, point_id = query_idx[order], point_id[order]
+    seen_points, seen_queries = set(), set()
+    keep = np.zeros(len(order), dtype=bool)
+    for row, (q, pid) in enumerate(zip(query_idx.tolist(), point_id.tolist())):
+        if pid not in seen_points and q not in seen_queries:
+            seen_points.add(pid)
+            seen_queries.add(q)
+            keep[row] = True
+    query_idx, point_id = query_idx[keep], point_id[keep]
+    point = np.array([model.point(pid).xyz for pid in point_id.tolist()]).reshape(-1, 3)
+    return Correspondences(positions(query_kps)[query_idx], point, point_id, query_idx), unlinked
 
 
 def _rodrigues(w: np.ndarray) -> np.ndarray:
@@ -158,6 +173,14 @@ def _reproj_errors(rmat: np.ndarray, t: np.ndarray, xyz: np.ndarray,
     err = np.hypot(pu - uv[:, 0], pv - uv[:, 1])
     err[z <= 1e-12] = np.inf
     return err, z
+
+
+def _nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation nearest to `m` by SVD, and m's singular values."""
+    u, sv, vt = np.linalg.svd(m)
+    d = np.eye(3)
+    d[2, 2] = np.sign(np.linalg.det(u @ vt))
+    return u @ d @ vt, sv
 
 
 def _dlt(xyz: np.ndarray, uv: np.ndarray, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -195,10 +218,7 @@ def _dlt(xyz: np.ndarray, uv: np.ndarray, k: Intrinsics) -> tuple[np.ndarray, np
     if float(np.median(depths)) < 0.0:
         m, t = -m, -t
 
-    u, sv, vt2 = np.linalg.svd(m)
-    d = np.eye(3)
-    d[2, 2] = np.sign(np.linalg.det(u @ vt2))
-    rmat = u @ d @ vt2
+    rmat, sv = _nearest_rotation(m)
     scale = float(sv.mean())
     if scale < 1e-12 or not np.isfinite(scale):
         raise DegenerateConfiguration("degenerate projective scale")
@@ -262,13 +282,8 @@ def _refine(rmat: np.ndarray, t: np.ndarray, xyz: np.ndarray, uv: np.ndarray,
     return best_r, best_t
 
 
-def _as_arrays(corrs: list[Correspondence2D3D]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.stack([c.point for c in corrs]),
-            np.stack([c.pixel for c in corrs]))
-
-
-def pnp_solve(corrs: list[Correspondence2D3D], k: Intrinsics) -> Pose:
-    """Absolute pose from >= 6 correspondences: DLT then Gauss-Newton.
+def pnp_solve(corrs: Correspondences, k: Intrinsics) -> Pose:
+    """Absolute pose from >= 6 table rows, in any order: DLT then Gauss-Newton.
 
     Raises DegenerateConfiguration when the points do not constrain a
     unique pose (coincident or otherwise rank-deficient configurations).
@@ -276,30 +291,28 @@ def pnp_solve(corrs: list[Correspondence2D3D], k: Intrinsics) -> Pose:
     if len(corrs) < MIN_PNP_POINTS:
         raise TooFewCorrespondences(
             f"need at least {MIN_PNP_POINTS} correspondences, got {len(corrs)}")
-    xyz, uv = _as_arrays(corrs)
-    rmat, t = _dlt(xyz, uv, k)
-    rmat, t = _refine(rmat, t, xyz, uv, k)
+    rmat, t = _dlt(corrs.point, corrs.pixel, k)
+    rmat, t = _refine(rmat, t, corrs.point, corrs.pixel, k)
     # re-orthogonalize so the Pose constructor's tolerance always holds
-    u, _, vt = np.linalg.svd(rmat)
-    d = np.eye(3)
-    d[2, 2] = np.sign(np.linalg.det(u @ vt))
-    return Pose(u @ d @ vt, t)
+    return Pose(_nearest_rotation(rmat)[0], t)
 
 
-def ransac_pnp(corrs: list[Correspondence2D3D], k: Intrinsics,
+def ransac_pnp(corrs: Correspondences, k: Intrinsics,
                cfg: RansacConfig = RansacConfig()) -> PoseEstimate:
     """Robust pose estimation with adaptive-iteration RANSAC.
 
-    The inlier threshold is `reproj_threshold` scaled by the ratio of the
-    image diagonal to the 640x480 reference. The final pose refits on all
-    inliers of the best hypothesis; `status` is "registered" only when the
-    refit consensus reaches `min_inliers`.
+    Seeded samples draw the table's rows uniformly, so the pose depends on
+    row order. The inlier threshold is `reproj_threshold` scaled by the
+    image diagonal against the 640x480 reference. The final pose refits on
+    all inliers of the best hypothesis; `status` is "registered" only when
+    the refit consensus reaches `min_inliers`. Fewer rows than
+    max(`min_inliers`, 6) raise TooFewCorrespondences.
     """
     n = len(corrs)
-    if n < cfg.min_inliers:
-        raise TooFewCorrespondences(
-            f"need at least min_inliers={cfg.min_inliers} correspondences, got {n}")
-    xyz, uv = _as_arrays(corrs)
+    need = max(cfg.min_inliers, MIN_PNP_POINTS)
+    if n < need:
+        raise TooFewCorrespondences(f"need at least {need} correspondences, got {n}")
+    xyz, uv = corrs.point, corrs.pixel
     thresh = scaled_threshold(cfg.reproj_threshold, k)
     rng = np.random.default_rng(cfg.seed)
 
@@ -326,18 +339,16 @@ def ransac_pnp(corrs: list[Correspondence2D3D], k: Intrinsics,
                 needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
                 max_iters = min(RANSAC_MAX_ITERATIONS, max(needed, 1))
 
-    failed = PoseEstimate(None, np.zeros(n, dtype=bool), float("nan"), "failed", n)
-    if best_count < max(cfg.min_inliers, MIN_PNP_POINTS):
-        return failed
-    inlier_corrs = [c for c, m in zip(corrs, best_mask) if m]
+    if best_count < need:
+        return PoseEstimate.failed(n)
     try:
-        pose = pnp_solve(inlier_corrs, k)
+        pose = pnp_solve(corrs.take(best_mask), k)
     except DegenerateConfiguration:
-        return failed
+        return PoseEstimate.failed(n)
     err, z = _reproj_errors(pose.R, pose.t, xyz, uv, k)
     final_mask = (err < thresh) & (z > 0.0)
     if int(final_mask.sum()) < cfg.min_inliers:
-        return failed
+        return PoseEstimate.failed(n)
     mean_reproj = float(err[final_mask].mean())
     return PoseEstimate(pose, final_mask, mean_reproj, "registered", n)
 
@@ -415,7 +426,8 @@ def match_sequence(sequence: Sequence, model: Model3D,
     Orchestrates pruning, feature extraction, backward tracking (in
     spatio-temporal mode, where keypoints whose tracks die are discarded),
     retrieval shortlisting, and per-image matching. Frames that fail a stage
-    yield an empty record rather than aborting the run.
+    yield an empty record rather than aborting the run. Records hold no
+    contexts: nothing after matching reads them.
 
     Kept frames go through `map_on_two` two at a time, each running its
     whole pipeline on its own lane; a frame does not depend on another
@@ -434,16 +446,7 @@ def match_sequence(sequence: Sequence, model: Model3D,
 
     kept = range(len(sequence.frames))
     if pruner is not None:
-        # frames without a raster are kept; a zero-weight pruner needs no feature
-        fixed = pruner.fixed_decision()
-
-        def keep(i: int, image) -> bool:
-            if fixed is not None:
-                return fixed
-            prev = sequence.frames[i - 1].image if i > 0 else None
-            return pruner.keep(frame_quality_feature(prev, image))
-
-        kept = [i for i, fr in enumerate(sequence.frames) if fr.image is None or keep(i, fr.image)]
+        kept = prune_frames([fr.image for fr in sequence.frames], pruner)
 
     def match_frame(item: tuple[int, range | None]) -> FrameMatches:
         i, window = item
@@ -464,7 +467,7 @@ def match_sequence(sequence: Sequence, model: Model3D,
                 track_pos = np.stack([tracks[j].positions for j in keep_idx])
 
         if not len(kps):
-            return FrameMatches(i, kps, {}, [])
+            return FrameMatches(i, as_table([]), {}, [])
 
         if vocab is not None and index is not None:
             ranked = shortlist(descriptors(kps), vocab, index, shortlist_size)
@@ -473,7 +476,7 @@ def match_sequence(sequence: Sequence, model: Model3D,
             images = sorted(model.images, key=lambda im: im.id)[:shortlist_size]
 
         matches = match_frame_to_shortlist(kps, track_pos, images, match_cfg)
-        return FrameMatches(i, kps, matches, [img.id for img in images])
+        return FrameMatches(i, replace(kps, contexts=None), matches, [img.id for img in images])
 
     out: list[FrameMatches] = []
     for start in range(0, len(kept), 2):
@@ -509,19 +512,12 @@ def register_sequence(sequence: Sequence, model: Model3D,
         pruner, shortlist_size)
     records: list[RegistrationRecord] = []
     for fm in frame_matches:
-        if not len(fm.keypoints):
-            failed = PoseEstimate(None, np.zeros(0, dtype=bool), float("nan"), "failed", 0)
-            records.append(RegistrationRecord(fm.frame_index, failed, [], 0, 0, 0))
-            continue
-        frame = sequence.frames[fm.frame_index]
         corrs, unlinked = lift_matches(fm.matches, fm.keypoints, model)
-        n_matches = sum(len(v) for v in fm.matches.values())
         try:
-            est = ransac_pnp(corrs, frame.intrinsics, ransac_cfg)
-        except TooFewCorrespondences:
-            est = PoseEstimate(None, np.zeros(len(corrs), dtype=bool),
-                               float("nan"), "failed", len(corrs))
+            est = ransac_pnp(corrs, sequence.frames[fm.frame_index].intrinsics, ransac_cfg)
+        except TooFewCorrespondences:  # an empty frame lifts to an empty table
+            est = PoseEstimate.failed(len(corrs))
         records.append(RegistrationRecord(
             fm.frame_index, est, fm.shortlist_ids, len(fm.keypoints),
-            n_matches, unlinked))
+            sum(len(v) for v in fm.matches.values()), unlinked))
     return records

@@ -192,13 +192,13 @@ def frame_quality_feature(prev: GrayImage | None, curr: GrayImage) -> FrameQuali
     return FrameQualityFeature(motion, blur_metric(curr))
 
 
-def prune_frames(frames: list[GrayImage], pruner: LinearPruner) -> list[int]:
-    """Indices of frames the pruner keeps, ascending. Empty input, empty output."""
+def prune_frames(frames: list[GrayImage | None], pruner: LinearPruner) -> list[int]:
+    """Indices of frames the pruner keeps, ascending; a frame without a raster
+    (None) is always kept. Empty input, empty output."""
     fixed = pruner.fixed_decision()
-    if fixed is not None:
-        return list(range(len(frames))) if fixed else []
-    return [i for i, frame in enumerate(frames)
-            if pruner.keep(frame_quality_feature(frames[i - 1] if i > 0 else None, frame))]
+    return [i for i, frame in enumerate(frames) if frame is None or (
+        fixed if fixed is not None
+        else pruner.keep(frame_quality_feature(frames[i - 1] if i > 0 else None, frame)))]
 
 
 def train_pruner(features: list[FrameQualityFeature], labels: list[int],

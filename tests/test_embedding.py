@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from egoreg.embedding import (
     AffinityMatrix,
+    _median_bandwidth,
     _normalized_laplacian,
+    _symmetrize_exact,
     assemble_affinity,
     gaussian_kernel,
     median_sigma,
@@ -201,6 +203,35 @@ def test_spatial_similarity_decays_with_distance():
     s = spatial_similarity(pos, sigma=10.0)
     assert s[0, 1] > s[0, 2]
     assert s[0, 1] == pytest.approx(np.exp(-0.01), rel=1e-12)
+
+
+def reference_spatial_similarity(pos, sigma=None):
+    """The kernel from its own squared distances, as spatial_similarity
+    computed it before it was built on gaussian_kernel."""
+    pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
+    d2 = pairwise_sq_dists(pos, pos)
+    if sigma is None:
+        sigma = _median_bandwidth(d2, True)
+    s = _symmetrize_exact(np.exp(-d2 / (sigma * sigma)))
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def test_spatial_similarity_is_bitwise_the_distance_form_kernel():
+    rng = np.random.default_rng(21)
+    for p in (2, 3, 17, 150, 260):  # 150 and 260 points: the median is subsampled
+        pos = rng.uniform(0.0, 320.0, size=(p, 2))
+        if p == 17:
+            pos[5] = pos[9]  # one coincident pair among distinct ones
+        assert np.array_equal(spatial_similarity(pos), reference_spatial_similarity(pos))
+        assert np.array_equal(spatial_similarity(pos, 12.5),
+                              reference_spatial_similarity(pos, 12.5))
+
+
+def test_spatial_similarity_of_one_or_coincident_points_is_all_ones():
+    # as gaussian_kernel and temporal_similarity: no distance, no bandwidth
+    for pos in ([[3.0, 4.0]], [[3.0, 4.0]] * 5):
+        assert np.array_equal(spatial_similarity(pos), np.ones((len(pos), len(pos))))
 
 
 def test_temporal_profile_hand_case():

@@ -26,7 +26,7 @@ from egoreg.geometry import PixelPoint, Pose, WorldPoint, project_many
 from egoreg.matching import MatchConfig, MatchPair
 from egoreg.model import Model3D, ModelImage, Sequence, SequenceFrame
 from egoreg.registration import (
-    Correspondence2D3D,
+    Correspondences,
     RansacConfig,
     ensure_contexts,
     lift_matches,
@@ -59,10 +59,7 @@ def scene_correspondences(rng, pose, intrinsics, n, noise_px=0.0, depth=(4.0, 8.
     uv, z = project_many(xyz, pose, intrinsics)
     assert np.all(z > 0)
     uv = uv + rng.normal(0.0, noise_px, size=uv.shape) if noise_px > 0 else uv
-    return [
-        Correspondence2D3D(uv[i].copy(), xyz[i].copy(), i, i, 0.0)
-        for i in range(n)
-    ]
+    return Correspondences(uv, xyz, np.arange(n), np.arange(n))
 
 
 # ------------------------------------------------------------ lift_matches
@@ -83,10 +80,10 @@ def test_lift_matches_resolves_links(intrinsics):
     matches = {7: [MatchPair(0, 1, 0.2, 0.5), MatchPair(1, 2, 0.3, 0.6)]}
     corrs, unlinked = lift_matches(matches, query, model)
     assert unlinked == 0
-    assert [c.point_id for c in corrs] == [1, 2]
-    assert [c.query_idx for c in corrs] == [0, 1]
-    assert np.allclose(corrs[0].pixel, [100.0, 100.0])
-    assert np.allclose(corrs[0].point, model.point(1).xyz)
+    assert corrs.point_id.tolist() == [1, 2]
+    assert corrs.query_idx.tolist() == [0, 1]
+    assert np.allclose(corrs.pixel[0], [100.0, 100.0])
+    assert np.allclose(corrs.point[0], model.point(1).xyz)
 
 
 def test_lift_matches_counts_unlinked(intrinsics):
@@ -94,7 +91,7 @@ def test_lift_matches_counts_unlinked(intrinsics):
     query = [make_kp(0.0, 0.0)]
     matches = {7: [MatchPair(0, 3, 0.2, 0.5)]}
     corrs, unlinked = lift_matches(matches, query, model)
-    assert corrs == []
+    assert len(corrs) == 0
     assert unlinked == 1
 
 
@@ -105,12 +102,100 @@ def test_lift_matches_dedups_by_embedded_distance(intrinsics):
     matches = {7: [MatchPair(0, 0, 0.9, 0.5), MatchPair(1, 0, 0.1, 0.5)]}
     corrs, _ = lift_matches(matches, query, model)
     assert len(corrs) == 1
-    assert corrs[0].query_idx == 1
+    assert corrs.query_idx.tolist() == [1]
     # and one query cannot supply two correspondences
     matches = {7: [MatchPair(0, 0, 0.1, 0.5), MatchPair(0, 1, 0.2, 0.5)]}
     corrs, _ = lift_matches(matches, query, model)
     assert len(corrs) == 1
-    assert corrs[0].point_id == 0
+    assert corrs.point_id.tolist() == [0]
+
+
+def reference_lift(matches, query_kps, model):
+    """The per-correspondence lift the table replaced: one record per
+    candidate, a key sort, then the greedy first-claim pass."""
+    candidates, unlinked = [], 0
+    xy = as_table(query_kps).xy
+    for image_id, pairs in matches.items():
+        img = model.image(image_id)
+        for pair in pairs:
+            pid = img.links.get(pair.model_idx)
+            if pid is None:
+                unlinked += 1
+                continue
+            candidates.append((pair.embed_dist, pair.query_idx, pid,
+                               xy[pair.query_idx].copy(), model.point(pid).xyz.copy()))
+    candidates.sort(key=lambda c: c[:3])
+    seen_points, seen_queries, out = set(), set(), []
+    for c in candidates:
+        if c[2] in seen_points or c[1] in seen_queries:
+            continue
+        seen_points.add(c[2])
+        seen_queries.add(c[1])
+        out.append(c)
+    return out, unlinked
+
+
+def two_image_lift_fixture(intrinsics):
+    """Two model images whose keypoints link to overlapping world points."""
+    rng = np.random.default_rng(8)
+    pts = [WorldPoint(pid, rng.normal(size=3)) for pid in range(6)]
+    kps = [make_kp(10.0 * i, 5.0) for i in range(5)]
+    images = [ModelImage(7, Pose(np.eye(3), np.zeros(3)), intrinsics, kps,
+                         {0: 0, 1: 1, 2: 2, 3: 3}, None),       # keypoint 4 unlinked
+              ModelImage(9, Pose(np.eye(3), np.zeros(3)), intrinsics, kps,
+                         {0: 5, 1: 0, 2: 4, 4: 2}, None)]       # keypoint 3 unlinked
+    query = [make_kp(*rng.uniform(0.0, 300.0, size=2)) for _ in range(6)]
+    return Model3D(pts, images), query
+
+
+@pytest.mark.parametrize("case", [
+    "ties", "point_from_two_images", "query_claims_two_points", "unlinked", "no_matches",
+    "random"])
+def test_lift_matches_columns_equal_the_per_object_lift(intrinsics, case):
+    model, query = two_image_lift_fixture(intrinsics)
+    matches = {
+        # equal embed_dist: ties break by query index, then point id
+        "ties": {7: [MatchPair(3, 1, 0.5, 0.5), MatchPair(1, 2, 0.5, 0.5),
+                     MatchPair(1, 0, 0.5, 0.5), MatchPair(0, 3, 0.25, 0.5)],
+                 9: [MatchPair(2, 0, 0.5, 0.5), MatchPair(1, 1, 0.5, 0.5)]},
+        # world point 0 is model keypoint 0 of image 7 and keypoint 1 of image 9
+        "point_from_two_images": {7: [MatchPair(0, 0, 0.4, 0.5)],
+                                  9: [MatchPair(1, 1, 0.3, 0.5), MatchPair(2, 2, 0.1, 0.5)]},
+        "query_claims_two_points": {7: [MatchPair(4, 0, 0.2, 0.5), MatchPair(4, 3, 0.1, 0.5)],
+                                    9: [MatchPair(4, 0, 0.05, 0.5), MatchPair(5, 2, 0.3, 0.5)]},
+        "unlinked": {7: [MatchPair(0, 4, 0.1, 0.5), MatchPair(1, 1, 0.2, 0.5)],
+                     9: [MatchPair(2, 3, 0.1, 0.5), MatchPair(3, 4, 0.3, 0.5)]},
+        "no_matches": {7: [], 9: []},
+    }.get(case)
+    if matches is None:  # many random claims over both images, with repeated distances
+        rng = np.random.default_rng(9)
+        matches = {image_id: [MatchPair(int(q), int(m), float(d), 0.5)
+                              for q, m, d in zip(rng.integers(0, 6, 40), rng.integers(0, 5, 40),
+                                                 rng.choice([0.1, 0.2, 0.3, rng.uniform()], 40))]
+                   for image_id in (7, 9)}
+    got, unlinked = lift_matches(matches, query, model)
+    want, want_unlinked = reference_lift(matches, query, model)
+    assert unlinked == want_unlinked
+    assert len(got) == len(want)
+    assert got.point_id.dtype == got.query_idx.dtype == np.int64
+    assert got.query_idx.tolist() == [c[1] for c in want]
+    assert got.point_id.tolist() == [c[2] for c in want]
+    assert got.pixel.shape == (len(want), 2) and got.point.shape == (len(want), 3)
+    assert got.pixel.tobytes() == b"".join(c[3].tobytes() for c in want)
+    assert got.point.tobytes() == b"".join(c[4].tobytes() for c in want)
+    if case != "no_matches":
+        assert len(got) > 0
+
+
+def test_correspondences_len_is_its_row_count(rng, intrinsics):
+    # not its field count, as a NamedTuple's would be (an empty table is
+    # the no_matches lift above)
+    for n in (1, 4, 7):
+        assert len(scene_correspondences(rng, random_pose(rng), intrinsics, n)) == n
+    corrs = scene_correspondences(rng, random_pose(rng), intrinsics, 7)
+    part = corrs.take(np.array([True, False, True, True, False, False, True]))
+    assert len(part) == 4 and part.query_idx.tolist() == [0, 2, 3, 6]
+    assert np.array_equal(part.point, corrs.point[[0, 2, 3, 6]])
 
 
 # --------------------------------------------------------------------- pnp
@@ -134,9 +219,8 @@ def test_pnp_requires_six_points(rng, intrinsics):
 
 
 def test_pnp_rejects_coincident_points(intrinsics):
-    corrs = [Correspondence2D3D(np.array([100.0, 100.0]),
-                                np.array([0.0, 0.0, 5.0]), i, i, 0.0)
-             for i in range(8)]
+    corrs = Correspondences(np.tile([100.0, 100.0], (8, 1)), np.tile([0.0, 0.0, 5.0], (8, 1)),
+                            np.arange(8), np.arange(8))
     with pytest.raises(DegenerateConfiguration):
         pnp_solve(corrs, intrinsics)
 
@@ -161,9 +245,7 @@ def test_ransac_rejects_planted_outliers(rng, intrinsics):
     # corrupt the last 12 pixels (30%) far beyond the inlier threshold
     bad = list(range(28, 40))
     for i in bad:
-        corrs[i] = Correspondence2D3D(
-            corrs[i].pixel + rng.uniform(30, 80, size=2) * rng.choice([-1, 1], size=2),
-            corrs[i].point, corrs[i].point_id, corrs[i].query_idx, 0.0)
+        corrs.pixel[i] += rng.uniform(30, 80, size=2) * rng.choice([-1, 1], size=2)
     est = ransac_pnp(corrs, intrinsics, RansacConfig(seed=1))
     assert est.registered
     assert not est.inlier_mask[bad].any()
@@ -179,13 +261,19 @@ def test_ransac_below_min_inliers_raises(rng, intrinsics):
         ransac_pnp(corrs, intrinsics, RansacConfig(min_inliers=12))
 
 
+def test_ransac_below_six_correspondences_raises(rng, intrinsics):
+    # too few rows for a minimal sample, even when min_inliers asks for fewer
+    corrs = scene_correspondences(rng, random_pose(rng), intrinsics, 5)
+    for min_inliers in (4, 0):
+        with pytest.raises(TooFewCorrespondences):
+            ransac_pnp(corrs, intrinsics, RansacConfig(min_inliers=min_inliers))
+
+
 def test_ransac_fails_without_consensus(rng, intrinsics):
     # pixels decoupled from geometry: no pose explains 12 of them
     corrs = scene_correspondences(rng, random_pose(rng), intrinsics, 20)
-    shuffled = [
-        Correspondence2D3D(corrs[(i + 7) % 20].pixel, corrs[i].point, i, i, 0.0)
-        for i in range(20)
-    ]
+    shuffled = Correspondences(corrs.pixel[(np.arange(20) + 7) % 20], corrs.point,
+                               np.arange(20), np.arange(20))
     est = ransac_pnp(shuffled, intrinsics, RansacConfig(seed=2))
     assert not est.registered
     assert est.status == "failed"
@@ -320,17 +408,18 @@ class DropFrame:
 
 def match_fields(fm):
     kps = fm.keypoints
-    ctx = None if kps.contexts is None else kps.contexts.tobytes()
+    assert kps.contexts is None  # matching's output carries no contexts
     pairs = {image_id: [(m.query_idx, m.model_idx, np.float64(m.embed_dist).tobytes(),
                          np.float64(m.ratio).tobytes()) for m in ms]
              for image_id, ms in fm.matches.items()}
-    return fm.frame_index, kps.xy.tobytes(), ctx, pairs, fm.shortlist_ids
+    return fm.frame_index, kps.xy.tobytes(), pairs, fm.shortlist_ids
 
 
 def lanes_agree(on_both_paths, monkeypatch, clip, model, window=3, pruner=None):
-    """register_sequence on one lane and on two: records and matches agree
-    bit for bit. Returns the records and the frames the helper lane ran."""
-    seen, off_main = [], []
+    """register_sequence on one lane and on two: records, matches and each
+    frame's contexts agree bit for bit. Returns the records and the frames
+    the helper lane ran."""
+    seen, contexts_seen, off_main = [], {}, []
     match = registration.match_sequence
     frame_keypoints = registration._frame_keypoints
 
@@ -342,22 +431,28 @@ def lanes_agree(on_both_paths, monkeypatch, clip, model, window=3, pruner=None):
     def noting_lane(frame, *args):
         if threading.current_thread() is not threading.main_thread():
             off_main.append(clip.frames.index(frame))
-        return frame_keypoints(frame, *args)
+        kps = frame_keypoints(frame, *args)
+        contexts_seen[clip.frames.index(frame)] = (
+            None if kps.contexts is None else kps.contexts.tobytes())
+        return kps
 
     monkeypatch.setattr(registration, "match_sequence", recording)
     monkeypatch.setattr(registration, "_frame_keypoints", noting_lane)
 
     def run():
         seen.clear()
+        contexts_seen.clear()
         records = register_sequence(
             clip, model, match_cfg=MatchConfig(mode="sptemp", temporal_window=window),
             det_cfg=DetectorConfig(max_keypoints=60),
             pruner=pruner() if pruner else None)
-        return [record_fields(r) for r in records], seen[0]
+        return [record_fields(r) for r in records], seen[0], dict(contexts_seen)
 
-    (alone, alone_matches), (two, two_matches) = on_both_paths(run)
+    (alone, alone_matches, alone_ctx), (two, two_matches, two_ctx) = on_both_paths(run)
     assert alone == two
     assert alone_matches == two_matches
+    assert alone_ctx == two_ctx
+    assert sorted(alone_ctx) == [r[0] for r in alone if r[-3] > 0]
     return alone, off_main
 
 
@@ -399,6 +494,38 @@ def test_an_empty_frame_on_the_helper_lane_gives_an_empty_record(five_frame_clip
     assert (status, pose, shortlist_ids, n_keypoints, n_matches) == ("failed", None, [], 0, 0)
     assert off_main == [1]
     assert records[2][-2] > 0  # the frame after it still matches, without tracks
+
+
+def test_fewer_than_six_correspondences_give_a_failed_record(intrinsics):
+    # five linked model keypoints, each the nearest descriptor of one query
+    # keypoint: five correspondences, under a min_inliers that allows them
+    rng = np.random.default_rng(6)
+    pose = random_pose(rng)
+    xyz = rng.uniform(-1.0, 1.0, size=(5, 3)) + [0.0, 0.0, 6.0]
+    onehot = np.eye(DESCRIPTOR_DIM, dtype=np.float32)
+    kps = [replace(make_kp(40.0 + 50.0 * i, 60.0 + 30.0 * i), descriptor=onehot[i])
+           for i in range(5)]
+    model = Model3D([WorldPoint(i, xyz[i]) for i in range(5)],
+                    [ModelImage(0, pose, intrinsics, kps, {i: i for i in range(5)})])
+    clip = Sequence([SequenceFrame(0.0, intrinsics, None, kps)])
+    for min_inliers in (4, 0):
+        [rec] = register_sequence(clip, model, match_cfg=MatchConfig(mode="nn"),
+                                  ransac_cfg=RansacConfig(min_inliers=min_inliers))
+        assert (rec.estimate.status, rec.estimate.pose) == ("failed", None)
+        assert rec.estimate.n_correspondences == 5 and rec.n_matches == 5
+        assert rec.estimate.inlier_mask.tolist() == [False] * 5
+
+
+@pytest.mark.parametrize("mode", ["sp", "sptemp"])
+def test_a_one_keypoint_frame_gives_a_failed_record(five_frame_clips, mode):
+    # the spatial kernel of one keypoint is [[1]], so matching runs and
+    # lifting gives too few correspondences
+    model, clips = five_frame_clips
+    frame = clips["night"].frames[0]
+    clip = Sequence([replace(frame, keypoints=frame.keypoints.take([0]))])
+    [rec] = register_sequence(clip, model, match_cfg=MatchConfig(mode=mode))
+    assert (rec.estimate.status, rec.estimate.pose) == ("failed", None)
+    assert rec.n_keypoints == 1 and rec.estimate.n_correspondences <= 1
 
 
 def test_sptemp_registers_day_frames(small_day_night_scene):

@@ -200,6 +200,32 @@ def test_zero_weight_pruner_decides_without_features(monkeypatch):
     weighted = LinearPruner(np.eye(FEATURE_DIM)[0], 0.0)
     assert weighted.fixed_decision() is None
 
+def test_prune_frames_keeps_frames_without_a_raster(monkeypatch):
+    import egoreg.sequence as sequence_mod
+
+    frames = [textured_image(i) for i in range(4)]
+    frames[1] = None
+    keep = LinearPruner(np.zeros(FEATURE_DIM), bias=0.5, threshold=0.5)
+    drop = LinearPruner(np.zeros(FEATURE_DIM), bias=0.5, threshold=0.75)
+    assert prune_frames(frames, keep) == [0, 1, 2, 3]
+    assert prune_frames(frames, drop) == [1]
+    # a weighted pruner is asked about rasters only; frame 2 follows a
+    # missing raster, so it is scored as a first frame
+    asked = []
+    monkeypatch.setattr(sequence_mod, "frame_quality_feature",
+                        lambda prev, cur: asked.append((prev, cur)) or len(asked))
+
+    class DropSecondAsked:
+        def fixed_decision(self):
+            return None
+
+        def keep(self, feature):
+            return feature != 2
+
+    assert prune_frames(frames, DropSecondAsked()) == [0, 1, 3]
+    assert asked == [(None, frames[0]), (None, frames[2]), (frames[2], frames[3])]
+
+
 def test_linear_pruner_validates_weight_length():
     with pytest.raises(ValueError):
         LinearPruner(np.zeros(FEATURE_DIM - 1), 0.0)
