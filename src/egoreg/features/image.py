@@ -9,6 +9,7 @@ axis-aligned rectangular cell sums cost O(1) lookups.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +20,30 @@ N_ORIENT_BINS = 8
 def frozen(arr: np.ndarray, source) -> np.ndarray:
     """`arr`, converted from `source`, made read-only with at most one copy.
 
-    A read-only array is kept as it is when its memory is an immutable
-    `bytes` object (a loaded file) or belongs to a read-only array (one
-    that `KeypointTable.adopt` or an earlier call sealed), and so is an
-    array that the conversion from `source` already made new. Anything
-    else may alias memory that its owner can still write, so it is copied.
+    A read-only array is kept as it is when its memory is sealed, and so
+    is an array that the conversion from `source` already made new. Memory
+    is sealed when the array's base chain (through `memoryview`s to the
+    object they view) ends in an immutable `bytes` object, in a read-only
+    file mapping (`mmap.ACCESS_READ`, as a load makes; see `egoreg.io` for
+    why its file is never rewritten in place), or in a read-only array (one
+    that `KeypointTable.adopt` or an earlier call sealed). Anything else,
+    a writable mapping included, may alias memory that its owner can still
+    write, so it is copied.
     """
     root = arr
-    while isinstance(root, np.ndarray) and root.base is not None:
-        root = root.base
-    sealed = isinstance(root, bytes) or (isinstance(root, np.ndarray)
-                                         and not root.flags.writeable)
+    while True:
+        if isinstance(root, np.ndarray) and root.base is not None:
+            root = root.base
+        elif isinstance(root, memoryview):
+            root = root.obj
+        else:
+            break
+    if isinstance(root, mmap.mmap):
+        with memoryview(root) as whole:
+            sealed = whole.readonly
+    else:
+        sealed = isinstance(root, bytes) or (isinstance(root, np.ndarray)
+                                             and not root.flags.writeable)
     immutable = sealed and not arr.flags.writeable
     if not immutable and np.may_share_memory(arr, source):
         arr = arr.copy()

@@ -6,25 +6,40 @@ as 32-bit floats, which keeps multi-megabyte context tables compact.
 Save -> load round-trips are bitwise exact for data that is already
 float32-valued where the format stores float32.
 
-A load reads the file into one `bytes` buffer and copies no table out of
-it: each keypoint table loads as one `KeypointTable`, checked once, whose
-descriptor and context columns are read-only views of that buffer (its
-small geometry columns are copied out); the buffer stores the data, and
-the `Keypoint` rows a table yields are views of those views. The
-retrieval index's tables share the buffer the same way. The whole buffer,
-raster bytes included, stays alive while any of those arrays does. A
-float32 column starts one byte after a flags field, so it is unaligned;
-the context kernels read it through a centred copy.
+A load maps its file read-only (`mmap.ACCESS_READ`) and closes the file
+(the mapping keeps a descriptor of its own until it is unmapped). It
+copies no table out of the mapping: each keypoint table loads as one
+`KeypointTable`, checked once, whose descriptor and context columns are
+read-only views of the mapping (its small geometry columns are copied
+out), and the `Keypoint` rows a table yields are views of those views.
+The retrieval index's tables are views the same way. The one bulk copy a
+load makes is of rasters, which `GrayImage` holds as float64. A page of
+the file counts toward resident memory only once it is read. The mapping
+stays alive while any view of it does (or the traceback of a failed
+load); when the last goes, the file is unmapped and its pages are given
+back. An empty file, which mmap refuses, reads as no bytes and fails the
+header check like any other short file. A float32 column starts one byte
+after a flags field, so it is unaligned; the context kernels read it
+through a centred copy.
 
-A save streams its parts to the open file, one table at a time, writing
-each column as it is stored, instead of joining them first, so a save
-that fails part-way (say, on a point id that does not fit 32 bits) leaves
-a partial file behind.
+A file must never be rewritten in place while a load of it is alive: the
+loaded tables would change under their readers, and a read of a page the
+rewrite truncated away kills the process with SIGBUS. Saves here never do
+that. A save streams its parts, one table at a time and each column as it
+is stored, to a new file in the target's directory, created as a plain
+`open(path, "wb")` would create it (mode 0666 less the umask), and then
+`os.replace`s the target with it. A live load keeps reading the file it
+mapped, and a reader of the path sees the old file or the new one whole.
+A save that fails part-way (say, on a point id that does not fit 32 bits)
+deletes its temporary file and leaves the target as it was. Nothing is
+fsynced: the replace is atomic for readers, not across a power loss.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import struct
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -56,12 +71,15 @@ _POINT_RECORD = np.dtype([("id", "<u4"), ("xyz", "<f8", 3)])
 
 
 class _Reader:
-    """Reads a file's bytes in order, at offsets into the one buffer."""
+    """Reads a file's bytes in order, at offsets into its one mapping."""
 
-    def __init__(self, data: bytes, path: str):
-        self.data = data
+    def __init__(self, path: str | Path):
+        with open(path, "rb") as f:
+            # mmap refuses an empty file; as no bytes, it fails the header check
+            self.data = (mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+                         if os.fstat(f.fileno()).st_size else b"")
         self.off = 0
-        self.path = path
+        self.path = str(path)
 
     def skip(self, n: int) -> int:
         """Move past the next `n` bytes and return the offset they start at."""
@@ -81,7 +99,7 @@ class _Reader:
         return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
 
     def array(self, dtype, count: int) -> np.ndarray:
-        """The next `count` values, as a read-only view of the file buffer."""
+        """The next `count` values, as a read-only view of the file."""
         dtype = np.dtype(dtype)
         return np.frombuffer(self.data, dtype, count, self.skip(dtype.itemsize * count))
 
@@ -191,8 +209,17 @@ def _read_raster_body(r: _Reader) -> GrayImage:
 
 
 def _write(path: str | Path, parts: Iterable[bytes | memoryview]) -> None:
-    with open(path, "wb") as f:
-        f.writelines(parts)
+    """Write `parts` to a new file beside `path`, then replace `path` with it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _model_parts(model: Model3D) -> Iterator[bytes | memoryview]:
@@ -215,7 +242,7 @@ def save_model(model: Model3D, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model3D:
-    r = _Reader(Path(path).read_bytes(), str(path))
+    r = _Reader(path)
     _check_header(r, MODEL_MAGIC)
     n_points, n_images = r.unpack("2I")
     table = r.array(_POINT_RECORD, n_points)
@@ -265,7 +292,7 @@ def save_sequence(seq: Sequence, path: str | Path) -> None:
 
 
 def load_sequence(path: str | Path) -> Sequence:
-    r = _Reader(Path(path).read_bytes(), str(path))
+    r = _Reader(path)
     _check_header(r, SEQUENCE_MAGIC)
     (n_frames,) = r.unpack("I")
     frames = []
@@ -295,7 +322,7 @@ def save_index(vocab: Vocabulary, index: InvertedIndex, path: str | Path) -> Non
 
 
 def load_index(path: str | Path) -> tuple[Vocabulary, InvertedIndex]:
-    r = _Reader(Path(path).read_bytes(), str(path))
+    r = _Reader(path)
     _check_header(r, INDEX_MAGIC)
     k, d = r.unpack("2I")
     if k < 2 or d == 0 or k * d > 1 << 28:
@@ -315,7 +342,7 @@ def save_pruner(pruner: LinearPruner, path: str | Path) -> None:
         "bias": float(pruner.bias),
         "threshold": float(pruner.threshold),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=0) + "\n")
+    _write(path, [(json.dumps(payload, sort_keys=True, indent=0) + "\n").encode()])
 
 
 def load_pruner(path: str | Path) -> LinearPruner:
