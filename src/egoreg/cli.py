@@ -9,6 +9,12 @@ two parameter sweeps. All record outputs are line oriented with a
 Exit codes: 0 success, 1 usage error, 2 data error, 3 no frame registered.
 A `--config` file holds `key=value` lines mirroring the long flags
 (without the leading dashes); explicit flags win over config values.
+
+Model, sequence and index files are mapped, not copied, while a command
+reads them. Do not rewrite such a file in place while a command uses it
+(`cp` over it, `rsync --inplace`): the command may read changed tables or
+die with SIGBUS. Write a new file and rename it over the old one, as
+egoreg's own saves do.
 """
 
 from __future__ import annotations

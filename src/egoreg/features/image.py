@@ -22,13 +22,15 @@ def frozen(arr: np.ndarray, source) -> np.ndarray:
 
     A read-only array is kept as it is when its memory is sealed, and so
     is an array that the conversion from `source` already made new. Memory
-    is sealed when the array's base chain (through `memoryview`s to the
-    object they view) ends in an immutable `bytes` object, in a read-only
-    file mapping (`mmap.ACCESS_READ`, as a load makes; see `egoreg.io` for
-    why its file is never rewritten in place), or in a read-only array (one
-    that `KeypointTable.adopt` or an earlier call sealed). Anything else,
-    a writable mapping included, may alias memory that its owner can still
-    write, so it is copied.
+    is sealed when nothing in this process can write it: the array's base
+    chain (through `memoryview`s to the object they view) ends in an
+    immutable `bytes` object, in a read-only file mapping
+    (`mmap.ACCESS_READ`, as a load makes), or in a read-only array (one
+    that `KeypointTable.adopt` or an earlier call sealed). A read-only
+    mapping is not sealed against other writers of its file: one that
+    rewrites the file in place changes the kept array under it (see
+    `egoreg.io`). Anything else, a writable mapping included, may alias
+    memory that its owner can still write, so it is copied.
     """
     root = arr
     while True:

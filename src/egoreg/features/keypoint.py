@@ -89,12 +89,14 @@ class KeypointTable:
     descriptors  (n, 128) float32
     contexts     (n, 8256) float32, or None when the keypoints have none
 
-    Columns are read-only. The constructor checks shapes and scales once
-    for the whole table and copies a column only when its caller can still
-    write it; a loaded table's descriptor and context columns stay views of
-    the file (see `egoreg.io`), and `adopt` takes arrays a producer has
-    just made. `len`, indexing and iteration see the rows as `Keypoint`
-    row views; a slice or `take` selects rows as a new table.
+    Columns are read-only to this process. The constructor checks shapes
+    and scales once for the whole table and copies a column only when its
+    caller can still write it; a loaded table's descriptor and context
+    columns stay views of the mapped file, so another writer that rewrites
+    that file in place changes them (see `egoreg.io`), and `adopt` takes
+    arrays a producer has just made. `len`, indexing and iteration see the
+    rows as `Keypoint` row views; a slice or `take` selects rows as a new
+    table.
     """
 
     xy: np.ndarray

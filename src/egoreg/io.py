@@ -6,8 +6,8 @@ as 32-bit floats, which keeps multi-megabyte context tables compact.
 Save -> load round-trips are bitwise exact for data that is already
 float32-valued where the format stores float32.
 
-A load maps its file read-only (`mmap.ACCESS_READ`) and closes the file
-(the mapping keeps a descriptor of its own until it is unmapped). It
+A load maps a regular file read-only (`mmap.ACCESS_READ`) and closes the
+file (the mapping keeps a descriptor of its own until it is unmapped). It
 copies no table out of the mapping: each keypoint table loads as one
 `KeypointTable`, checked once, whose descriptor and context columns are
 read-only views of the mapping (its small geometry columns are copied
@@ -15,23 +15,32 @@ out), and the `Keypoint` rows a table yields are views of those views.
 The retrieval index's tables are views the same way. The one bulk copy a
 load makes is of rasters, which `GrayImage` holds as float64. A page of
 the file counts toward resident memory only once it is read. The mapping
-stays alive while any view of it does (or the traceback of a failed
-load); when the last goes, the file is unmapped and its pages are given
-back. An empty file, which mmap refuses, reads as no bytes and fails the
-header check like any other short file. A float32 column starts one byte
-after a flags field, so it is unaligned; the context kernels read it
-through a centred copy.
+stays alive, with one open file descriptor, while any view of it does
+(or the traceback of a failed load); when the last goes, the file is
+unmapped and its pages are given back. A file that cannot be mapped (an
+empty file, which mmap refuses, or a pipe or device, which report no
+size) is read whole into memory instead, so an empty file fails the
+header check like any other short file. A float32 column starts one byte after a flags field, so it is
+unaligned; the context kernels read it through a centred copy.
 
-A file must never be rewritten in place while a load of it is alive: the
-loaded tables would change under their readers, and a read of a page the
-rewrite truncated away kills the process with SIGBUS. Saves here never do
-that. A save streams its parts, one table at a time and each column as it
-is stored, to a new file in the target's directory, created as a plain
-`open(path, "wb")` would create it (mode 0666 less the umask), and then
-`os.replace`s the target with it. A live load keeps reading the file it
-mapped, and a reader of the path sees the old file or the new one whole.
-A save that fails part-way (say, on a point id that does not fit 32 bits)
-deletes its temporary file and leaves the target as it was. Nothing is
+"Read-only" means read-only to this process. A file must never be
+rewritten in place while a load of it is alive, by this process or any
+other (`cp` over it, `rsync --inplace`): the loaded tables would change
+under their readers, and a read of a page the rewrite truncated away
+kills the process with SIGBUS. Replacing the file by a rename is safe.
+
+Saves here never rewrite in place. A save streams its parts, one table at
+a time and each column as it is stored, to a new file in the directory of
+the target (symlinks resolved, so a link keeps pointing at the saved
+file), and then `os.replace`s the target with it. A live load keeps
+reading the file it mapped, and a reader of the path sees the old file or
+the new one whole. The new file gets the mode of the file it replaces, or
+that of a plain `open(path, "wb")` (0666 less the umask) when there was
+none; being new, it is owned by the saving user and shares no hard links
+of the old one. A save that fails part-way (say, on a point id that does
+not fit 32 bits) deletes its temporary file and leaves the target as it
+was. A target that exists and is not a regular file (a device, a FIFO) is
+written through in place, as `open(path, "wb")` would. Nothing is
 fsynced: the replace is atomic for readers, not across a power loss.
 """
 
@@ -40,6 +49,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import stat
 import struct
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -75,9 +85,10 @@ class _Reader:
 
     def __init__(self, path: str | Path):
         with open(path, "rb") as f:
-            # mmap refuses an empty file; as no bytes, it fails the header check
+            # mmap refuses an empty file, and a pipe or device has no size
+            st = os.fstat(f.fileno())
             self.data = (mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-                         if os.fstat(f.fileno()).st_size else b"")
+                         if stat.S_ISREG(st.st_mode) and st.st_size else f.read())
         self.off = 0
         self.path = str(path)
 
@@ -209,12 +220,26 @@ def _read_raster_body(r: _Reader) -> GrayImage:
 
 
 def _write(path: str | Path, parts: Iterable[bytes | memoryview]) -> None:
-    """Write `parts` to a new file beside `path`, then replace `path` with it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "xb")
+    """Write `parts` to a new file beside `path`, then replace `path` with it
+    (a target that is not a regular file is written through in place)."""
+    path = Path(os.path.realpath(path))
     try:
-        with f:
+        old_mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        old_mode = None
+    if old_mode is not None and not stat.S_ISREG(old_mode):
+        with open(path, "wb") as f:
+            f.writelines(parts)
+        return
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    # a new file's mode is a plain open's; a replaced file's is set before
+    # any byte is written, so the data is never readable more widely
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                 0o666 if old_mode is None else 0o600)
+    try:
+        with open(fd, "wb") as f:
+            if old_mode is not None:
+                os.fchmod(f.fileno(), stat.S_IMODE(old_mode))
             f.writelines(parts)
         os.replace(tmp, path)
     except BaseException:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -570,6 +571,68 @@ def test_a_saved_file_gets_the_mode_of_a_plain_open(rng, tmp_path):
     assert mode == 0o640  # 0600 would be a mkstemp file's
     for name in ("model.bin", "pruner.json"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_saving_over_an_existing_file_keeps_its_mode(rng, tmp_path):
+    # a plain open(path, "wb") keeps an existing file's mode, whatever the umask
+    old = os.umask(0o022)
+    try:
+        for mode in (0o600, 0o664):
+            path = tmp_path / f"{mode:o}.bin"
+            path.write_bytes(b"old")
+            path.chmod(mode)
+            save_model(make_model(rng), path)
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+            assert path.read_bytes()[:4] == b"EMRG"
+    finally:
+        os.umask(old)
+
+
+def test_saving_through_a_symlink_replaces_the_file_it_points_at(rng, tmp_path):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "model.bin"
+    target.write_bytes(b"old")
+    link = tmp_path / "model.bin"
+    link.symlink_to(target)
+    model = make_model(rng)
+    save_model(model, link)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    save_model(model, tmp_path / "plain.bin")
+    assert target.read_bytes() == (tmp_path / "plain.bin").read_bytes()
+    assert sorted(os.listdir(tmp_path / "real")) == ["model.bin"]
+
+
+def _in_thread(fn):
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    return t, out
+
+
+def test_saving_to_a_fifo_writes_through_it(rng, tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader, got = _in_thread(fifo.read_bytes)
+    model = make_model(rng)
+    save_model(model, fifo)
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    save_model(model, tmp_path / "plain.bin")
+    assert got == [(tmp_path / "plain.bin").read_bytes()]
+    assert sorted(os.listdir(tmp_path)) == ["out.fifo", "plain.bin"]
+
+
+def test_a_model_loads_through_a_pipe(rng, tmp_path):
+    # a pipe reports size 0, like an empty file, but has bytes to read
+    path = tmp_path / "model.bin"
+    save_model(make_model(rng, n_keypoints=40), path)
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    writer, _ = _in_thread(lambda: fifo.write_bytes(path.read_bytes()))
+    loaded = load_model(fifo)
+    writer.join(timeout=30)
+    save_model(loaded, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_empty_files_raise_typed_errors_naming_the_path(tmp_path):
