@@ -22,10 +22,13 @@ in their fixed row-major order; the row sort that makes the public
 
 Chunks go through `egoreg.parallel.map_on_two`, so with a single-threaded
 BLAS on two CPUs two chunks are in flight; the eigensolver releases the
-interpreter lock. Inside `match_sequence`'s frame lanes, where two frames
-already keep both CPUs busy, the chunks run on the frame's own thread.
-Each chunk's arithmetic is the same on both threads, so contexts are
-bitwise identical.
+interpreter lock. Inside `match_sequence`'s frame lanes the frame's own
+thread works through its chunks, and the other lane takes pending ones
+once no frame is left for it to open. Chunks share only the frame's
+gradient field, whose window sums are filled before they start, and
+write disjoint rows; each chunk's arithmetic is the same on both threads,
+so contexts are bitwise identical. (The one piece of state lanes share
+across frames is `match_sequence`'s pyramid cache, under its own lock.)
 """
 
 from __future__ import annotations
@@ -211,10 +214,10 @@ def attach_context(image: GrayImage, kps: Keypoints,
     per-keypoint composition dense_descriptors -> covariance_descriptor ->
     log_euclidean_vec up to round-off, and are computed EIGH_CHUNK at a
     time into one (n, 8256) float32 column, two chunks in flight through
-    `map_on_two` (see the module docstring). Its helper thread runs only
-    outside a frame lane: called from one, every chunk runs on the calling
-    thread. The contexts are the same bits either way, and an error in a
-    helper chunk is raised here with its own type.
+    `map_on_two` (see the module docstring). Called from a frame lane, the
+    chunks run on that lane, and the other lane takes pending ones once no
+    frame is left for it to open. The contexts are the same bits either way, and an error in a
+    chunk on either thread is raised here with its own type.
     """
     table = as_table(kps)
     if field is None:

@@ -216,13 +216,15 @@ def match_frame_to_shortlist(F: Keypoints, track_pos: np.ndarray | None,
     kernels) is built once per frame and shared, read-only, by every
     image. Each image is then matched with one pairwise product per
     kernel, and results are keyed by model image id in shortlist order.
-    Images are matched two at a time through `map_on_two` (one helper
-    thread when BLAS is single-threaded on two CPUs and no frame lane of
-    `match_sequence` runs this call); each image's arithmetic is the same
-    on either thread, so the pairs are the same bits and in the same order
-    either way. An image that fails to match (EmptyInput) contributes an
-    empty list rather than aborting the frame; any other error is raised
-    here with its own type.
+    Images go through `map_on_two`: with a single-threaded BLAS on two
+    CPUs, two are matched at once. Called from a frame lane of
+    `match_sequence`, the frame's lane works through the images and the
+    other lane takes pending ones once no frame is left for it to open.
+    The images share only the read-only query side; each image's
+    arithmetic is the same on either thread, so the pairs are the same
+    bits and in the same order either way. An image that fails to match
+    (EmptyInput) contributes an empty list rather than aborting the frame;
+    any other error is raised here with its own type.
     """
     F = as_table(F)
     if not len(F) or not shortlist:

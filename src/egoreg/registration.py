@@ -10,6 +10,8 @@ registers when the final consensus holds `min_inliers` correspondences.
 from __future__ import annotations
 
 import logging
+import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -429,28 +431,49 @@ def match_sequence(sequence: Sequence, model: Model3D,
     yield an empty record rather than aborting the run. Records hold no
     contexts: nothing after matching reads them.
 
-    Kept frames go through `map_on_two` two at a time, each running its
-    whole pipeline on its own lane; a frame does not depend on another
+    All kept frames go through one `map_on_two`, each running its whole
+    pipeline on the lane that takes it; a frame does not depend on another
     frame's matches, so the records are the same bits in the same order on
-    one lane or two. Two frames in flight hold two frames' features at
-    once: for a raw 320x240 frame, its gradient field with the window sums
-    contexts read (~7 MB) and its (200, 8256) float32 context column
-    (6.6 MB). An odd last frame runs alone, with the helper thread left to
-    its contexts and shortlisted images. Tracking keeps the pyramids of the
-    last `temporal_window` frames, built on the calling thread in frame
-    order before each pair starts, so each frame's pyramid is built once.
+    one lane or two. A lane that has finished its frame opens the next
+    one, and once no frame is left it takes the other frame's pending
+    contexts chunks or images. At most two frames are in flight, holding
+    two frames' features at once: for a raw 320x240 frame, its gradient
+    field with the window sums contexts read (~7 MB) and its (200, 8256)
+    float32 context column (6.6 MB). The one piece of state the lanes share
+    across frames is the cache of tracking pyramids, guarded by one lock:
+    the lane that first needs a frame's pyramid builds it, once, and it is
+    dropped when no unfinished frame's window reaches that frame any more.
     """
     if not sequence.frames:
         return []
-    pyramids: dict[int, list[np.ndarray]] = {}  # frame index -> frame_pyramid
-
     kept = range(len(sequence.frames))
     if pruner is not None:
         kept = prune_frames([fr.image for fr in sequence.frames], pruner)
+    windows = {i: _tracking_window(sequence, i, match_cfg) for i in kept}
+    # frame index -> how many unfinished frames' windows reach it
+    reach = Counter(j for window in windows.values() for j in window or ())
+    pyramids: dict[int, list[np.ndarray]] = {}  # frame index -> frame_pyramid
+    pyramids_lock = threading.Lock()
 
-    def match_frame(item: tuple[int, range | None]) -> FrameMatches:
-        i, window = item
-        frame = sequence.frames[i]
+    def window_pyramids(window: range) -> list[list[np.ndarray]]:
+        with pyramids_lock:
+            for j in window:
+                if j not in pyramids:
+                    pyramids[j] = frame_pyramid(sequence.frames[j].image)
+            return [pyramids[j] for j in window]
+
+    def match_frame(i: int) -> FrameMatches:
+        try:
+            return match_kept_frame(i)
+        finally:
+            with pyramids_lock:
+                for j in windows[i] or ():
+                    reach[j] -= 1
+                    if not reach[j]:
+                        pyramids.pop(j, None)
+
+    def match_kept_frame(i: int) -> FrameMatches:
+        frame, window = sequence.frames[i], windows[i]
         try:
             kps = _frame_keypoints(frame, det_cfg, ctx_cfg, match_cfg.needs_contexts)
         except EmptyInput as exc:
@@ -460,7 +483,7 @@ def match_sequence(sequence: Sequence, model: Model3D,
         track_pos = None
         if window is not None and len(kps):
             tracks = track_keypoints([sequence.frames[j].image for j in window], kps,
-                                     [pyramids[j] for j in window])
+                                     window_pyramids(window))
             keep_idx = [t.keypoint_idx for t in tracks if t.alive]
             if keep_idx:
                 kps = kps.take(keep_idx)
@@ -478,18 +501,7 @@ def match_sequence(sequence: Sequence, model: Model3D,
         matches = match_frame_to_shortlist(kps, track_pos, images, match_cfg)
         return FrameMatches(i, replace(kps, contexts=None), matches, [img.id for img in images])
 
-    out: list[FrameMatches] = []
-    for start in range(0, len(kept), 2):
-        pair = [(i, _tracking_window(sequence, i, match_cfg)) for i in kept[start:start + 2]]
-        for _, window in pair:
-            for j in window or ():
-                if j not in pyramids:
-                    pyramids[j] = frame_pyramid(sequence.frames[j].image)
-        out += map_on_two(match_frame, pair)
-        # later frames reach back no further than frame last + 1 - temporal_window
-        last = pair[-1][0]
-        pyramids = {j: p for j, p in pyramids.items() if j > last - match_cfg.temporal_window}
-    return out
+    return map_on_two(match_frame, list(kept))
 
 
 def register_sequence(sequence: Sequence, model: Model3D,
@@ -505,19 +517,19 @@ def register_sequence(sequence: Sequence, model: Model3D,
 
     Runs the matching pipeline, lifts matches to 2D-3D correspondences,
     and estimates each frame's pose with RANSAC. Frames that fail any stage
-    produce a failed record rather than aborting the run.
+    produce a failed record rather than aborting the run. Frames are lifted
+    and posed through `map_on_two`, records in frame order; each
+    `ransac_pnp` call seeds its own generator from `ransac_cfg.seed`, so the
+    poses are the same bits on one lane or two.
     """
-    frame_matches = match_sequence(
-        sequence, model, vocab, index, match_cfg, det_cfg, ctx_cfg,
-        pruner, shortlist_size)
-    records: list[RegistrationRecord] = []
-    for fm in frame_matches:
+    def register(fm: FrameMatches) -> RegistrationRecord:
         corrs, unlinked = lift_matches(fm.matches, fm.keypoints, model)
         try:
             est = ransac_pnp(corrs, sequence.frames[fm.frame_index].intrinsics, ransac_cfg)
         except TooFewCorrespondences:  # an empty frame lifts to an empty table
             est = PoseEstimate.failed(len(corrs))
-        records.append(RegistrationRecord(
-            fm.frame_index, est, fm.shortlist_ids, len(fm.keypoints),
-            sum(len(v) for v in fm.matches.values()), unlinked))
-    return records
+        return RegistrationRecord(fm.frame_index, est, fm.shortlist_ids, len(fm.keypoints),
+                                  sum(len(v) for v in fm.matches.values()), unlinked)
+
+    return map_on_two(register, match_sequence(
+        sequence, model, vocab, index, match_cfg, det_cfg, ctx_cfg, pruner, shortlist_size))

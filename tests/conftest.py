@@ -34,7 +34,7 @@ def intrinsics():
 def on_both_paths(monkeypatch):
     """run(call) -> (call() on one thread, call() with a helper thread).
 
-    The second call has `parallel.map_on_two` hand every odd item to its
+    The second call has `parallel.map_on_two` share its items with a
     helper thread; both run under a tiny switch interval, so the threads
     interleave as finely as they can.
     """

