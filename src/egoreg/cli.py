@@ -57,6 +57,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int):
+    """An argparse type: an int of at least `low`."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type of a value that does not parse
+    return parse
+
+
+def _comma_list(item):
+    """An argparse type: a comma list, each entry parsed by `item`."""
+    def parse(text: str) -> list:
+        return [item(x) for x in text.split(",")]
+    parse.__name__ = "comma list"
+    return parse
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -87,7 +105,10 @@ def _apply_config(args: argparse.Namespace, command_parser: argparse.ArgumentPar
         action = by_dest[key]
         if explicit & set(action.option_strings):
             continue
-        value = action.type(raw) if callable(action.type) else raw
+        try:
+            value = action.type(raw) if callable(action.type) else raw
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise CorruptTable(f"{args.config}: {key}: {exc}") from None
         if action.choices is not None and value not in action.choices:
             raise CorruptTable(
                 f"{args.config}: {key} must be one of {sorted(action.choices)}")
@@ -98,8 +119,9 @@ def _add_match_flags(p: argparse.ArgumentParser):
     match, ctx = MatchConfig(), ContextConfig()
     p.add_argument("--index", help="retrieval index file; omit to shortlist by image id")
     p.add_argument("--mode", choices=sorted(MODES), default=match.mode)
-    p.add_argument("--dim", type=int, default=match.embedding_dim, help="embedding dimension")
-    p.add_argument("--topk", type=int, default=DEFAULT_SHORTLIST, help="shortlist size")
+    p.add_argument("--dim", type=_at_least(1), default=match.embedding_dim,
+                   help="embedding dimension")
+    p.add_argument("--topk", type=_at_least(1), default=DEFAULT_SHORTLIST, help="shortlist size")
     p.add_argument("--ratio", type=float, default=match.ratio_threshold,
                    help="ratio test threshold")
     p.add_argument("--temporal-window", type=int, default=match.temporal_window,
@@ -277,8 +299,7 @@ def _cmd_evaluate(args) -> int:
         raise CorruptTable(f"{args.ground_truth}: every frame needs a reference pose")
     estimates = _parse_register_output(args.results, len(refs))
     report = registration_report(estimates, refs)
-    thresholds = [float(x) for x in args.thresholds.split(",")]
-    curve = registration_curve(report, thresholds, thresholds)
+    curve = registration_curve(report, args.thresholds, args.thresholds)
     print("# egoreg-evaluate v1")
     for i in range(len(refs)):
         if report.registered[i]:
@@ -323,13 +344,13 @@ def _cmd_sweep(args) -> int:
     print("# columns: point mean_inliers mean_matches mean_ratio")
     match_cfg, ctx_cfg = _match_configs(args)
     if args.axis == "dim":
-        for dim in [int(x) for x in args.dims.split(",")]:
+        for dim in args.dims:
             rep = _sweep_report(seq, model, vocab, index,
                                 replace(match_cfg, embedding_dim=dim), ctx_cfg, args)
             print(f"dim {dim} mean_inliers {_fmt(rep.mean_inliers)} "
                   f"mean_matches {_fmt(rep.mean_matches)} mean_ratio {_fmt(rep.mean_ratio)}")
     else:
-        for factor in [float(x) for x in args.factors.split(",")]:
+        for factor in args.factors:
             rep = _sweep_report(seq, model, vocab, index, match_cfg,
                                 ContextConfig(scale_factor=factor), args)
             print(f"factor {_fmt(factor)} mean_inliers {_fmt(rep.mean_inliers)} "
@@ -345,14 +366,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("synth", help="generate a synthetic day/night scene")
     p.add_argument("--preset", choices=["day-night-default", "identity"],
                    default="day-night-default")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_synth, needs_out=True)
 
     p = sub.add_parser("build-index", help="build the retrieval index for a model")
     p.add_argument("model")
-    p.add_argument("--vocab-size", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--vocab-size", type=_at_least(2), default=1024)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build_index, needs_out=True)
 
@@ -376,7 +397,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--reproj-px", type=float, default=ransac.reproj_threshold,
                    help="inlier threshold at the 800px reference diagonal")
     p.add_argument("--min-inliers", type=int, default=ransac.min_inliers)
-    p.add_argument("--seed", type=int, default=ransac.seed)
+    p.add_argument("--seed", type=_at_least(0), default=ransac.seed)
     p.add_argument("--pruner")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_register)
@@ -384,7 +405,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("evaluate", help="score register output against references")
     p.add_argument("results", help="output of `egoreg register`")
     p.add_argument("ground_truth", help="sequence file with reference poses")
-    p.add_argument("--thresholds", default="0.25,0.5,1,2,4",
+    p.add_argument("--thresholds", type=_comma_list(float), default="0.25,0.5,1,2,4",
                    help="comma list, meters for position and degrees for orientation")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -393,8 +414,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("sequence")
     p.add_argument("model")
     _add_match_flags(p)
-    p.add_argument("--dims", default="20,40,60,80,100")
-    p.add_argument("--factors", default="0.7,0.8,0.9,1,1.1,1.5,2.5,5.5,10")
+    p.add_argument("--dims", type=_comma_list(_at_least(1)), default="20,40,60,80,100")
+    p.add_argument("--factors", type=_comma_list(float), default="0.7,0.8,0.9,1,1.1,1.5,2.5,5.5,10")
     p.add_argument("--inlier-px", type=float, default=4.0,
                    help="reference-reprojection inlier threshold at the 800px diagonal")
     p.set_defaults(func=_cmd_sweep)

@@ -73,6 +73,10 @@ class VersionUnsupported(EgoregError):
     pass
 
 
+class IndexModelMismatch(EgoregError):
+    """A retrieval index names model images the model does not hold."""
+
+
 class CorruptTable(EgoregError):
     """A binary table is inconsistent with its declared counts or bounds."""
 

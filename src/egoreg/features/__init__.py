@@ -4,7 +4,6 @@ from .context import (
     ContextConfig,
     Roi,
     attach_context,
-    context_region,
     context_regions,
     covariance_descriptor,
     dense_descriptors,
@@ -12,8 +11,8 @@ from .context import (
 )
 from .detector import DetectorConfig, compute_descriptors, extract_keypoints
 from .image import GradientField, GrayImage, bilinear_sample
-from .keypoint import (CONTEXT_DIM, DESCRIPTOR_DIM, Keypoint, Keypoints, KeypointTable, as_table,
-                       contexts, descriptors, positions)
+from .keypoint import (CONTEXT_DIM, DESCRIPTOR_DIM, Keypoint, KeypointTable, as_table, contexts,
+                       descriptors)
 
 __all__ = [
     "CONTEXT_DIM",
@@ -24,13 +23,11 @@ __all__ = [
     "GrayImage",
     "Keypoint",
     "KeypointTable",
-    "Keypoints",
     "Roi",
     "as_table",
     "attach_context",
     "bilinear_sample",
     "compute_descriptors",
-    "context_region",
     "context_regions",
     "contexts",
     "covariance_descriptor",
@@ -38,5 +35,4 @@ __all__ = [
     "descriptors",
     "extract_keypoints",
     "log_euclidean_vec",
-    "positions",
 ]

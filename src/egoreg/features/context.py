@@ -43,7 +43,7 @@ from ..errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
 from ..parallel import map_on_two
 from .detector import _finalize_in_place
 from .image import GradientField, GrayImage
-from .keypoint import CONTEXT_DIM, DESCRIPTOR_DIM, Keypoint, Keypoints, KeypointTable, as_table
+from .keypoint import CONTEXT_DIM, DESCRIPTOR_DIM, KeypointTable
 
 PATCH = 16
 CELL = PATCH // 4  # a patch is 4x4 histogram cells
@@ -76,7 +76,7 @@ class Roi:
     side: int
 
 
-def context_regions(kps: Keypoints, width: int, height: int,
+def context_regions(table: KeypointTable, width: int, height: int,
                     cfg: ContextConfig = ContextConfig()) -> list[Roi | None]:
     """Each keypoint's context region, or None where it cannot have a context.
 
@@ -87,7 +87,6 @@ def context_regions(kps: Keypoints, width: int, height: int,
     two nodes. Sides and corners round half to even, as `round` does; the
     whole table is sized in one array pass.
     """
-    table = as_table(kps)
     side = np.rint(ROI_SIDE_PER_SCALE * cfg.scale_factor * table.scale).astype(np.int64)
     side = np.minimum(side, min(width, height))
     left = np.rint(table.xy[:, 0] - side / 2.0).astype(np.int64)
@@ -97,12 +96,6 @@ def context_regions(kps: Keypoints, width: int, height: int,
     fits = side - PATCH >= STRIDE
     return [Roi(lt, tp, sd) if ok else None for lt, tp, sd, ok
             in zip(left.tolist(), top.tolist(), side.tolist(), fits.tolist())]
-
-
-def context_region(kp: Keypoint, width: int, height: int,
-                   cfg: ContextConfig = ContextConfig()) -> Roi | None:
-    """One keypoint's `context_regions` entry."""
-    return context_regions([kp], width, height, cfg)[0]
 
 
 def dense_descriptors(field: GradientField, roi: Roi) -> np.ndarray:
@@ -203,7 +196,7 @@ def log_euclidean_vec(c: np.ndarray) -> np.ndarray:
     return _log_euclidean(c[None])[0]
 
 
-def attach_context(image: GrayImage, kps: Keypoints,
+def attach_context(image: GrayImage, kps: KeypointTable,
                    cfg: ContextConfig = ContextConfig(),
                    field: GradientField | None = None) -> tuple[KeypointTable, int]:
     """The keypoints that can have a context, with their contexts attached.
@@ -219,10 +212,9 @@ def attach_context(image: GrayImage, kps: Keypoints,
     frame is left for it to open. The contexts are the same bits either way, and an error in a
     chunk on either thread is raised here with its own type.
     """
-    table = as_table(kps)
     if field is None:
         field = GradientField(image)
-    rois = context_regions(table, image.width, image.height, cfg)
+    rois = context_regions(kps, image.width, image.height, cfg)
     kept = [i for i, roi in enumerate(rois) if roi is not None]
     out = np.empty((len(kept), CONTEXT_DIM), dtype=np.float32)
 
@@ -236,4 +228,4 @@ def attach_context(image: GrayImage, kps: Keypoints,
         field.window_sums(CELL)
     map_on_two(fill, list(range(0, len(kept), EIGH_CHUNK)))
     out.flags.writeable = False
-    return replace(table.take(kept), contexts=out), len(table) - len(kept)
+    return replace(kps.take(kept), contexts=out), len(kps) - len(kept)

@@ -1,11 +1,12 @@
 """Keypoint tables, their row views, and array accessors.
 
 A `KeypointTable` stores a set of keypoints as read-only columns, checked
-once per table; it is the layout the library passes between detection,
-contexts, tracking, matching and files. A `Keypoint` is one keypoint on
-its own: indexing or iterating a table yields Keypoints whose descriptor
-and context are views of the table's rows, and a list of Keypoints
-becomes a table through `as_table`.
+once per table; it is the one keypoint type library functions take, from
+detection through contexts, tracking, matching and files. A `Keypoint` is
+one keypoint on its own: indexing or iterating a table yields Keypoints
+whose descriptor and context are views of the table's rows. A list of
+Keypoints becomes a table only on entry, in `ModelImage` and
+`SequenceFrame`, through `as_table`.
 """
 
 from __future__ import annotations
@@ -160,11 +161,7 @@ class KeypointTable:
             None if self.contexts is None else self.contexts[rows])
 
 
-# what functions that take keypoints accept; `as_table` makes it a table
-Keypoints = KeypointTable | Iterable[Keypoint]
-
-
-def as_table(kps: Keypoints) -> KeypointTable:
+def as_table(kps: KeypointTable | Iterable[Keypoint]) -> KeypointTable:
     """`kps` as a table: a table as it is, Keypoints stacked once.
 
     The table has contexts only when every Keypoint has one, as a saved
@@ -184,26 +181,20 @@ def as_table(kps: Keypoints) -> KeypointTable:
         descs, np.stack([kp.context for kp in kps]) if have_ctx else None)
 
 
-def positions(kps: Keypoints) -> np.ndarray:
-    """(n, 2) read-only array of keypoint (u, v) positions."""
-    return as_table(kps).xy
-
-
-def descriptors(kps: Keypoints) -> np.ndarray:
+def descriptors(table: KeypointTable) -> np.ndarray:
     """(n, 128) float64 copy of the descriptors."""
-    return as_table(kps).descriptors.astype(np.float64)
+    return table.descriptors.astype(np.float64)
 
 
-def contexts(kps: Keypoints) -> np.ndarray:
+def contexts(table: KeypointTable) -> np.ndarray:
     """(n, 8256) float32 context column, read-only; raises if contexts are missing.
 
     Context kernels take their pairwise product in float32 (see
-    `embedding.gaussian_kernel`) on a centred copy, `contexts(kps) - mu`,
+    `embedding.gaussian_kernel`) on a centred copy, `contexts(table) - mu`,
     which is a new aligned array even where the column is an unaligned
     view of a file; descriptors stay float64 because their 128-column
     product is cheap next to the 8256-column one.
     """
-    table = as_table(kps)
     if table.contexts is None:
         if not len(table):
             return np.zeros((0, CONTEXT_DIM), dtype=np.float32)

@@ -21,9 +21,6 @@ class PixelPoint:
     u: float
     v: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=np.float64)
-
 
 @dataclass(frozen=True, eq=False)
 class WorldPoint:

@@ -29,7 +29,7 @@ from .embedding import (
     temporal_similarity,
 )
 from .errors import EmptyInput, RaggedTracks
-from .features import Keypoints, KeypointTable, as_table, contexts, descriptors, positions
+from .features import KeypointTable, contexts, descriptors
 from .parallel import map_on_two
 
 MODE_NN = "nn"
@@ -150,7 +150,7 @@ def _query(F: KeypointTable, track_pos: np.ndarray | None) -> _Query:
     if tp.ndim != 3 or tp.shape[0] != len(F) or tp.shape[2] != 2:
         raise RaggedTracks(
             f"expected ({len(F)}, K+1, 2) track positions, got {tp.shape}")
-    return _Query(dq, cq, mu, spatial_similarity(positions(F)), temporal_similarity(tp))
+    return _Query(dq, cq, mu, spatial_similarity(F.xy), temporal_similarity(tp))
 
 
 def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> list[MatchPair]:
@@ -172,13 +172,13 @@ def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> list
     return ratio_filter(assignment, emb.query, emb.model, cfg.ratio_threshold)
 
 
-def match_single_frame(F: Keypoints, M: Keypoints,
+def match_single_frame(F: KeypointTable, M: KeypointTable,
                        cfg: MatchConfig = MatchConfig(mode=MODE_SINGLE)) -> list[MatchPair]:
     """Match one query frame against one model image, descriptors + contexts only."""
-    return _embed_and_assign(_query(as_table(F), None), as_table(M), cfg)
+    return _embed_and_assign(_query(F, None), M, cfg)
 
 
-def match_spatiotemporal(F: Keypoints, track_pos: np.ndarray, M: Keypoints,
+def match_spatiotemporal(F: KeypointTable, track_pos: np.ndarray, M: KeypointTable,
                          cfg: MatchConfig = MatchConfig()) -> list[MatchPair]:
     """Match with query-side spatial and temporal structure.
 
@@ -187,10 +187,10 @@ def match_spatiotemporal(F: Keypoints, track_pos: np.ndarray, M: Keypoints,
     (current positions only) for spatial-only matching, which makes the
     temporal kernel all-ones. Untrackable keypoints must already be removed.
     """
-    return _embed_and_assign(_query(as_table(F), track_pos), as_table(M), cfg)
+    return _embed_and_assign(_query(F, track_pos), M, cfg)
 
 
-def match_nearest_neighbor(F: Keypoints, M: Keypoints) -> list[MatchPair]:
+def match_nearest_neighbor(F: KeypointTable, M: KeypointTable) -> list[MatchPair]:
     """Baseline: every query keypoint to its nearest model descriptor.
 
     No assignment constraint and no rejection; the recorded ratio is the
@@ -207,7 +207,7 @@ def match_nearest_neighbor(F: Keypoints, M: Keypoints) -> list[MatchPair]:
             for i, (jj, b, r) in enumerate(zip(j.tolist(), best.tolist(), ratio.tolist()))]
 
 
-def match_frame_to_shortlist(F: Keypoints, track_pos: np.ndarray | None,
+def match_frame_to_shortlist(F: KeypointTable, track_pos: np.ndarray | None,
                              shortlist: list, cfg: MatchConfig) -> dict[int, list[MatchPair]]:
     """Match one query frame against each shortlisted model image.
 
@@ -226,23 +226,21 @@ def match_frame_to_shortlist(F: Keypoints, track_pos: np.ndarray | None,
     (EmptyInput) contributes an empty list rather than aborting the frame;
     any other error is raised here with its own type.
     """
-    F = as_table(F)
     if not len(F) or not shortlist:
         return {img.id: [] for img in shortlist}
     if cfg.mode in (MODE_NN, MODE_SINGLE):
         tp = None
     elif cfg.mode == MODE_SPATIAL or track_pos is None:
-        tp = positions(F)[:, None, :]  # K = 0: current positions only
+        tp = F.xy[:, None, :]  # K = 0: current positions only
     else:
         tp = track_pos
     query = _query(F, tp) if cfg.needs_contexts else None
 
     def run(img) -> list[MatchPair]:
-        M = as_table(img.keypoints)
         try:
             if query is None:
-                return match_nearest_neighbor(F, M)
-            return _embed_and_assign(query, M, cfg)
+                return match_nearest_neighbor(F, img.keypoints)
+            return _embed_and_assign(query, img.keypoints, cfg)
         except EmptyInput:
             return []
 

@@ -17,8 +17,8 @@ class ModelImage:
 
     `links` maps keypoint index to world point id. Raster and context data
     are optional; matching needs contexts, region-size sweeps need rasters
-    to recompute them. `keypoints` is a table; a list of Keypoints given
-    here becomes one (see `features.as_table`).
+    to recompute them. `keypoints` is a table; this and `SequenceFrame` are
+    the only entries that also take a list of Keypoints (see `as_table`).
     """
 
     id: int
@@ -73,8 +73,8 @@ class Model3D:
 class SequenceFrame:
     """One query video frame; raster and precomputed keypoints are optional.
 
-    Precomputed keypoints are a table; a list of Keypoints given here
-    becomes one.
+    Precomputed keypoints are a table; this and `ModelImage` are the only
+    entries that also take a list of Keypoints, which becomes a table here.
     """
 
     timestamp: float

@@ -19,20 +19,19 @@ import numpy as np
 from .errors import (
     DegenerateConfiguration,
     EmptyInput,
+    IndexModelMismatch,
     TooFewCorrespondences,
 )
 from .features import (
     ContextConfig,
     DetectorConfig,
     GradientField,
-    Keypoints,
     KeypointTable,
     as_table,
     attach_context,
     context_regions,
     descriptors,
     extract_keypoints,
-    positions,
 )
 from .geometry import Intrinsics, Pose
 from .matching import MatchConfig, MatchPair, match_frame_to_shortlist
@@ -118,7 +117,7 @@ class RegistrationRecord:
     n_unlinked: int
 
 
-def lift_matches(matches: dict[int, list[MatchPair]], query_kps: Keypoints,
+def lift_matches(matches: dict[int, list[MatchPair]], query_kps: KeypointTable,
                  model: Model3D) -> tuple[Correspondences, int]:
     """Turn per-image matches into one table of unique 2D-3D correspondences.
 
@@ -153,7 +152,7 @@ def lift_matches(matches: dict[int, list[MatchPair]], query_kps: Keypoints,
             keep[row] = True
     query_idx, point_id = query_idx[keep], point_id[keep]
     point = np.array([model.point(pid).xyz for pid in point_id.tolist()]).reshape(-1, 3)
-    return Correspondences(positions(query_kps)[query_idx], point, point_id, query_idx), unlinked
+    return Correspondences(query_kps.xy[query_idx], point, point_id, query_idx), unlinked
 
 
 def _rodrigues(w: np.ndarray) -> np.ndarray:
@@ -443,7 +442,12 @@ def match_sequence(sequence: Sequence, model: Model3D,
     across frames is the cache of tracking pyramids, guarded by one lock:
     the lane that first needs a frame's pyramid builds it, once, and it is
     dropped when no unfinished frame's window reaches that frame any more.
+    An `index` naming images the model lacks raises IndexModelMismatch first.
     """
+    if index is not None:
+        missing = sorted(set(index.image_ids) - {img.id for img in model.images})
+        if missing:
+            raise IndexModelMismatch(f"index names model images {missing} the model lacks")
     if not sequence.frames:
         return []
     kept = range(len(sequence.frames))

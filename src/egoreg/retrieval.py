@@ -40,12 +40,7 @@ class Vocabulary:
         d = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
         if d.shape[0] == 0:
             return np.zeros(0, dtype=np.intp)
-        d2 = (
-            np.einsum("ij,ij->i", d, d)[:, None]
-            - 2.0 * d @ self.centers.T
-            + np.einsum("ij,ij->i", self.centers, self.centers)[None, :]
-        )
-        return np.argmin(d2, axis=1)
+        return np.argmin(_sq_dists_to(self.centers, d), axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ImageTooSmall, SingleClass, SizeMismatch
-from .features import GrayImage, Keypoints, as_table
+from .features import GrayImage, KeypointTable
 
 BLOCK = 8
 SEARCH = 8
@@ -359,7 +359,7 @@ def _align_translation(src_pyr: list[np.ndarray], dst_pyr: list[np.ndarray],
     return p, residual
 
 
-def track_keypoints(frames: list[GrayImage], kps: Keypoints,
+def track_keypoints(frames: list[GrayImage], kps: KeypointTable,
                     pyramids: list[list[np.ndarray]] | None = None) -> list[Track]:
     """Follow frame-T keypoints backward through frames T-K .. T-1.
 
@@ -386,7 +386,7 @@ def track_keypoints(frames: list[GrayImage], kps: Keypoints,
 
     n = len(kps)
     positions = np.zeros((n, k + 1, 2), dtype=np.float64)
-    positions[:, k] = as_table(kps).xy
+    positions[:, k] = kps.xy
     alive = np.ones(n, dtype=bool)
     for t in range(k, 0, -1):
         positions[:, t - 1] = positions[:, t]

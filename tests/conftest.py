@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from egoreg import parallel
+from egoreg.features import DESCRIPTOR_DIM, KeypointTable
 from egoreg.geometry import Intrinsics, Pose
 
 
@@ -18,6 +19,24 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def random_pose(rng: np.random.Generator, t_scale: float = 1.0) -> Pose:
     return Pose(random_rotation(rng), rng.normal(scale=t_scale, size=3))
+
+
+def keypoints_at(*uv) -> KeypointTable:
+    """Keypoints at the given (u, v) positions: scale 2, orientation 0,
+    zero descriptors, no contexts."""
+    n = len(uv)
+    return KeypointTable(np.array(uv, dtype=np.float64).reshape(n, 2), np.full(n, 2.0),
+                         np.zeros(n), np.zeros((n, DESCRIPTOR_DIM), np.float32))
+
+
+def concat_tables(*tables: KeypointTable) -> KeypointTable:
+    """The rows of `tables`, in order, as one table; with contexts when
+    every table has them."""
+    cols = [np.concatenate([getattr(t, name) for t in tables])
+            for name in ("xy", "scale", "orientation", "descriptors")]
+    if all(t.contexts is not None for t in tables):
+        cols.append(np.concatenate([t.contexts for t in tables]))
+    return KeypointTable(*cols)
 
 
 @pytest.fixture

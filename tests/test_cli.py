@@ -153,6 +153,15 @@ def test_config_file_fills_flags_and_explicit_wins(scene_dir, tmp_path, capsys):
                            capsys)
     assert code == 2
     assert "mode" in err
+    # a value that fails its type names its key
+    for line, key in (("dim=abc\n", "dim"), ("dim=0\n", "dim"), ("topk=x\n", "topk")):
+        bad.write_text(line)
+        code, _, err = run_cli(["match", str(scene_dir / "day2.eseq"),
+                                str(scene_dir / "model.emrg"),
+                                "--config", str(bad), "--out", str(tmp_path / "x.txt")],
+                               capsys)
+        assert code == 2
+        assert f": {key}: " in err and "Traceback" not in err
 
 
 def test_config_rejects_unknown_keys(scene_dir, tmp_path, capsys):
@@ -185,6 +194,18 @@ def test_usage_errors_are_exit_1(capsys):
     assert code == 1
     code, _, _ = run_cli(["sweep", "sideways", "a.eseq", "b.emrg"], capsys)
     assert code == 1
+    # bad values fail before any file is read: none of these files exist
+    for argv, flag in ((["sweep", "dim", "a.eseq", "b.emrg", "--dims", "20,abc"], "--dims"),
+                       (["sweep", "roi", "a.eseq", "b.emrg", "--factors", "1,x"], "--factors"),
+                       (["evaluate", "r.txt", "a.eseq", "--thresholds", "1,x"], "--thresholds"),
+                       (["match", "a.eseq", "b.emrg", "--dim", "0"], "--dim"),
+                       (["match", "a.eseq", "b.emrg", "--topk", "-1"], "--topk"),
+                       (["build-index", "b.emrg", "--vocab-size", "1", "--out", "i.erix"],
+                        "--vocab-size"),
+                       (["register", "a.eseq", "b.emrg", "--seed", "-1"], "--seed")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage:") and flag in err
 
 
 def test_missing_files_are_exit_2(tmp_path, capsys):

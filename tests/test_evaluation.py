@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_pose
+from conftest import keypoints_at, random_pose
 from egoreg.errors import ShapeMismatch
 from egoreg.evaluation import (
     MatchReport,
@@ -10,14 +10,9 @@ from egoreg.evaluation import (
     registration_curve,
     registration_report,
 )
-from egoreg.features import DESCRIPTOR_DIM, Keypoint
-from egoreg.geometry import PixelPoint, Pose, WorldPoint, project
+from egoreg.geometry import Pose, WorldPoint, project
 from egoreg.matching import MatchPair
 from egoreg.model import Model3D, ModelImage
-
-
-def make_kp(u, v):
-    return Keypoint(PixelPoint(u, v), 2.0, 0.0, np.zeros(DESCRIPTOR_DIM, np.float32), None)
 
 
 # ------------------------------------------------------------- pose errors
@@ -83,16 +78,16 @@ def test_count_inliers_hand_built_scene(intrinsics):
         WorldPoint(1, np.array([1.0, 0.0, 5.0])),
         WorldPoint(2, np.array([0.0, 1.0, 5.0])),
     ]
-    model_kps = [make_kp(10.0, 10.0), make_kp(20.0, 20.0), make_kp(30.0, 30.0)]
+    model_kps = keypoints_at((10.0, 10.0), (20.0, 20.0), (30.0, 30.0))
     img = ModelImage(0, gt, intrinsics, model_kps, {0: 0, 1: 1}, None)
     model = Model3D(pts, [img])
 
     uv0 = project(pts[0], gt, intrinsics)  # (160, 120)
-    query_kps = [
-        make_kp(uv0.u, uv0.v),          # matches point 0 exactly: inlier
-        make_kp(uv0.u + 50.0, uv0.v),   # matched to point 1 but 50 px off: outlier
-        make_kp(50.0, 50.0),            # matched to unlinked model kp: dropped
-    ]
+    query_kps = keypoints_at(
+        (uv0.u, uv0.v),          # matches point 0 exactly: inlier
+        (uv0.u + 50.0, uv0.v),   # matched to point 1 but 50 px off: outlier
+        (50.0, 50.0),            # matched to unlinked model kp: dropped
+    )
     matches = {0: [
         MatchPair(0, 0, 0.1, 0.5),
         MatchPair(1, 1, 0.2, 0.5),
@@ -106,10 +101,10 @@ def test_count_inliers_hand_built_scene(intrinsics):
 def test_count_inliers_threshold_sensitivity(intrinsics):
     gt = Pose(np.eye(3), np.zeros(3))
     pts = [WorldPoint(0, np.array([0.0, 0.0, 5.0]))]
-    img = ModelImage(0, gt, intrinsics, [make_kp(0.0, 0.0)], {0: 0}, None)
+    img = ModelImage(0, gt, intrinsics, keypoints_at((0.0, 0.0)), {0: 0}, None)
     model = Model3D(pts, [img])
     uv = project(pts[0], gt, intrinsics)
-    query = [make_kp(uv.u + 3.0, uv.v)]  # 3 px reprojection error
+    query = keypoints_at((uv.u + 3.0, uv.v))  # 3 px reprojection error
     matches = {0: [MatchPair(0, 0, 0.1, 0.5)]}
     lo = count_inliers([matches], [query], [gt], model, intrinsics, threshold_px=2.0)
     hi = count_inliers([matches], [query], [gt], model, intrinsics, threshold_px=4.0)

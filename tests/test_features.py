@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.linalg import expm, logm
 
+from conftest import concat_tables
 from egoreg.errors import NotPositiveDefinite, TooFewSamples
 from egoreg.features import (
     ContextConfig,
     DetectorConfig,
     GradientField,
     GrayImage,
-    Keypoint,
+    KeypointTable,
     attach_context,
     bilinear_sample,
     extract_keypoints,
@@ -23,7 +24,6 @@ from egoreg.features.context import (
     Roi,
     _covariance,
     _log_euclidean,
-    context_region,
     context_regions,
     covariance_descriptor,
     dense_descriptors,
@@ -32,7 +32,6 @@ from egoreg.features.context import (
 from egoreg import parallel
 from egoreg.features import context, detector
 from egoreg.features.detector import _octave_candidates, _orientations, _solve, finalize_descriptor
-from egoreg.geometry import PixelPoint
 
 
 def blob_image(w=120, h=100, centers=((60.0, 50.0),), sigma=4.0, amp=0.8):
@@ -176,33 +175,37 @@ def test_detector_reuses_a_given_gradient_field():
 # ---------------------------------------------------------------- context
 
 
-def make_kp(u, v, scale):
-    rng = np.random.default_rng(0)
-    d = rng.uniform(size=128).astype(np.float32)
-    return Keypoint(PixelPoint(u, v), scale, 0.0, d / np.linalg.norm(d))
+def make_table(u, v, scale):
+    """Keypoints at (u, v) with the given scales, sharing one unit descriptor."""
+    d = np.random.default_rng(0).uniform(size=128).astype(np.float32)
+    n = len(u)
+    return KeypointTable(np.column_stack([u, v]), scale, np.zeros(n),
+                         np.tile(d / np.linalg.norm(d), (n, 1)))
+
+
+def regions(u, v, scale, cfg=ContextConfig()):
+    return context_regions(make_table(u, v, scale), 320, 240, cfg)
 
 
 def test_context_region_side_formula():
     # side = 24 * scale_factor * scale = 24 * 1 * 2 = 48
-    roi = context_region(make_kp(100.0, 80.0, 2.0), 320, 240)
+    [roi] = regions([100.0], [80.0], [2.0])
     assert roi.side == 48
     assert roi.left == 100 - 24 and roi.top == 80 - 24
-    assert context_region(make_kp(100.0, 80.0, 2.0), 320, 240,
-                          ContextConfig(scale_factor=1.5)).side == 72
+    assert regions([100.0], [80.0], [2.0], ContextConfig(scale_factor=1.5))[0].side == 72
 
 
 def test_context_region_clamps_to_image():
-    roi = context_region(make_kp(2.0, 2.0, 2.0), 320, 240)
+    roi, big = regions([2.0, 100.0], [2.0, 80.0], [2.0, 100.0])
     assert roi.left == 0 and roi.top == 0
-    big = context_region(make_kp(100.0, 80.0, 100.0), 320, 240)
     assert big.side == 240  # shrunk to the smaller image dimension
 
 
 def test_context_region_too_small():
     # side 12 is under 16 px; side 17 holds a single grid node
-    assert context_region(make_kp(50.0, 50.0, 0.5), 320, 240) is None
-    assert context_region(make_kp(50.0, 50.0, 0.7), 320, 240) is None
-    assert context_region(make_kp(50.0, 50.0, 20 / 24), 320, 240).side == 20
+    small, single, smallest = regions([50.0] * 3, [50.0] * 3, [0.5, 0.7, 20 / 24])
+    assert small is None and single is None
+    assert smallest.side == 20
 
 
 def old_context_region(kp, width, height, scale_factor=1.0):
@@ -225,15 +228,15 @@ def test_context_regions_match_the_per_keypoint_formula():
     # exact halves: the side and the corners round half to even
     u[:40] = np.round(u[:40]) + 0.5
     scale[:20] = (2 * np.arange(20) + 41) / 48.0  # 24 * scale = k + 0.5
-    kps = [make_kp(float(a), float(b), float(c)) for a, b, c in zip(u, v, scale)]
+    kps = make_table(u, v, scale)
     for factor in (1.0, 1.5, 0.7):
         cfg = ContextConfig(scale_factor=factor)
         got = context_regions(kps, 320, 240, cfg)
         want = [old_context_region(kp, 320, 240, factor) for kp in kps]
         assert got == want
-        assert got == [context_region(kp, 320, 240, cfg) for kp in kps]
+        assert got == [context_regions(kps[i:i + 1], 320, 240, cfg)[0] for i in range(n)]
         assert any(r is None for r in got) and any(r is not None for r in got)
-    assert context_regions([], 320, 240) == []
+    assert context_regions(kps[:0], 320, 240) == []
 
 
 def test_dense_grid_count_oracle():
@@ -322,8 +325,8 @@ def test_attach_context_shapes_and_drops():
     img = blob_image(w=160, h=120, centers=((60.0, 50.0), (110.0, 70.0)), sigma=4.0)
     kps = extract_keypoints(img, DetectorConfig())
     assert kps
-    tiny = Keypoint(PixelPoint(80.0, 60.0), 0.4, 0.0, kps[0].descriptor)
-    with_ctx, dropped = attach_context(img, list(kps) + [tiny], ContextConfig())
+    tiny = KeypointTable([(80.0, 60.0)], [0.4], [0.0], kps.descriptors[:1])
+    with_ctx, dropped = attach_context(img, concat_tables(kps, tiny), ContextConfig())
     assert dropped >= 1  # the sub-minimum region cannot yield a context
     assert len(with_ctx) + dropped == len(kps) + 1
     for kp in with_ctx:
@@ -334,12 +337,11 @@ def oracle_scene(n):
     """An image, and n keypoints that have a context with two that do not."""
     rng = np.random.default_rng(11)
     img = GrayImage(rng.uniform(0, 1, size=(96, 128)))
-    kps = [make_kp(float(u), float(v), float(s)) for u, v, s in zip(
-        rng.uniform(0, 128, n), rng.uniform(0, 96, n), rng.uniform(0.9, 3.0, n))]
+    u, v, scale = rng.uniform(0, 128, n), rng.uniform(0, 96, n), rng.uniform(0.9, 3.0, n)
     # under 16 px, and 17 px (a single grid node): neither can have a context
-    kps.insert(n // 2, make_kp(60.0, 40.0, 0.4))
-    kps.insert(n // 2 + 3, make_kp(30.0, 50.0, 0.7))
-    return img, kps
+    for at, (u0, v0, s0) in ((n // 2, (60.0, 40.0, 0.4)), (n // 2 + 3, (30.0, 50.0, 0.7))):
+        u, v, scale = np.insert(u, at, u0), np.insert(v, at, v0), np.insert(scale, at, s0)
+    return img, make_table(u, v, scale)
 
 
 def test_attach_context_matches_per_keypoint_oracle(on_both_paths):
@@ -350,14 +352,15 @@ def test_attach_context_matches_per_keypoint_oracle(on_both_paths):
     # a fresh field each time, so the helper path fills its own cache
     (with_ctx, dropped), (threaded, dropped_threaded) = on_both_paths(
         lambda: attach_context(img, kps, cfg, field=GradientField(img)))
-    kept = [kp for kp in kps if context_region(kp, img.width, img.height, cfg) is not None]
+    rois = context_regions(kps, img.width, img.height, cfg)
+    kept = [i for i, roi in enumerate(rois) if roi is not None]
     assert dropped == dropped_threaded == 2 and len(kept) == n
-    assert [kp.pos for kp in with_ctx] == [kp.pos for kp in threaded] == [kp.pos for kp in kept]
+    assert [kp.pos for kp in with_ctx] == [kp.pos for kp in threaded] == \
+        [kp.pos for kp in kps.take(kept)]
     assert all(np.array_equal(a.context, b.context) for a, b in zip(with_ctx, threaded))
     field = GradientField(img)
-    for kp, got in zip(kept, with_ctx):
-        roi = context_region(kp, img.width, img.height, cfg)
-        want = log_euclidean_vec(covariance_descriptor(dense_descriptors(field, roi)))
+    for i, got in zip(kept, with_ctx):
+        want = log_euclidean_vec(covariance_descriptor(dense_descriptors(field, rois[i])))
         assert got.context.dtype == np.float32
         assert np.allclose(got.context, want, rtol=0.0, atol=1e-5)
 

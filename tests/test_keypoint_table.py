@@ -216,7 +216,7 @@ def test_the_api_the_benchmark_uses(tmp_path):
     assert_rows_equal(raw.keypoints, stripped)
     px = np.random.default_rng(10).uniform(0, 1, (240, 320))
     tiny = Keypoint(PixelPoint(80.0, 60.0), 0.4, 0.0, rows[0].descriptor)
-    got, dropped = attach_context(GrayImage(px), stripped + [tiny], ContextConfig())
+    got, dropped = attach_context(GrayImage(px), as_table(stripped + [tiny]), ContextConfig())
     assert isinstance(got, KeypointTable) and dropped == 1
     assert len(got) == len(stripped) and got.contexts.shape == (len(stripped), CONTEXT_DIM)
 

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import concat_tables
 from egoreg import matching, parallel
 from egoreg.embedding import pairwise_sq_dists
 from egoreg.errors import EmptyInput
-from egoreg.features import Keypoint, as_table, descriptors, positions
-from egoreg.geometry import PixelPoint
+from egoreg.features import KeypointTable, descriptors
 from egoreg.matching import (
     MODES,
     MatchConfig,
@@ -46,16 +46,9 @@ def make_keypoints(rng, n, desc_noise=0.0, base=None, spread=40.0):
     # one base agree on contexts (up to the same noise)
     proj = np.random.default_rng(12345).normal(size=(DESC_DIM, CTX_DIM))
     ctx = (base + desc_noise * rng.normal(size=(n, DESC_DIM))) @ proj / DESC_DIM
-    kps = []
-    for i in range(n):
-        kps.append(Keypoint(
-            pos=PixelPoint(float(20 + spread * (i % 8)), float(20 + spread * (i // 8))),
-            scale=2.0,
-            orientation=0.0,
-            descriptor=desc[i],
-            context=ctx[i],
-        ))
-    return kps, base
+    i = np.arange(n)
+    xy = np.column_stack([20 + spread * (i % 8), 20 + spread * (i // 8)])
+    return KeypointTable(xy, np.full(n, 2.0), np.zeros(n), desc, ctx), base
 
 
 # ------------------------------------------------------------- hungarian
@@ -199,10 +192,11 @@ def test_nearest_neighbor_equals_per_row_reference(q):
     model_kps, base = make_keypoints(rng, q)
     query_kps, _ = make_keypoints(rng, 7, desc_noise=0.3, base=base[rng.integers(0, q, 7)])
     # zero descriptors sit at distance exactly 0, so best = second = 0
-    zero = [replace(kp, descriptor=np.zeros(DESC_DIM)) for kp in model_kps[:1]]
-    for F, M in ((query_kps, model_kps), (query_kps + zero, model_kps + zero + zero)):
+    zero = replace(model_kps[:1], descriptors=np.zeros((1, DESC_DIM)))
+    for F, M in ((query_kps, model_kps),
+                 (concat_tables(query_kps, zero), concat_tables(model_kps, zero, zero))):
         assert match_nearest_neighbor(F, M) == nearest_neighbor_per_row(F, M)
-    assert match_nearest_neighbor(zero, zero + zero)[0].ratio == 0.0
+    assert match_nearest_neighbor(zero, concat_tables(zero, zero))[0].ratio == 0.0
 
 
 def test_match_config_rejects_unknown_mode():
@@ -230,7 +224,7 @@ def test_spatiotemporal_recovers_identity():
     rng = np.random.default_rng(2)
     model_kps, base = make_keypoints(rng, 12)
     query_kps, _ = make_keypoints(rng, 12, desc_noise=0.01, base=base)
-    pos = np.array([[kp.pos.u, kp.pos.v] for kp in query_kps])
+    pos = query_kps.xy
     # static three-frame tracks
     tracks = np.repeat(pos[:, None, :], 3, axis=1)
     matches = match_spatiotemporal(query_kps, tracks, model_kps, MatchConfig(embedding_dim=8))
@@ -255,12 +249,8 @@ def test_contexts_help_under_brightness_shift():
     rng = np.random.default_rng(4)
     model_kps, base = make_keypoints(rng, 14)
     query_kps, _ = make_keypoints(rng, 14, desc_noise=0.35, base=base)
-    flat = [Keypoint(kp.pos, kp.scale, kp.orientation, kp.descriptor,
-                     np.zeros(CTX_DIM, dtype=np.float32) + 1e-3)
-            for kp in query_kps]
-    flat_model = [Keypoint(kp.pos, kp.scale, kp.orientation, kp.descriptor,
-                           np.zeros(CTX_DIM, dtype=np.float32) + 1e-3)
-                  for kp in model_kps]
+    flat = replace(query_kps, contexts=np.full((len(query_kps), CTX_DIM), 1e-3, dtype=np.float32))
+    flat_model = replace(model_kps, contexts=flat.contexts)
     cfg = MatchConfig(mode="single", embedding_dim=8)
     with_ctx = match_single_frame(query_kps, model_kps, cfg)
     without_ctx = match_single_frame(flat, flat_model, cfg)
@@ -280,9 +270,9 @@ def test_coincident_contexts_leave_descriptors_to_decide():
     cfg = MatchConfig(mode="single", embedding_dim=8)
 
     def with_context(kps, ctx):
-        return [Keypoint(kp.pos, kp.scale, kp.orientation, kp.descriptor, ctx) for kp in kps]
+        return replace(kps, contexts=np.tile(ctx, (len(kps), 1)))
 
-    assert not _query(as_table(with_context(query_kps, row)), None).cq.any()
+    assert not _query(with_context(query_kps, row), None).cq.any()
     same = match_single_frame(with_context(query_kps, row), with_context(model_kps, row), cfg)
     zero = np.zeros(CTX_DIM, dtype=np.float32)
     flat = match_single_frame(with_context(query_kps, zero), with_context(model_kps, zero), cfg)
@@ -294,7 +284,7 @@ def test_empty_query_raises():
     rng = np.random.default_rng(5)
     model_kps, _ = make_keypoints(rng, 5)
     with pytest.raises(EmptyInput):
-        match_single_frame([], model_kps)
+        match_single_frame(model_kps[:0], model_kps)
 
 
 # ------------------------------------------------------------- shortlist
@@ -307,9 +297,10 @@ def test_shortlist_shares_query_side_without_changing_matches():
     query_kps, base = make_keypoints(rng, 20)
     model_a, _ = make_keypoints(rng, 20, desc_noise=0.05, base=base)
     model_b, _ = make_keypoints(rng, 14, desc_noise=0.2, base=base[3:17])
-    images = [SimpleNamespace(id=7, keypoints=model_a), SimpleNamespace(id=3, keypoints=[]),
+    images = [SimpleNamespace(id=7, keypoints=model_a),
+              SimpleNamespace(id=3, keypoints=model_a[:0]),
               SimpleNamespace(id=5, keypoints=model_b)]
-    pos = positions(query_kps)
+    pos = query_kps.xy
     tracks = np.stack([pos + rng.normal(scale=2.0, size=pos.shape), pos], axis=1)
     expected = {
         "single": lambda M: match_single_frame(query_kps, M,
@@ -342,13 +333,13 @@ def fan_out_scene(rng):
     model_c, _ = make_keypoints(rng, 16, desc_noise=0.1, base=base[2:18])
     # a context far from every query context: its row's kernel underflows
     # to zero, so it has no edge and the image raises EmptyInput
-    far = [replace(kp, context=np.full(CTX_DIM, 1e4, dtype=np.float32)) for kp in model_b[:1]]
+    far = replace(model_b[:1], contexts=np.full((1, CTX_DIM), 1e4, dtype=np.float32))
     images = [SimpleNamespace(id=7, keypoints=model_a),
-              SimpleNamespace(id=2, keypoints=far + model_b[1:]),
-              SimpleNamespace(id=3, keypoints=[]),
+              SimpleNamespace(id=2, keypoints=concat_tables(far, model_b[1:])),
+              SimpleNamespace(id=3, keypoints=model_a[:0]),
               SimpleNamespace(id=5, keypoints=model_b),
               SimpleNamespace(id=4, keypoints=model_c)]
-    pos = positions(query_kps)
+    pos = query_kps.xy
     tracks = np.stack([pos + rng.normal(scale=2.0, size=pos.shape), pos], axis=1)
     return query_kps, tracks, images
 
@@ -372,8 +363,7 @@ def test_shortlist_two_at_a_time_gives_the_same_pairs_in_order(on_both_paths, mo
 def test_a_helper_image_error_is_raised_with_its_own_type(monkeypatch):
     query_kps, tracks, images = fan_out_scene(np.random.default_rng(6))
     # the second image lacks contexts, and the helper thread matches it
-    images[1] = SimpleNamespace(id=2, keypoints=[replace(kp, context=None)
-                                                 for kp in images[1].keypoints])
+    images[1] = SimpleNamespace(id=2, keypoints=replace(images[1].keypoints, contexts=None))
     raised_in = []
     embed = matching._embed_and_assign
 
@@ -399,9 +389,8 @@ def test_one_image_peak_memory_leaves_out_the_context_stack_during_the_solve():
     rng = np.random.default_rng(3)
     query_kps, base = make_keypoints(rng, 200, spread=15.0)
     model_kps, _ = make_keypoints(rng, 180, desc_noise=0.1, base=base[:180], spread=15.0)
-    model_kps = as_table(model_kps)  # a model image's table, built before the frame
-    pos = positions(query_kps)
-    query = _query(as_table(query_kps), np.stack([pos + 1.0, pos], axis=1))
+    pos = query_kps.xy
+    query = _query(query_kps, np.stack([pos + 1.0, pos], axis=1))
     stack = 180 * CTX_DIM * 4
     square = 380 * 380 * 8
     tracemalloc.start()

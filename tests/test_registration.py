@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import random_pose
+from conftest import keypoints_at, random_pose
 from egoreg import matching, registration, sequence
 from egoreg.embedding import gaussian_kernel
-from egoreg.errors import DegenerateConfiguration, TooFewCorrespondences
+from egoreg.errors import DegenerateConfiguration, IndexModelMismatch, TooFewCorrespondences
 from egoreg.evaluation import pose_errors
 from egoreg.features import (
     CONTEXT_DIM,
@@ -18,7 +18,6 @@ from egoreg.features import (
     DetectorConfig,
     GrayImage,
     Keypoint,
-    as_table,
     attach_context,
     contexts,
     extract_keypoints,
@@ -36,12 +35,9 @@ from egoreg.registration import (
     ransac_pnp,
     register_sequence,
 )
+from egoreg.retrieval import InvertedIndex, Vocabulary
 from egoreg.sequence import FEATURE_DIM, LinearPruner, track_keypoints
 from egoreg.synth import night_preset, synth_scene
-
-
-def make_kp(u, v):
-    return Keypoint(PixelPoint(u, v), 2.0, 0.0, np.zeros(DESCRIPTOR_DIM, np.float32), None)
 
 
 def scene_correspondences(rng, pose, intrinsics, n, noise_px=0.0, depth=(4.0, 8.0)):
@@ -68,7 +64,7 @@ def scene_correspondences(rng, pose, intrinsics, n, noise_px=0.0, depth=(4.0, 8.
 
 def lift_fixture(intrinsics):
     pts = [WorldPoint(i, np.array([float(i), 0.0, 5.0])) for i in range(4)]
-    kps = [make_kp(10.0 * i, 5.0) for i in range(4)]
+    kps = keypoints_at(*[(10.0 * i, 5.0) for i in range(4)])
     # keypoints 0,1,2 linked to points 0,1,2; keypoint 3 unlinked
     img = ModelImage(7, Pose(np.eye(3), np.zeros(3)), intrinsics, kps,
                      {0: 0, 1: 1, 2: 2}, None)
@@ -77,7 +73,7 @@ def lift_fixture(intrinsics):
 
 def test_lift_matches_resolves_links(intrinsics):
     model = lift_fixture(intrinsics)
-    query = [make_kp(100.0, 100.0), make_kp(110.0, 100.0)]
+    query = keypoints_at((100.0, 100.0), (110.0, 100.0))
     matches = {7: [MatchPair(0, 1, 0.2, 0.5), MatchPair(1, 2, 0.3, 0.6)]}
     corrs, unlinked = lift_matches(matches, query, model)
     assert unlinked == 0
@@ -89,7 +85,7 @@ def test_lift_matches_resolves_links(intrinsics):
 
 def test_lift_matches_counts_unlinked(intrinsics):
     model = lift_fixture(intrinsics)
-    query = [make_kp(0.0, 0.0)]
+    query = keypoints_at((0.0, 0.0))
     matches = {7: [MatchPair(0, 3, 0.2, 0.5)]}
     corrs, unlinked = lift_matches(matches, query, model)
     assert len(corrs) == 0
@@ -98,7 +94,7 @@ def test_lift_matches_counts_unlinked(intrinsics):
 
 def test_lift_matches_dedups_by_embedded_distance(intrinsics):
     model = lift_fixture(intrinsics)
-    query = [make_kp(0.0, 0.0), make_kp(10.0, 0.0)]
+    query = keypoints_at((0.0, 0.0), (10.0, 0.0))
     # both queries claim point 0; the smaller embed_dist wins
     matches = {7: [MatchPair(0, 0, 0.9, 0.5), MatchPair(1, 0, 0.1, 0.5)]}
     corrs, _ = lift_matches(matches, query, model)
@@ -115,7 +111,7 @@ def reference_lift(matches, query_kps, model):
     """The per-correspondence lift the table replaced: one record per
     candidate, a key sort, then the greedy first-claim pass."""
     candidates, unlinked = [], 0
-    xy = as_table(query_kps).xy
+    xy = query_kps.xy
     for image_id, pairs in matches.items():
         img = model.image(image_id)
         for pair in pairs:
@@ -140,12 +136,12 @@ def two_image_lift_fixture(intrinsics):
     """Two model images whose keypoints link to overlapping world points."""
     rng = np.random.default_rng(8)
     pts = [WorldPoint(pid, rng.normal(size=3)) for pid in range(6)]
-    kps = [make_kp(10.0 * i, 5.0) for i in range(5)]
+    kps = keypoints_at(*[(10.0 * i, 5.0) for i in range(5)])
     images = [ModelImage(7, Pose(np.eye(3), np.zeros(3)), intrinsics, kps,
                          {0: 0, 1: 1, 2: 2, 3: 3}, None),       # keypoint 4 unlinked
               ModelImage(9, Pose(np.eye(3), np.zeros(3)), intrinsics, kps,
                          {0: 5, 1: 0, 2: 4, 4: 2}, None)]       # keypoint 3 unlinked
-    query = [make_kp(*rng.uniform(0.0, 300.0, size=2)) for _ in range(6)]
+    query = keypoints_at(*[rng.uniform(0.0, 300.0, size=2) for _ in range(6)])
     return Model3D(pts, images), query
 
 
@@ -358,7 +354,7 @@ def test_night_clip_registers_the_same_on_one_thread_and_two(small_day_night_sce
     lift = registration.lift_matches
 
     def recording(matches, query_kps, model):
-        seen.append((as_table(query_kps).xy.tobytes(), matches))
+        seen.append((query_kps.xy.tobytes(), matches))
         return lift(matches, query_kps, model)
 
     monkeypatch.setattr(registration, "lift_matches", recording)
@@ -513,8 +509,8 @@ def test_fewer_than_six_correspondences_give_a_failed_record(intrinsics):
     pose = random_pose(rng)
     xyz = rng.uniform(-1.0, 1.0, size=(5, 3)) + [0.0, 0.0, 6.0]
     onehot = np.eye(DESCRIPTOR_DIM, dtype=np.float32)
-    kps = [replace(make_kp(40.0 + 50.0 * i, 60.0 + 30.0 * i), descriptor=onehot[i])
-           for i in range(5)]
+    kps = replace(keypoints_at(*[(40.0 + 50.0 * i, 60.0 + 30.0 * i) for i in range(5)]),
+                  descriptors=onehot[:5])
     model = Model3D([WorldPoint(i, xyz[i]) for i in range(5)],
                     [ModelImage(0, pose, intrinsics, kps, {i: i for i in range(5)})])
     clip = Sequence([SequenceFrame(0.0, intrinsics, None, kps)])
@@ -559,13 +555,13 @@ def day_frame_query(scene):
     kps = extract_keypoints(cur, DetectorConfig(max_keypoints=200))
     kps, _ = attach_context(cur, kps, ContextConfig())
     tracks = [t for t in track_keypoints([prev, cur], kps) if t.alive]
-    return [kps[t.keypoint_idx] for t in tracks], np.stack([t.positions for t in tracks])
+    return kps.take([t.keypoint_idx for t in tracks]), np.stack([t.positions for t in tracks])
 
 
 def test_centred_float32_context_kernel_is_close_to_float64(small_day_night_scene):
     scene = small_day_night_scene
     day_kps, _ = day_frame_query(scene)
-    for F in (as_table(day_kps), scene.model.images[0].keypoints):
+    for F in (day_kps, scene.model.images[0].keypoints):
         query = matching._query(F, None)
         assert query.cq.dtype == np.float32
         for img in scene.model.images:
@@ -590,6 +586,21 @@ def test_float32_contexts_keep_sptemp_day_pairs(small_day_night_scene, monkeypat
                 == [(m.query_idx, m.model_idx) for m in pairs])
 
 
+def test_an_index_for_another_model_fails_before_any_frame(monkeypatch, intrinsics):
+    def no_frame(*args):
+        raise AssertionError("no frame may be matched")
+
+    monkeypatch.setattr(registration, "_frame_keypoints", no_frame)
+    rng = np.random.default_rng(2)
+    kps = keypoints_at((40.0, 50.0), (90.0, 20.0))
+    model = Model3D([], [ModelImage(i, random_pose(rng), intrinsics, kps) for i in (0, 1)])
+    clip = Sequence([SequenceFrame(0.0, intrinsics, None, kps)])
+    vocab = Vocabulary(np.eye(2, DESCRIPTOR_DIM))
+    index = InvertedIndex([0, 5, 1, 3], np.zeros((4, 2)), np.zeros(2))
+    with pytest.raises(IndexModelMismatch, match=r"\[3, 5\]"):
+        match_sequence(clip, model, vocab, index, MatchConfig(mode="nn"))
+
+
 def test_zero_weight_pruner_never_computes_frame_features(monkeypatch, intrinsics):
     from egoreg import registration, sequence
 
@@ -600,7 +611,7 @@ def test_zero_weight_pruner_never_computes_frame_features(monkeypatch, intrinsic
     monkeypatch.setattr(sequence, "frame_quality_feature", no_feature)
     monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
     rng = np.random.default_rng(1)
-    kps = [make_kp(40.0, 50.0), make_kp(90.0, 20.0)]
+    kps = keypoints_at((40.0, 50.0), (90.0, 20.0))
     raster = GrayImage(rng.uniform(0, 1, (intrinsics.height, intrinsics.width)))
     frames = [SequenceFrame(0.1 * i, intrinsics, None if i == 2 else raster, kps)
               for i in range(4)]
@@ -622,9 +633,8 @@ def moving_clip(intrinsics, n_frames):
     contexts already, and a one-image model."""
     rng = np.random.default_rng(4)
     px = ndimage.gaussian_filter(rng.uniform(0, 1, (intrinsics.height, intrinsics.width)), 2.0)
-    zero = np.zeros(CONTEXT_DIM, np.float32)
-    kps = [replace(make_kp(float(u), float(v)), context=zero)
-           for u in range(60, 280, 40) for v in range(60, 200, 40)]
+    kps = keypoints_at(*[(u, v) for u in range(60, 280, 40) for v in range(60, 200, 40)])
+    kps = replace(kps, contexts=np.zeros((len(kps), CONTEXT_DIM), np.float32))
     frames = [SequenceFrame(0.1 * i, intrinsics,
                             GrayImage(np.roll(px, (i, 2 * i), axis=(0, 1))), kps)
               for i in range(n_frames)]

@@ -6,8 +6,7 @@ import pytest
 from scipy import ndimage
 
 from egoreg.errors import SingleClass
-from egoreg.features import DetectorConfig, GrayImage, Keypoint, bilinear_sample, extract_keypoints
-from egoreg.geometry import PixelPoint
+from egoreg.features import DetectorConfig, GrayImage, bilinear_sample, extract_keypoints
 from egoreg.sequence import (
     FEATURE_DIM,
     TRACK_LEVELS,
@@ -271,18 +270,8 @@ def test_tracking_forward_backward_within_one_pixel():
             and (v < h - margin).all()
         ):
             continue
-        start = tr.positions[0]
-        fwd = track_keypoints(
-            list(reversed(seq)),
-            [
-                Keypoint(
-                    pos=PixelPoint(float(start[0]), float(start[1])),
-                    scale=kps[tr.keypoint_idx].scale,
-                    orientation=0.0,
-                    descriptor=kps[tr.keypoint_idx].descriptor,
-                )
-            ],
-        )[0]
+        start = replace(kps.take([tr.keypoint_idx]), xy=tr.positions[:1])
+        fwd = track_keypoints(list(reversed(seq)), start)[0]
         assert fwd.alive
         err = np.linalg.norm(fwd.positions[0] - tr.positions[-1])
         assert err <= 1.0
@@ -296,9 +285,8 @@ def test_tracking_dies_when_content_vanishes():
     kps = track_test_keypoints(img)
     # bright windows against black give a residual far above the death cutoff;
     # dark-extremum windows can legitimately resemble darkness, so skip them
-    bright = [
-        k for k in kps if img.pixels[int(round(k.pos.v)), int(round(k.pos.u))] >= 0.7
-    ]
+    col, row = np.rint(kps.xy).astype(np.intp).T
+    bright = kps.take(np.flatnonzero(img.pixels[row, col] >= 0.7))
     assert len(bright) >= 4
     tracks = track_keypoints([black, img], bright)
     assert all(not tr.alive for tr in tracks)
@@ -485,12 +473,10 @@ def test_track_keypoints_matches_five_call_tracker(monkeypatch):
                                 n_query_frames=2))
     frames = [f.image for f in scene.night.frames]
     kps = extract_keypoints(frames[-1], DetectorConfig(max_keypoints=200))
-    start = np.array([(k.pos.u, k.pos.v) for k in kps])
+    start = kps.xy
 
     def tracks(points):
-        moved = [Keypoint(PixelPoint(float(u), float(v)), k.scale, k.orientation, k.descriptor)
-                 for k, (u, v) in zip(kps, points)]
-        out = track_keypoints(frames, moved)
+        out = track_keypoints(frames, replace(kps, xy=points))
         return np.stack([t.positions for t in out]), [t.alive for t in out]
 
     got, got_alive = tracks(start)
