@@ -20,14 +20,14 @@ from .features import (CONTEXT_DIM, DESCRIPTOR_DIM, ContextConfig,
                        KeypointTable, attach_context, compute_descriptors,
                        covariance_descriptor, dense_descriptors,
                        extract_keypoints, log_euclidean_vec)
-from .geometry import (Intrinsics, PixelPoint, Pose, WorldPoint,
-                       compose_pose, invert_pose, project, project_many)
+from .geometry import (Intrinsics, PixelPoint, Pose, compose_pose, invert_pose,
+                       project_many)
 from .io import (load_index, load_model, load_pruner, load_sequence,
                  save_index, save_model, save_pruner, save_sequence)
-from .matching import (MODES, MatchConfig, MatchPair, hungarian,
+from .matching import (MODES, MatchConfig, MatchTable, hungarian,
                        match_frame_to_shortlist, match_nearest_neighbor,
                        match_single_frame, match_spatiotemporal, ratio_filter)
-from .model import Model3D, ModelImage, Sequence, SequenceFrame
+from .model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 from .registration import (Correspondences, FrameMatches, PoseEstimate,
                            RansacConfig, RegistrationRecord, ensure_contexts,
                            lift_matches, match_sequence, pnp_solve, ransac_pnp,

@@ -216,10 +216,10 @@ def _cmd_match(args) -> int:
             n = sum(len(v) for v in fm.matches.values())
             print(f"frame {fm.frame_index} keypoints {len(fm.keypoints)} "
                   f"matches {n}", file=stream)
-            for image_id, pairs in fm.matches.items():
-                for m in pairs:
-                    print(f"match {fm.frame_index} {image_id} {m.query_idx} "
-                          f"{m.model_idx} {_fmt(m.embed_dist)} {_fmt(m.ratio)}",
+            for image_id, m in fm.matches.items():
+                for q, j, d, r in zip(m.query_idx.tolist(), m.model_idx.tolist(),
+                                      m.embed_dist.tolist(), m.ratio.tolist()):
+                    print(f"match {fm.frame_index} {image_id} {q} {j} {_fmt(d)} {_fmt(r)}",
                           file=stream)
     finally:
         if stream is not sys.stdout:

@@ -5,10 +5,6 @@ class EgoregError(Exception):
     """Base class for every error raised by this package."""
 
 
-class PointBehindCamera(EgoregError):
-    """Projection was requested for a point with non-positive camera depth."""
-
-
 class ImageTooSmall(EgoregError):
     pass
 

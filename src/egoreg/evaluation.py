@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .features import KeypointTable
 from .geometry import Intrinsics, Pose
-from .matching import MatchPair
+from .matching import MatchTable
 from .model import Model3D
 from .registration import _reproj_errors, lift_matches
 
@@ -67,12 +67,12 @@ class MatchReport:
         return float(self.ratios.mean()) if self.inliers.size else 0.0
 
 
-def count_inliers(per_frame_matches: list[dict[int, list[MatchPair]]],
+def count_inliers(per_frame_matches: list[dict[int, MatchTable]],
                   per_frame_kps: list[KeypointTable],
                   gt_poses: list[Pose], model: Model3D,
-                  k: Intrinsics | list[Intrinsics],
+                  per_frame_k: list[Intrinsics],
                   threshold_px: float) -> MatchReport:
-    """Score matches against ground truth.
+    """Score matches against ground truth, one frame's intrinsics each.
 
     A lifted correspondence is an inlier when its world point reprojects
     (under the reference pose) within threshold_px of the query pixel, with
@@ -80,9 +80,8 @@ def count_inliers(per_frame_matches: list[dict[int, list[MatchPair]]],
     correspondences actually available to pose estimation.
     """
     n = len(per_frame_matches)
-    if not (len(per_frame_kps) == len(gt_poses) == n):
+    if not (len(per_frame_kps) == len(gt_poses) == len(per_frame_k) == n):
         raise ShapeMismatch("per-frame inputs must align")
-    intr = k if isinstance(k, list) else [k] * n
     inliers = np.zeros(n, dtype=np.int64)
     matches = np.zeros(n, dtype=np.int64)
     for i in range(n):
@@ -90,7 +89,7 @@ def count_inliers(per_frame_matches: list[dict[int, list[MatchPair]]],
         matches[i] = len(corrs)
         # the error is inf behind the camera, so those never count
         err, _ = _reproj_errors(gt_poses[i].R, gt_poses[i].t, corrs.point, corrs.pixel,
-                                intr[i])
+                                per_frame_k[i])
         inliers[i] = int(np.sum(err < threshold_px))
     return MatchReport(inliers, matches)
 

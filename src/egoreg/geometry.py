@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointBehindCamera
-
 ORTHONORMALITY_TOL = 1e-9
 
 
@@ -20,19 +18,6 @@ ORTHONORMALITY_TOL = 1e-9
 class PixelPoint:
     u: float
     v: float
-
-
-@dataclass(frozen=True, eq=False)
-class WorldPoint:
-    """A 3D point with a stable integer identifier."""
-
-    id: int
-    xyz: np.ndarray
-
-    def __post_init__(self):
-        xyz = np.asarray(self.xyz, dtype=np.float64).reshape(3).copy()
-        xyz.flags.writeable = False
-        object.__setattr__(self, "xyz", xyz)
 
 
 @dataclass(frozen=True)
@@ -103,20 +88,6 @@ def compose_pose(a: Pose, b: Pose) -> Pose:
 
 def invert_pose(p: Pose) -> Pose:
     return Pose(p.R.T, -p.R.T @ p.t)
-
-
-def project(p: WorldPoint, pose: Pose, k: Intrinsics) -> PixelPoint:
-    """Project one world point to pixel coordinates.
-
-    Raises PointBehindCamera when the camera-frame depth is not positive.
-    No bounds check: projections may land outside the pixel grid.
-    """
-    cam = pose.R @ p.xyz + pose.t
-    if cam[2] <= 0.0:
-        raise PointBehindCamera(f"point {p.id} has camera depth {cam[2]:.6g}")
-    u = k.fx * cam[0] / cam[2] + k.cx
-    v = k.fy * cam[1] / cam[2] + k.cy
-    return PixelPoint(float(u), float(v))
 
 
 def project_many(xyz: np.ndarray, pose: Pose, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:

@@ -8,20 +8,22 @@ float32-valued where the format stores float32.
 
 A load maps a regular file read-only (`mmap.ACCESS_READ`) and closes the
 file (the mapping keeps a descriptor of its own until it is unmapped). It
-copies no table out of the mapping: each keypoint table loads as one
+copies no keypoint table out of the mapping: each loads as one
 `KeypointTable`, checked once, whose descriptor and context columns are
 read-only views of the mapping (its small geometry columns are copied
 out), and the `Keypoint` rows a table yields are views of those views.
-The retrieval index's tables are views the same way. The one bulk copy a
-load makes is of rasters, which `GrayImage` holds as float64. A page of
-the file counts toward resident memory only once it is read. The mapping
-stays alive, with one open file descriptor, while any view of it does
-(or the traceback of a failed load); when the last goes, the file is
-unmapped and its pages are given back. A file that cannot be mapped (an
-empty file, which mmap refuses, or a pipe or device, which report no
-size) is read whole into memory instead, so an empty file fails the
-header check like any other short file. A float32 column starts one byte after a flags field, so it is
-unaligned; the context kernels read it through a centred copy.
+The retrieval index's tables are views the same way. A model's world
+points load as one `PointTable`, copied out of their 28-byte records. The
+one bulk copy a load makes is of rasters, which `GrayImage` holds as
+float64. A page of the file counts toward resident memory only once it is
+read. The mapping stays alive, with one open file descriptor, while any
+view of it does (or the traceback of a failed load); when the last goes,
+the file is unmapped and its pages are given back. A file that cannot be
+mapped (an empty file, which mmap refuses, or a pipe or device, which
+report no size) is read whole into memory instead, so an empty file fails
+the header check like any other short file. A float32 column starts one
+byte after a flags field, so it is unaligned; the context kernels read it
+through a centred copy.
 
 "Read-only" means read-only to this process. A file must never be
 rewritten in place while a load of it is alive, by this process or any
@@ -58,8 +60,8 @@ import numpy as np
 
 from .errors import BadMagic, CorruptTable, VersionUnsupported
 from .features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, KeypointTable
-from .geometry import Intrinsics, Pose, WorldPoint
-from .model import Model3D, ModelImage, Sequence, SequenceFrame
+from .geometry import Intrinsics, Pose
+from .model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 from .retrieval import InvertedIndex, Vocabulary
 from .sequence import FEATURE_DIM, LinearPruner
 
@@ -248,10 +250,16 @@ def _write(path: str | Path, parts: Iterable[bytes | memoryview]) -> None:
 
 
 def _model_parts(model: Model3D) -> Iterator[bytes | memoryview]:
+    ids = model.points.ids
+    # assigning the column would wrap an id outside 32 bits silently
+    if len(ids) and (ids.min() < 0 or ids.max() > np.iinfo(np.uint32).max):
+        raise OverflowError(f"world point ids {ids.min()}..{ids.max()} do not fit 32 bits")
+    records = np.empty(len(ids), dtype=_POINT_RECORD)
+    records["id"], records["xyz"] = ids, model.points.xyz
     yield MODEL_MAGIC
     yield struct.pack("<I", FORMAT_VERSION)
-    yield struct.pack("<2I", len(model.points), len(model.images))
-    yield memoryview(np.array([(p.id, p.xyz) for p in model.points], dtype=_POINT_RECORD))
+    yield struct.pack("<2I", len(ids), len(model.images))
+    yield memoryview(records)
     for img in model.images:
         yield struct.pack("<I", img.id)
         yield _pack_pose(img.pose)
@@ -270,8 +278,7 @@ def load_model(path: str | Path) -> Model3D:
     r = _Reader(path)
     _check_header(r, MODEL_MAGIC)
     n_points, n_images = r.unpack("2I")
-    table = r.array(_POINT_RECORD, n_points)
-    points = [WorldPoint(pid, xyz) for pid, xyz in zip(table["id"].tolist(), table["xyz"])]
+    records = r.array(_POINT_RECORD, n_points)
     images = []
     for _ in range(n_images):
         (iid,) = r.unpack("I")
@@ -284,7 +291,7 @@ def load_model(path: str | Path) -> Model3D:
         images.append(ModelImage(iid, pose, intr, kps, links, raster))
     r.done()
     try:
-        return Model3D(points, images)
+        return Model3D(PointTable(records["id"], records["xyz"]), images)
     except CorruptTable as exc:
         raise CorruptTable(f"{path}: {exc}") from exc
 

@@ -6,6 +6,7 @@ then filtered with a ratio test: an assignment survives only when its
 embedded distance is clearly smaller than the distance to the query's
 second-closest model point. A plain nearest-neighbor matcher on raw
 descriptors is provided as a baseline; it keeps every query keypoint.
+Both give one `MatchTable` of columns per model image.
 """
 
 from __future__ import annotations
@@ -39,14 +40,22 @@ MODE_SPTEMP = "sptemp"
 MODES = (MODE_NN, MODE_SINGLE, MODE_SPATIAL, MODE_SPTEMP)
 
 
-@dataclass(frozen=True)
-class MatchPair:
-    """One accepted query-to-model keypoint assignment."""
+@dataclass(frozen=True, eq=False)
+class MatchTable:
+    """Accepted query-to-model keypoint assignments, by ascending query row."""
 
-    query_idx: int
-    model_idx: int
-    embed_dist: float
-    ratio: float
+    query_idx: np.ndarray   # (n,) int64
+    model_idx: np.ndarray   # (n,) int64
+    embed_dist: np.ndarray  # (n,) float64
+    ratio: np.ndarray       # (n,) float64
+
+    def __len__(self) -> int:
+        return len(self.query_idx)
+
+    @classmethod
+    def empty(cls) -> MatchTable:
+        idx, vals = np.zeros(0, dtype=np.int64), np.zeros(0)
+        return cls(idx, idx, vals, vals)
 
 
 @dataclass(frozen=True)
@@ -80,44 +89,42 @@ class MatchConfig:
         return self.mode == MODE_SPTEMP
 
 
-def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
+def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-total-cost one-to-one assignment on a rectangular matrix.
 
-    Returns min(p, q) (row, column) pairs sorted by row. Requires finite,
-    non-negative costs.
+    Returns a (min(p, q), 2) index array of (row, column) pairs sorted by
+    row. Requires finite, non-negative costs.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise EmptyInput("cost matrix must be 2D and non-empty")
     if not np.all(np.isfinite(cost)) or cost.min() < 0.0:
         raise ValueError("costs must be finite and non-negative")
-    rows, cols = linear_sum_assignment(cost)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    return np.column_stack(linear_sum_assignment(cost))  # rows come sorted
 
 
-def ratio_filter(assignment: list[tuple[int, int]], zq: np.ndarray, zm: np.ndarray,
-                 threshold: float = 0.8) -> list[MatchPair]:
+def ratio_filter(assignment: np.ndarray, zq: np.ndarray, zm: np.ndarray,
+                 threshold: float = 0.8) -> MatchTable:
     """Keep assignments whose distance beats the runner-up by `threshold`.
 
-    For each assigned query the runner-up distance is the second-smallest
-    embedded distance to any model point; the pair survives only when
-    embed_dist < threshold * runner-up. With a single model point there is
-    no runner-up and the pair is kept with ratio 0. Distances of all
-    assigned rows come from one norms-plus-dot product.
+    For each (query row, model row) pair of `assignment`, the runner-up
+    distance is the query's second-smallest embedded distance to any model
+    point; the pair survives only when embed_dist < threshold * runner-up.
+    With a single model point there is no runner-up and the pair is kept
+    with ratio 0. Distances of all assigned rows come from one
+    norms-plus-dot product.
     """
     zq = np.atleast_2d(zq)
     zm = np.atleast_2d(zm)
-    if not assignment:
-        return []
-    rows, cols = np.array(assignment, dtype=np.intp).T
+    rows, cols = np.asarray(assignment, dtype=np.int64).reshape(-1, 2).T
     dists = np.sqrt(pairwise_sq_dists(zq[rows], zm))
     d = dists[np.arange(rows.size), cols]
     if zm.shape[0] == 1:
-        return [MatchPair(i, j, float(x), 0.0) for (i, j), x in zip(assignment, d)]
+        return MatchTable(rows, cols, d, np.zeros_like(d))
     second = np.partition(dists, 1, axis=1)[:, 1]
     # a kept pair has d >= 0 below threshold * second, so second > 0
-    return [MatchPair(i, j, float(x), float(x / y))
-            for (i, j), x, y in zip(assignment, d, second) if x < threshold * y]
+    keep = d < threshold * second
+    return MatchTable(rows[keep], cols[keep], d[keep], d[keep] / second[keep])
 
 
 class _Query(NamedTuple):
@@ -153,7 +160,7 @@ def _query(F: KeypointTable, track_pos: np.ndarray | None) -> _Query:
     return _Query(dq, cq, mu, spatial_similarity(F.xy), temporal_similarity(tp))
 
 
-def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> list[MatchPair]:
+def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> MatchTable:
     if not len(M):
         raise EmptyInput("both keypoint sets must be non-empty")
     P = gaussian_kernel(query.dq, descriptors(M), None)
@@ -173,13 +180,13 @@ def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> list
 
 
 def match_single_frame(F: KeypointTable, M: KeypointTable,
-                       cfg: MatchConfig = MatchConfig(mode=MODE_SINGLE)) -> list[MatchPair]:
+                       cfg: MatchConfig = MatchConfig(mode=MODE_SINGLE)) -> MatchTable:
     """Match one query frame against one model image, descriptors + contexts only."""
     return _embed_and_assign(_query(F, None), M, cfg)
 
 
 def match_spatiotemporal(F: KeypointTable, track_pos: np.ndarray, M: KeypointTable,
-                         cfg: MatchConfig = MatchConfig()) -> list[MatchPair]:
+                         cfg: MatchConfig = MatchConfig()) -> MatchTable:
     """Match with query-side spatial and temporal structure.
 
     track_pos is (p, K+1, 2) chronological positions for each query
@@ -190,7 +197,7 @@ def match_spatiotemporal(F: KeypointTable, track_pos: np.ndarray, M: KeypointTab
     return _embed_and_assign(_query(F, track_pos), M, cfg)
 
 
-def match_nearest_neighbor(F: KeypointTable, M: KeypointTable) -> list[MatchPair]:
+def match_nearest_neighbor(F: KeypointTable, M: KeypointTable) -> MatchTable:
     """Baseline: every query keypoint to its nearest model descriptor.
 
     No assignment constraint and no rejection; the recorded ratio is the
@@ -203,12 +210,11 @@ def match_nearest_neighbor(F: KeypointTable, M: KeypointTable) -> list[MatchPair
     best = d[np.arange(d.shape[0]), j]
     second = np.partition(d, 1, axis=1)[:, 1] if d.shape[1] > 1 else np.zeros_like(best)
     ratio = np.divide(best, second, out=np.zeros_like(best), where=second > 0.0)
-    return [MatchPair(i, jj, b, r)
-            for i, (jj, b, r) in enumerate(zip(j.tolist(), best.tolist(), ratio.tolist()))]
+    return MatchTable(np.arange(len(j)), j, best, ratio)
 
 
 def match_frame_to_shortlist(F: KeypointTable, track_pos: np.ndarray | None,
-                             shortlist: list, cfg: MatchConfig) -> dict[int, list[MatchPair]]:
+                             shortlist: list, cfg: MatchConfig) -> dict[int, MatchTable]:
     """Match one query frame against each shortlisted model image.
 
     `shortlist` holds objects with `id` and `keypoints` attributes. The
@@ -223,11 +229,11 @@ def match_frame_to_shortlist(F: KeypointTable, track_pos: np.ndarray | None,
     The images share only the read-only query side; each image's
     arithmetic is the same on either thread, so the pairs are the same
     bits and in the same order either way. An image that fails to match
-    (EmptyInput) contributes an empty list rather than aborting the frame;
+    (EmptyInput) contributes an empty table rather than aborting the frame;
     any other error is raised here with its own type.
     """
     if not len(F) or not shortlist:
-        return {img.id: [] for img in shortlist}
+        return {img.id: MatchTable.empty() for img in shortlist}
     if cfg.mode in (MODE_NN, MODE_SINGLE):
         tp = None
     elif cfg.mode == MODE_SPATIAL or track_pos is None:
@@ -236,12 +242,12 @@ def match_frame_to_shortlist(F: KeypointTable, track_pos: np.ndarray | None,
         tp = track_pos
     query = _query(F, tp) if cfg.needs_contexts else None
 
-    def run(img) -> list[MatchPair]:
+    def run(img) -> MatchTable:
         try:
             if query is None:
                 return match_nearest_neighbor(F, img.keypoints)
             return _embed_and_assign(query, img.keypoints, cfg)
         except EmptyInput:
-            return []
+            return MatchTable.empty()
 
     return dict(zip([img.id for img in shortlist], map_on_two(run, shortlist)))

@@ -1,4 +1,8 @@
-"""In-memory containers for 3D models and query sequences."""
+"""In-memory containers for 3D models and query sequences.
+
+A model's world points are one `PointTable` of columns, and `Model3D`
+checks each image's links against it as arrays.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,38 @@ import numpy as np
 
 from .errors import CorruptTable
 from .features import GrayImage, KeypointTable, as_table
-from .geometry import Intrinsics, Pose, WorldPoint
+from .geometry import Intrinsics, Pose
+
+
+@dataclass(frozen=True, eq=False)
+class PointTable:
+    """n world points as read-only columns copied in: unique int64 `ids`
+    (n,) and float64 `xyz` (n, 3). The ids are sorted once, for `rows`."""
+
+    ids: np.ndarray
+    xyz: np.ndarray
+
+    def __post_init__(self):
+        ids = np.array(self.ids, dtype=np.int64).reshape(-1)
+        order = np.argsort(ids)
+        if (np.diff(ids[order]) == 0).any():
+            raise CorruptTable("duplicate world point ids")
+        xyz = np.array(self.xyz, dtype=np.float64).reshape(len(ids), 3)
+        for name, col in (("ids", ids), ("xyz", xyz), ("_order", order)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, ids) -> np.ndarray:
+        """The row of each of `ids`, -1 where the table has no such id."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not len(self):
+            return np.full(ids.shape, -1)
+        pos = np.searchsorted(self.ids, ids, sorter=self._order)
+        rows = self._order[np.minimum(pos, len(self) - 1)]
+        return np.where(self.ids[rows] == ids, rows, -1)
 
 
 @dataclass(eq=False)
@@ -31,42 +66,37 @@ class ModelImage:
     def __post_init__(self):
         self.keypoints = as_table(self.keypoints)
 
+    def link_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """`links` as int64 (keypoint indices, point ids), in link order."""
+        n = len(self.links)
+        return np.fromiter(self.links, np.int64, n), np.fromiter(self.links.values(), np.int64, n)
+
 
 @dataclass(eq=False)
 class Model3D:
     """A point cloud with the registered images it was built from."""
 
-    points: list[WorldPoint]
+    points: PointTable
     images: list[ModelImage]
 
     def __post_init__(self):
-        self._point_by_id = {p.id: p for p in self.points}
-        if len(self._point_by_id) != len(self.points):
-            raise CorruptTable("duplicate world point ids")
         for img in self.images:
-            for kp_idx, pid in img.links.items():
-                if pid not in self._point_by_id:
-                    raise CorruptTable(
-                        f"image {img.id} links keypoint {kp_idx} to missing point {pid}")
-                if not (0 <= kp_idx < len(img.keypoints)):
-                    raise CorruptTable(
-                        f"image {img.id} links out-of-range keypoint {kp_idx}")
-
-    def point(self, pid: int) -> WorldPoint:
-        return self._point_by_id[pid]
+            kp_idx, pids = img.link_columns()
+            missing = self.points.rows(pids) < 0
+            bad = np.flatnonzero(missing | (kp_idx < 0) | (kp_idx >= len(img.keypoints)))
+            if not bad.size:
+                continue
+            i = bad[0]  # the first bad link, in link order
+            if missing[i]:
+                raise CorruptTable(
+                    f"image {img.id} links keypoint {kp_idx[i]} to missing point {pids[i]}")
+            raise CorruptTable(f"image {img.id} links out-of-range keypoint {kp_idx[i]}")
 
     def image(self, image_id: int) -> ModelImage:
         for img in self.images:
             if img.id == image_id:
                 return img
         raise KeyError(f"no model image with id {image_id}")
-
-    def extent(self) -> float:
-        """Diagonal of the world-point bounding box, in scene units."""
-        if not self.points:
-            return 0.0
-        xyz = np.stack([p.xyz for p in self.points])
-        return float(np.linalg.norm(xyz.max(axis=0) - xyz.min(axis=0)))
 
 
 @dataclass(eq=False)

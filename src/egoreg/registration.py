@@ -1,10 +1,11 @@
 """2D-3D lifting and absolute pose estimation.
 
-Matches against shortlisted model images are lifted to 2D-3D
-correspondences through the model's keypoint-to-point links, deduplicated
-into one `Correspondences` table in embedded-distance order, and fed to a
-RANSAC loop around a DLT pose solver with Gauss-Newton refinement. A frame
-registers when the final consensus holds `min_inliers` correspondences.
+Each shortlisted model image's `MatchTable` is lifted to 2D-3D
+correspondences through the image's keypoint-to-point links and the
+model's `PointTable`, deduplicated into one `Correspondences` table in
+embedded-distance order, and fed to a RANSAC loop around a DLT pose
+solver with Gauss-Newton refinement. A frame registers when the final
+consensus holds `min_inliers` correspondences.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .features import (
     extract_keypoints,
 )
 from .geometry import Intrinsics, Pose
-from .matching import MatchConfig, MatchPair, match_frame_to_shortlist
+from .matching import MatchConfig, MatchTable, match_frame_to_shortlist
 from .model import Model3D, Sequence
 from .parallel import map_on_two
 from .retrieval import DEFAULT_SHORTLIST, InvertedIndex, Vocabulary, shortlist
@@ -117,31 +118,33 @@ class RegistrationRecord:
     n_unlinked: int
 
 
-def lift_matches(matches: dict[int, list[MatchPair]], query_kps: KeypointTable,
+def lift_matches(matches: dict[int, MatchTable], query_kps: KeypointTable,
                  model: Model3D) -> tuple[Correspondences, int]:
-    """Turn per-image matches into one table of unique 2D-3D correspondences.
+    """Turn per-image match tables into one table of unique 2D-3D correspondences.
 
-    Matches to unlinked model keypoints are dropped and counted. Candidates
+    Each image's links are read as columns and its matched model rows are
+    looked up in them; matches to unlinked model keypoints are dropped and
+    counted. Points come from the model's `PointTable`. Candidates
     are sorted by (embedded distance, query index, point id); a candidate
     is kept when neither its world point nor its query keypoint was claimed
     by an earlier one. So the smallest embedded distance wins, ties resolve
     deterministically, and the table's rows stay in that order.
     """
-    query_idx, point_id, dist = [], [], []
+    cols = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     unlinked = 0
-    for image_id, pairs in matches.items():
-        links = model.image(image_id).links
-        for pair in pairs:
-            pid = links.get(pair.model_idx)
-            if pid is None:
-                unlinked += 1
-                continue
-            query_idx.append(pair.query_idx)
-            point_id.append(pid)
-            dist.append(pair.embed_dist)
-    query_idx = np.array(query_idx, dtype=np.int64)
-    point_id = np.array(point_id, dtype=np.int64)
-    order = np.lexsort((point_id, query_idx, np.array(dist, dtype=np.float64)))
+    for image_id, m in matches.items():
+        if not len(m):
+            continue
+        img = model.image(image_id)
+        kp_idx, pids = img.link_columns()
+        linked = np.zeros(len(img.keypoints), dtype=bool)
+        pid_of = np.zeros(len(img.keypoints), dtype=np.int64)
+        linked[kp_idx], pid_of[kp_idx] = True, pids
+        ok = linked[m.model_idx]
+        unlinked += len(m) - int(ok.sum())
+        cols.append((m.query_idx[ok], pid_of[m.model_idx[ok]], m.embed_dist[ok]))
+    query_idx, point_id, dist = map(np.concatenate, zip(*cols))
+    order = np.lexsort((point_id, query_idx, dist))
     query_idx, point_id = query_idx[order], point_id[order]
     seen_points, seen_queries = set(), set()
     keep = np.zeros(len(order), dtype=bool)
@@ -151,8 +154,11 @@ def lift_matches(matches: dict[int, list[MatchPair]], query_kps: KeypointTable,
             seen_queries.add(q)
             keep[row] = True
     query_idx, point_id = query_idx[keep], point_id[keep]
-    point = np.array([model.point(pid).xyz for pid in point_id.tolist()]).reshape(-1, 3)
-    return Correspondences(query_kps.xy[query_idx], point, point_id, query_idx), unlinked
+    rows = model.points.rows(point_id)
+    if (rows < 0).any():  # a link changed after Model3D checked them
+        raise KeyError(f"no world points with ids {point_id[rows < 0].tolist()}")
+    corrs = Correspondences(query_kps.xy[query_idx], model.points.xyz[rows], point_id, query_idx)
+    return corrs, unlinked
 
 
 def _rodrigues(w: np.ndarray) -> np.ndarray:
@@ -396,7 +402,7 @@ class FrameMatches:
 
     frame_index: int
     keypoints: KeypointTable
-    matches: dict
+    matches: dict[int, MatchTable]
     shortlist_ids: list
 
 
@@ -442,8 +448,15 @@ def match_sequence(sequence: Sequence, model: Model3D,
     across frames is the cache of tracking pyramids, guarded by one lock:
     the lane that first needs a frame's pyramid builds it, once, and it is
     dropped when no unfinished frame's window reaches that frame any more.
-    An `index` naming images the model lacks raises IndexModelMismatch first.
+    Before any frame, a `shortlist_size` under 1 or only one of `vocab` and
+    `index` raises ValueError; an `index` naming images the model lacks
+    raises IndexModelMismatch.
     """
+    if shortlist_size < 1:
+        raise ValueError(f"shortlist_size must be at least 1, got {shortlist_size}")
+    if (vocab is None) != (index is None):
+        raise ValueError("shortlisting needs both vocab and index; "
+                         f"{'index' if index is None else 'vocab'} is missing")
     if index is not None:
         missing = sorted(set(index.image_ids) - {img.id for img in model.images})
         if missing:
@@ -496,7 +509,7 @@ def match_sequence(sequence: Sequence, model: Model3D,
         if not len(kps):
             return FrameMatches(i, as_table([]), {}, [])
 
-        if vocab is not None and index is not None:
+        if index is not None:
             ranked = shortlist(descriptors(kps), vocab, index, shortlist_size)
             images = [model.image(image_id) for image_id, _ in ranked]
         else:

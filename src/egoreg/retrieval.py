@@ -144,8 +144,10 @@ def shortlist(query_descriptors: np.ndarray, vocab: Vocabulary, index: InvertedI
     """Top model images by cosine similarity, ties broken by ascending id.
 
     Returns at most top_k (image_id, score) pairs, best first; fewer when
-    the index holds fewer images.
+    the index holds fewer images; a top_k under 1 raises ValueError.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     labels = vocab.assign(np.atleast_2d(np.asarray(query_descriptors, dtype=np.float64)))
     q = _tf_vector(labels, vocab.k) * index.idf
     norm = float(np.linalg.norm(q))

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DegenerateInput
 from .features import (ContextConfig, GradientField, GrayImage, KeypointTable,
                        attach_context, compute_descriptors)
-from .geometry import Intrinsics, Pose, WorldPoint, project_many
-from .model import Model3D, ModelImage, Sequence, SequenceFrame
+from .geometry import Intrinsics, Pose, project_many
+from .model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 
 MOTIF_SIDE = 16
 MIN_SPLAT_PX = 6.0
@@ -342,10 +342,9 @@ def synth_scene(cfg: SynthConfig,
     world = _build_world(cfg, rng)
     intr = _intrinsics(cfg)
 
-    points = [WorldPoint(i, world.points[i]) for i in range(len(world.points))]
     images = [_model_image(cfg, world, pose, intr, i, ctx_cfg)
               for i, pose in enumerate(_model_poses(cfg))]
-    model = Model3D(points, images)
+    model = Model3D(PointTable(np.arange(len(world.points)), world.points), images)
 
     day_frames = []
     night_frames = []

@@ -6,6 +6,8 @@ import pytest
 from egoreg import parallel
 from egoreg.features import DESCRIPTOR_DIM, KeypointTable
 from egoreg.geometry import Intrinsics, Pose
+from egoreg.matching import MatchTable
+from egoreg.model import PointTable
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -37,6 +39,23 @@ def concat_tables(*tables: KeypointTable) -> KeypointTable:
     if all(t.contexts is not None for t in tables):
         cols.append(np.concatenate([t.contexts for t in tables]))
     return KeypointTable(*cols)
+
+
+def match_table(*rows) -> MatchTable:
+    """Matches from (query_idx, model_idx, embed_dist, ratio) rows."""
+    cols = np.array(rows, dtype=np.float64).reshape(len(rows), 4).T
+    return MatchTable(cols[0].astype(np.int64), cols[1].astype(np.int64), cols[2], cols[3])
+
+
+def match_rows(m: MatchTable) -> list[tuple]:
+    """The rows of `m` as (query_idx, model_idx, embed_dist, ratio) tuples."""
+    return list(zip(m.query_idx.tolist(), m.model_idx.tolist(), m.embed_dist.tolist(),
+                    m.ratio.tolist()))
+
+
+def points_at(*xyz) -> PointTable:
+    """World points 0, 1, ... at the given coordinates."""
+    return PointTable(np.arange(len(xyz)), np.array(xyz, dtype=np.float64).reshape(len(xyz), 3))
 
 
 @pytest.fixture

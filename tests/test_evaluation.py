@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import keypoints_at, random_pose
+from conftest import keypoints_at, match_table, points_at, random_pose
 from egoreg.errors import ShapeMismatch
 from egoreg.evaluation import (
     MatchReport,
@@ -10,8 +10,7 @@ from egoreg.evaluation import (
     registration_curve,
     registration_report,
 )
-from egoreg.geometry import Pose, WorldPoint, project
-from egoreg.matching import MatchPair
+from egoreg.geometry import Pose, project_many
 from egoreg.model import Model3D, ModelImage
 
 
@@ -73,50 +72,42 @@ def test_count_inliers_hand_built_scene(intrinsics):
     # linked, one unlinked; matches hit one true point, one wrong point,
     # and one unlinked keypoint
     gt = Pose(np.eye(3), np.zeros(3))
-    pts = [
-        WorldPoint(0, np.array([0.0, 0.0, 5.0])),
-        WorldPoint(1, np.array([1.0, 0.0, 5.0])),
-        WorldPoint(2, np.array([0.0, 1.0, 5.0])),
-    ]
+    pts = points_at((0.0, 0.0, 5.0), (1.0, 0.0, 5.0), (0.0, 1.0, 5.0))
     model_kps = keypoints_at((10.0, 10.0), (20.0, 20.0), (30.0, 30.0))
     img = ModelImage(0, gt, intrinsics, model_kps, {0: 0, 1: 1}, None)
     model = Model3D(pts, [img])
 
-    uv0 = project(pts[0], gt, intrinsics)  # (160, 120)
+    (u0, v0), = project_many(pts.xyz[:1], gt, intrinsics)[0]  # (160, 120)
     query_kps = keypoints_at(
-        (uv0.u, uv0.v),          # matches point 0 exactly: inlier
-        (uv0.u + 50.0, uv0.v),   # matched to point 1 but 50 px off: outlier
+        (u0, v0),                # matches point 0 exactly: inlier
+        (u0 + 50.0, v0),         # matched to point 1 but 50 px off: outlier
         (50.0, 50.0),            # matched to unlinked model kp: dropped
     )
-    matches = {0: [
-        MatchPair(0, 0, 0.1, 0.5),
-        MatchPair(1, 1, 0.2, 0.5),
-        MatchPair(2, 2, 0.3, 0.5),
-    ]}
-    rep = count_inliers([matches], [query_kps], [gt], model, intrinsics, threshold_px=2.0)
+    matches = {0: match_table((0, 0, 0.1, 0.5), (1, 1, 0.2, 0.5), (2, 2, 0.3, 0.5))}
+    rep = count_inliers([matches], [query_kps], [gt], model, [intrinsics], threshold_px=2.0)
     assert rep.matches.tolist() == [2]   # unlinked match dropped
     assert rep.inliers.tolist() == [1]
 
 
 def test_count_inliers_threshold_sensitivity(intrinsics):
     gt = Pose(np.eye(3), np.zeros(3))
-    pts = [WorldPoint(0, np.array([0.0, 0.0, 5.0]))]
+    pts = points_at((0.0, 0.0, 5.0))
     img = ModelImage(0, gt, intrinsics, keypoints_at((0.0, 0.0)), {0: 0}, None)
     model = Model3D(pts, [img])
-    uv = project(pts[0], gt, intrinsics)
-    query = keypoints_at((uv.u + 3.0, uv.v))  # 3 px reprojection error
-    matches = {0: [MatchPair(0, 0, 0.1, 0.5)]}
-    lo = count_inliers([matches], [query], [gt], model, intrinsics, threshold_px=2.0)
-    hi = count_inliers([matches], [query], [gt], model, intrinsics, threshold_px=4.0)
+    (u, v), = project_many(pts.xyz, gt, intrinsics)[0]
+    query = keypoints_at((u + 3.0, v))  # 3 px reprojection error
+    matches = {0: match_table((0, 0, 0.1, 0.5))}
+    lo = count_inliers([matches], [query], [gt], model, [intrinsics], threshold_px=2.0)
+    hi = count_inliers([matches], [query], [gt], model, [intrinsics], threshold_px=4.0)
     assert lo.inliers.tolist() == [0]
     assert hi.inliers.tolist() == [1]
 
 
 def test_count_inliers_rejects_misaligned_inputs(intrinsics):
-    model = Model3D([WorldPoint(0, np.zeros(3) + [0, 0, 5])], [])
+    model = Model3D(points_at((0.0, 0.0, 5.0)), [])
     with pytest.raises(ShapeMismatch):
         count_inliers([{}], [[], []], [Pose(np.eye(3), np.zeros(3))], model,
-                      intrinsics, 2.0)
+                      [intrinsics], 2.0)
 
 
 # ----------------------------------------------------- registration report

@@ -3,32 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoreg.errors import PointBehindCamera
-from egoreg.geometry import (
-    Intrinsics,
-    Pose,
-    WorldPoint,
-    compose_pose,
-    invert_pose,
-    project,
-    project_many,
-)
+from egoreg.geometry import Intrinsics, Pose, compose_pose, invert_pose, project_many
 
 from conftest import random_pose, random_rotation
 
 
 def test_project_hand_computed(intrinsics):
     # (1, 2, 5) through the identity pose: u = 300*1/5 + 160, v = 300*2/5 + 120
-    px = project(WorldPoint(0, [1.0, 2.0, 5.0]), Pose.identity(), intrinsics)
-    assert px.u == pytest.approx(220.0, abs=1e-12)
-    assert px.v == pytest.approx(240.0, abs=1e-12)
-
-
-def test_project_behind_camera_raises(intrinsics):
-    with pytest.raises(PointBehindCamera):
-        project(WorldPoint(0, [0.0, 0.0, -1.0]), Pose.identity(), intrinsics)
-    with pytest.raises(PointBehindCamera):
-        project(WorldPoint(0, [0.0, 0.0, 0.0]), Pose.identity(), intrinsics)
+    uv, z = project_many(np.array([1.0, 2.0, 5.0]), Pose.identity(), intrinsics)
+    assert uv.shape == (1, 2) and z.tolist() == [5.0]
+    assert uv[0, 0] == pytest.approx(220.0, abs=1e-12)
+    assert uv[0, 1] == pytest.approx(240.0, abs=1e-12)
 
 
 def test_project_many_matches_scalar(intrinsics):
@@ -39,15 +24,19 @@ def test_project_many_matches_scalar(intrinsics):
     xyz = (cam - pose.t) @ pose.R
     uv, z = project_many(xyz, pose, intrinsics)
     assert np.all(z > 0)
+    k = intrinsics
     for i in range(len(xyz)):
-        px = project(WorldPoint(i, xyz[i]), pose, intrinsics)
-        assert np.allclose(uv[i], [px.u, px.v], atol=1e-9)
+        x, y, depth = pose.R @ xyz[i] + pose.t
+        assert np.allclose(uv[i], [k.fx * x / depth + k.cx, k.fy * y / depth + k.cy],
+                           atol=1e-9)
 
 
 def test_project_many_flags_negative_depth(intrinsics):
-    xyz = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
+    # a point behind the camera or in its plane has a depth callers filter out
+    xyz = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
     _, z = project_many(xyz, Pose.identity(), intrinsics)
     assert z[0] > 0 > z[1]
+    assert z[2] < 0 and z[3] == 0
 
 
 def test_pose_rejects_non_rotation():

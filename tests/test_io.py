@@ -19,7 +19,7 @@ from conftest import random_pose
 from egoreg.errors import BadMagic, CorruptTable, VersionUnsupported
 from egoreg.features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, Keypoint
 from egoreg.features.image import frozen
-from egoreg.geometry import Intrinsics, PixelPoint, WorldPoint
+from egoreg.geometry import Intrinsics, PixelPoint
 from egoreg.io import (
     load_index,
     load_model,
@@ -30,7 +30,7 @@ from egoreg.io import (
     save_pruner,
     save_sequence,
 )
-from egoreg.model import Model3D, ModelImage, Sequence, SequenceFrame
+from egoreg.model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 from egoreg.retrieval import InvertedIndex, Vocabulary
 from egoreg.sequence import FEATURE_DIM, LinearPruner
 
@@ -49,7 +49,7 @@ def make_keypoint(rng, with_context=True):
 
 def make_model(rng, with_context=True, with_raster=True, n_keypoints=4):
     intr = Intrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
-    points = [WorldPoint(i, rng.normal(size=3)) for i in range(6)]
+    points = PointTable(np.arange(6), [rng.normal(size=3) for _ in range(6)])
     images = []
     for iid in range(2):
         kps = [make_keypoint(rng, with_context) for _ in range(n_keypoints)]
@@ -80,9 +80,8 @@ def test_model_round_trip_bitwise(rng, tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     loaded = load_model(path)
-    assert len(loaded.points) == len(model.points)
-    for pa, pb in zip(model.points, loaded.points):
-        assert pa.id == pb.id and np.array_equal(pa.xyz, pb.xyz)
+    assert loaded.points.ids.tolist() == model.points.ids.tolist()
+    assert loaded.points.xyz.tobytes() == model.points.xyz.tobytes()
     for ia, ib in zip(model.images, loaded.images):
         assert ia.id == ib.id
         assert np.array_equal(ia.pose.R, ib.pose.R)
@@ -267,9 +266,9 @@ def old_pack_raster_body(img):
 
 def old_model_bytes(model):
     parts = [b"EMRG", struct.pack("<I", 1)]
-    parts.append(struct.pack("<2I", len(model.points), len(model.images)))
-    for p in model.points:
-        parts.append(struct.pack("<I", p.id) + p.xyz.astype("<f8").tobytes())
+    parts.append(struct.pack("<2I", len(model.points.ids), len(model.images)))
+    for pid, xyz in zip(model.points.ids.tolist(), model.points.xyz):
+        parts.append(struct.pack("<I", pid) + xyz.astype("<f8").tobytes())
     for img in model.images:
         parts.append(struct.pack("<I", img.id))
         parts.append(old_pack_pose(img.pose))
@@ -346,8 +345,8 @@ def test_saved_bytes_match_the_joined_packers(rng, tmp_path):
             kept = all(kp.context is not None for kp in ia.keypoints)
             assert_keypoints_equal([kp if kept else kp.with_context(None) for kp in ia.keypoints],
                                    ib.keypoints)
-        assert [p.id for p in loaded.points] == [p.id for p in model.points]
-        assert all(np.array_equal(a.xyz, b.xyz) for a, b in zip(model.points, loaded.points))
+        assert loaded.points.ids.tolist() == model.points.ids.tolist()
+        assert loaded.points.xyz.tobytes() == model.points.xyz.tobytes()
     seq = make_sequence(rng)
     intr = seq.frames[0].intrinsics
     # keypoints without a raster, a frame with no keypoints at all, and a
@@ -368,6 +367,21 @@ def test_saved_bytes_match_the_joined_packers(rng, tmp_path):
     assert path.read_bytes() == old_index_bytes(vocab, index)
 
 
+def test_point_table_finds_rows_by_id():
+    xyz = np.arange(12.0).reshape(4, 3)
+    ids = np.array([7, 2, 2**40, 0])
+    points = PointTable(ids, xyz)
+    ids[0] = 99  # the table holds its own read-only copies
+    assert points.ids.tolist() == [7, 2, 2**40, 0]
+    assert not points.ids.flags.writeable and not points.xyz.flags.writeable
+    assert points.rows([0, 7, 2**40, 7]).tolist() == [3, 0, 2, 0]
+    assert points.rows(np.zeros(0, np.int64)).tolist() == []
+    assert points.rows([2, 5, -1, 2**41]).tolist() == [1, -1, -1, -1]
+    assert PointTable([], []).rows([0, 1]).tolist() == [-1, -1]
+    with pytest.raises(CorruptTable, match="duplicate world point ids"):
+        PointTable([1, 2, 1], np.zeros((3, 3)))
+
+
 def test_loaded_links_and_ids_keep_the_model_checks(rng, tmp_path):
     model = make_model(rng)
     path = tmp_path / "model.bin"
@@ -377,9 +391,14 @@ def test_loaded_links_and_ids_keep_the_model_checks(rng, tmp_path):
         return SimpleNamespace(points=model.points, images=[
             ModelImage(img.id, img.pose, img.intrinsics, img.keypoints, links, img.raster)])
 
+    def with_points(ids):
+        # a PointTable refuses duplicate ids, so these columns go round it
+        xyz = np.zeros((len(ids), 3))
+        xyz[:len(model.points)] = model.points.xyz
+        return SimpleNamespace(points=SimpleNamespace(ids=ids, xyz=xyz), images=model.images)
+
     cases = [
-        (SimpleNamespace(points=model.points + [WorldPoint(0, np.zeros(3))], images=model.images),
-         "duplicate world point ids"),
+        (with_points(np.append(model.points.ids, 0)), "duplicate world point ids"),
         (with_links({0: 99}), "missing point 99"),
         (with_links({4: 2}), "out-of-range keypoint 4"),
     ]
@@ -550,12 +569,14 @@ def test_a_failing_save_leaves_the_old_file_and_no_temporary(rng, tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     before = path.read_bytes()
-    broken = SimpleNamespace(points=model.points + [WorldPoint(2**32, np.zeros(3))],
-                             images=model.images)
-    with pytest.raises(OverflowError):
-        save_model(broken, path)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["model.bin"]
+    # a column assignment would store 2**32 as 0 and -1 as 2**32 - 1
+    for bad_id in (2**32, -1):
+        broken = Model3D(PointTable(np.append(model.points.ids, bad_id),
+                                    np.vstack([model.points.xyz, np.zeros(3)])), model.images)
+        with pytest.raises(OverflowError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.bin"]
 
 
 def test_a_saved_file_gets_the_mode_of_a_plain_open(rng, tmp_path):

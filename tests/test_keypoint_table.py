@@ -17,9 +17,9 @@ from egoreg.features import (
     attach_context,
     descriptors,
 )
-from egoreg.geometry import Intrinsics, PixelPoint, WorldPoint
+from egoreg.geometry import Intrinsics, PixelPoint
 from egoreg.matching import MatchConfig
-from egoreg.model import Model3D, ModelImage, Sequence, SequenceFrame
+from egoreg.model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 
 INTR = Intrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
 
@@ -33,7 +33,7 @@ def make_keypoints(rng, n, with_context=True):
 
 
 def make_model(rng, n_keypoints=(5, 0), with_context=True):
-    points = [WorldPoint(i, rng.normal(size=3)) for i in range(4)]
+    points = PointTable(np.arange(4), [rng.normal(size=3) for _ in range(4)])
     images = [ModelImage(iid, random_pose(rng), INTR, make_keypoints(rng, n, with_context),
                          {0: 1} if n else {}, None)
               for iid, n in enumerate(n_keypoints)]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import concat_tables
+from conftest import concat_tables, match_rows
 from egoreg import matching, parallel
 from egoreg.embedding import pairwise_sq_dists
 from egoreg.errors import EmptyInput
@@ -17,7 +17,7 @@ from egoreg.features import KeypointTable, descriptors
 from egoreg.matching import (
     MODES,
     MatchConfig,
-    MatchPair,
+    MatchTable,
     _embed_and_assign,
     _query,
     hungarian,
@@ -75,7 +75,8 @@ def brute_force_assignment(cost):
 def test_hungarian_matches_enumeration(seed, p, q):
     cost = np.random.default_rng(seed).integers(0, 50, size=(p, q)).astype(float)
     pairs = hungarian(cost)
-    assert len(pairs) == min(p, q)
+    assert pairs.shape == (min(p, q), 2)
+    assert (np.diff(pairs[:, 0]) > 0).all()  # sorted by row
     total = sum(cost[i, j] for i, j in pairs)
     best, _ = brute_force_assignment(cost)
     assert total == pytest.approx(best)
@@ -84,7 +85,7 @@ def test_hungarian_matches_enumeration(seed, p, q):
 def test_hungarian_identity_on_diagonal_costs():
     cost = np.ones((4, 4)) * 10.0
     np.fill_diagonal(cost, 0.0)
-    assert sorted(hungarian(cost)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    assert hungarian(cost).tolist() == [[0, 0], [1, 1], [2, 2], [3, 3]]
 
 
 # ----------------------------------------------------------- ratio test
@@ -95,20 +96,20 @@ def test_ratio_filter_single_model_point():
     zm = np.array([[1.0, 0.0]])
     kept = ratio_filter([(0, 0)], zq, zm, threshold=0.8)
     assert len(kept) == 1
-    assert kept[0].ratio == 0.0
+    assert kept.ratio.tolist() == [0.0]
 
 
 def test_ratio_filter_drops_ambiguous():
     zq = np.array([[0.0, 0.0]])
     # two model points nearly equidistant: ratio ~ 1, must be dropped
     zm = np.array([[1.0, 0.0], [1.01, 0.0]])
-    assert ratio_filter([(0, 0)], zq, zm, threshold=0.8) == []
+    assert len(ratio_filter([(0, 0)], zq, zm, threshold=0.8)) == 0
     # far second neighbor: kept
     zm2 = np.array([[1.0, 0.0], [9.0, 0.0]])
     kept = ratio_filter([(0, 0)], zq, zm2, threshold=0.8)
     assert len(kept) == 1
-    assert kept[0].embed_dist == pytest.approx(1.0)
-    assert kept[0].ratio == pytest.approx(1.0 / 9.0)
+    assert kept.embed_dist[0] == pytest.approx(1.0)
+    assert kept.ratio[0] == pytest.approx(1.0 / 9.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,8 +123,8 @@ def test_ratio_filter_threshold_monotone(seed, t_low, t_high):
     low = ratio_filter(assignment, zq, zm, threshold=t_low)
     high = ratio_filter(assignment, zq, zm, threshold=t_high)
     assert len(low) <= len(high)
-    kept_low = {(m.query_idx, m.model_idx) for m in low}
-    kept_high = {(m.query_idx, m.model_idx) for m in high}
+    kept_low = {(q, j) for q, j, _, _ in match_rows(low)}
+    kept_high = {(q, j) for q, j, _, _ in match_rows(high)}
     assert kept_low <= kept_high
 
 
@@ -155,11 +156,11 @@ def test_ratio_filter_matches_per_row_loop(p, q, dim):
             for assignment in (hungarian(cost), []):
                 got = ratio_filter(assignment, zq, zm, threshold)
                 want = ratio_filter_per_row(assignment, zq, zm, threshold)
-                assert [(m.query_idx, m.model_idx) for m in got] == \
+                assert [(q, j) for q, j, _, _ in match_rows(got)] == \
                     [(i, j) for i, j, _, _ in want]
-                for m, (_, _, d, r) in zip(got, want):
-                    assert abs(m.embed_dist - d) <= 1e-12
-                    assert abs(m.ratio - r) <= 1e-12
+                for (_, _, gd, gr), (_, _, d, r) in zip(match_rows(got), want):
+                    assert abs(gd - d) <= 1e-12
+                    assert abs(gr - r) <= 1e-12
 
 
 # --------------------------------------------------------- mode pipelines
@@ -171,7 +172,7 @@ def test_nearest_neighbor_recovers_identity():
     query_kps, _ = make_keypoints(rng, 10, desc_noise=0.01, base=base)
     matches = match_nearest_neighbor(query_kps, model_kps)
     assert len(matches) == 10  # no rejection in the baseline
-    assert all(m.query_idx == m.model_idx for m in matches)
+    assert (matches.query_idx == matches.model_idx).all()
 
 
 def nearest_neighbor_per_row(F, M):
@@ -182,7 +183,7 @@ def nearest_neighbor_per_row(F, M):
         j = int(np.argmin(d[i]))
         best = float(d[i, j])
         second = float(np.partition(d[i], 1)[1]) if d.shape[1] > 1 else 0.0
-        out.append(MatchPair(i, j, best, best / second if second > 0.0 else 0.0))
+        out.append((i, j, best, best / second if second > 0.0 else 0.0))
     return out
 
 
@@ -195,8 +196,10 @@ def test_nearest_neighbor_equals_per_row_reference(q):
     zero = replace(model_kps[:1], descriptors=np.zeros((1, DESC_DIM)))
     for F, M in ((query_kps, model_kps),
                  (concat_tables(query_kps, zero), concat_tables(model_kps, zero, zero))):
-        assert match_nearest_neighbor(F, M) == nearest_neighbor_per_row(F, M)
-    assert match_nearest_neighbor(zero, concat_tables(zero, zero))[0].ratio == 0.0
+        got = match_nearest_neighbor(F, M)
+        assert isinstance(got, MatchTable) and got.query_idx.dtype == np.int64
+        assert match_rows(got) == nearest_neighbor_per_row(F, M)
+    assert match_nearest_neighbor(zero, concat_tables(zero, zero)).ratio.tolist() == [0.0]
 
 
 def test_match_config_rejects_unknown_mode():
@@ -217,7 +220,7 @@ def test_single_frame_recovers_identity():
     query_kps, _ = make_keypoints(rng, 12, desc_noise=0.01, base=base)
     matches = match_single_frame(query_kps, model_kps, MatchConfig(mode="single", embedding_dim=8))
     assert len(matches) >= 8
-    assert all(m.query_idx == m.model_idx for m in matches)
+    assert (matches.query_idx == matches.model_idx).all()
 
 
 def test_spatiotemporal_recovers_identity():
@@ -229,7 +232,7 @@ def test_spatiotemporal_recovers_identity():
     tracks = np.repeat(pos[:, None, :], 3, axis=1)
     matches = match_spatiotemporal(query_kps, tracks, model_kps, MatchConfig(embedding_dim=8))
     assert len(matches) >= 6
-    assert all(m.query_idx == m.model_idx for m in matches)
+    assert (matches.query_idx == matches.model_idx).all()
 
 
 def test_matching_is_deterministic():
@@ -239,8 +242,7 @@ def test_matching_is_deterministic():
     cfg = MatchConfig(mode="single", embedding_dim=8)
     a = match_single_frame(query_kps, model_kps, cfg)
     b = match_single_frame(query_kps, model_kps, cfg)
-    assert [(m.query_idx, m.model_idx, m.embed_dist) for m in a] == \
-        [(m.query_idx, m.model_idx, m.embed_dist) for m in b]
+    assert match_rows(a) == match_rows(b)
 
 
 def test_contexts_help_under_brightness_shift():
@@ -254,8 +256,8 @@ def test_contexts_help_under_brightness_shift():
     cfg = MatchConfig(mode="single", embedding_dim=8)
     with_ctx = match_single_frame(query_kps, model_kps, cfg)
     without_ctx = match_single_frame(flat, flat_model, cfg)
-    correct_with = sum(m.query_idx == m.model_idx for m in with_ctx)
-    correct_without = sum(m.query_idx == m.model_idx for m in without_ctx)
+    correct_with = (with_ctx.query_idx == with_ctx.model_idx).sum()
+    correct_without = (without_ctx.query_idx == without_ctx.model_idx).sum()
     assert correct_with >= correct_without
 
 
@@ -276,8 +278,8 @@ def test_coincident_contexts_leave_descriptors_to_decide():
     same = match_single_frame(with_context(query_kps, row), with_context(model_kps, row), cfg)
     zero = np.zeros(CTX_DIM, dtype=np.float32)
     flat = match_single_frame(with_context(query_kps, zero), with_context(model_kps, zero), cfg)
-    assert same == flat
-    assert sum(m.query_idx == m.model_idx for m in same) >= 10
+    assert match_rows(same) == match_rows(flat)
+    assert (same.query_idx == same.model_idx).sum() >= 10
 
 
 def test_empty_query_raises():
@@ -314,10 +316,10 @@ def test_shortlist_shares_query_side_without_changing_matches():
         got = match_frame_to_shortlist(query_kps, tracks, images,
                                        MatchConfig(mode=mode, embedding_dim=8))
         assert list(got) == [7, 3, 5]
-        assert got[3] == []
+        assert len(got[3]) == 0
         for img in (images[0], images[2]):
-            assert got[img.id] == single(img.keypoints)
-            assert got[img.id]
+            assert match_rows(got[img.id]) == match_rows(single(img.keypoints))
+            assert len(got[img.id])
 
 
 # ------------------------------------------------------- two at a time
@@ -352,12 +354,13 @@ def test_shortlist_two_at_a_time_gives_the_same_pairs_in_order(on_both_paths, mo
     cfg = MatchConfig(mode=mode, embedding_dim=8)
     alone, two = on_both_paths(lambda: match_frame_to_shortlist(query_kps, tracks, images, cfg))
     assert list(alone) == list(two) == [img.id for img in images]
-    assert alone == two
-    assert alone[7]
+    assert {k: match_rows(v) for k, v in alone.items()} == \
+        {k: match_rows(v) for k, v in two.items()}
+    assert len(alone[7])
     if n_images >= 2 and mode != "nn":
-        assert alone[2] == []  # the disconnected row
+        assert len(alone[2]) == 0  # the disconnected row
     if n_images >= 3:
-        assert alone[3] == []
+        assert len(alone[3]) == 0
 
 
 def test_a_helper_image_error_is_raised_with_its_own_type(monkeypatch):

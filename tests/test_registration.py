@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import keypoints_at, random_pose
+from conftest import keypoints_at, match_rows, match_table, points_at, random_pose
 from egoreg import matching, registration, sequence
 from egoreg.embedding import gaussian_kernel
 from egoreg.errors import DegenerateConfiguration, IndexModelMismatch, TooFewCorrespondences
@@ -22,9 +22,9 @@ from egoreg.features import (
     contexts,
     extract_keypoints,
 )
-from egoreg.geometry import PixelPoint, Pose, WorldPoint, project_many
-from egoreg.matching import MatchConfig, MatchPair
-from egoreg.model import Model3D, ModelImage, Sequence, SequenceFrame
+from egoreg.geometry import PixelPoint, Pose, project_many
+from egoreg.matching import MatchConfig
+from egoreg.model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 from egoreg.registration import (
     Correspondences,
     RansacConfig,
@@ -63,7 +63,7 @@ def scene_correspondences(rng, pose, intrinsics, n, noise_px=0.0, depth=(4.0, 8.
 
 
 def lift_fixture(intrinsics):
-    pts = [WorldPoint(i, np.array([float(i), 0.0, 5.0])) for i in range(4)]
+    pts = points_at(*[(float(i), 0.0, 5.0) for i in range(4)])
     kps = keypoints_at(*[(10.0 * i, 5.0) for i in range(4)])
     # keypoints 0,1,2 linked to points 0,1,2; keypoint 3 unlinked
     img = ModelImage(7, Pose(np.eye(3), np.zeros(3)), intrinsics, kps,
@@ -74,34 +74,38 @@ def lift_fixture(intrinsics):
 def test_lift_matches_resolves_links(intrinsics):
     model = lift_fixture(intrinsics)
     query = keypoints_at((100.0, 100.0), (110.0, 100.0))
-    matches = {7: [MatchPair(0, 1, 0.2, 0.5), MatchPair(1, 2, 0.3, 0.6)]}
+    matches = {7: match_table((0, 1, 0.2, 0.5), (1, 2, 0.3, 0.6))}
     corrs, unlinked = lift_matches(matches, query, model)
     assert unlinked == 0
     assert corrs.point_id.tolist() == [1, 2]
     assert corrs.query_idx.tolist() == [0, 1]
     assert np.allclose(corrs.pixel[0], [100.0, 100.0])
-    assert np.allclose(corrs.point[0], model.point(1).xyz)
+    assert np.allclose(corrs.point[0], [1.0, 0.0, 5.0])
 
 
 def test_lift_matches_counts_unlinked(intrinsics):
     model = lift_fixture(intrinsics)
     query = keypoints_at((0.0, 0.0))
-    matches = {7: [MatchPair(0, 3, 0.2, 0.5)]}
+    matches = {7: match_table((0, 3, 0.2, 0.5))}
     corrs, unlinked = lift_matches(matches, query, model)
     assert len(corrs) == 0
     assert unlinked == 1
+    # a link to a missing point, made after the model checked its links
+    model.images[0].links[3] = 99
+    with pytest.raises(KeyError, match="99"):
+        lift_matches(matches, query, model)
 
 
 def test_lift_matches_dedups_by_embedded_distance(intrinsics):
     model = lift_fixture(intrinsics)
     query = keypoints_at((0.0, 0.0), (10.0, 0.0))
     # both queries claim point 0; the smaller embed_dist wins
-    matches = {7: [MatchPair(0, 0, 0.9, 0.5), MatchPair(1, 0, 0.1, 0.5)]}
+    matches = {7: match_table((0, 0, 0.9, 0.5), (1, 0, 0.1, 0.5))}
     corrs, _ = lift_matches(matches, query, model)
     assert len(corrs) == 1
     assert corrs.query_idx.tolist() == [1]
     # and one query cannot supply two correspondences
-    matches = {7: [MatchPair(0, 0, 0.1, 0.5), MatchPair(0, 1, 0.2, 0.5)]}
+    matches = {7: match_table((0, 0, 0.1, 0.5), (0, 1, 0.2, 0.5))}
     corrs, _ = lift_matches(matches, query, model)
     assert len(corrs) == 1
     assert corrs.point_id.tolist() == [0]
@@ -112,15 +116,15 @@ def reference_lift(matches, query_kps, model):
     candidate, a key sort, then the greedy first-claim pass."""
     candidates, unlinked = [], 0
     xy = query_kps.xy
+    xyz = dict(zip(model.points.ids.tolist(), model.points.xyz))
     for image_id, pairs in matches.items():
         img = model.image(image_id)
-        for pair in pairs:
-            pid = img.links.get(pair.model_idx)
+        for q, j, d, _ in match_rows(pairs):
+            pid = img.links.get(j)
             if pid is None:
                 unlinked += 1
                 continue
-            candidates.append((pair.embed_dist, pair.query_idx, pid,
-                               xy[pair.query_idx].copy(), model.point(pid).xyz.copy()))
+            candidates.append((d, q, pid, xy[q].copy(), xyz[pid].copy()))
     candidates.sort(key=lambda c: c[:3])
     seen_points, seen_queries, out = set(), set(), []
     for c in candidates:
@@ -135,7 +139,7 @@ def reference_lift(matches, query_kps, model):
 def two_image_lift_fixture(intrinsics):
     """Two model images whose keypoints link to overlapping world points."""
     rng = np.random.default_rng(8)
-    pts = [WorldPoint(pid, rng.normal(size=3)) for pid in range(6)]
+    pts = PointTable(np.arange(6), [rng.normal(size=3) for _ in range(6)])
     kps = keypoints_at(*[(10.0 * i, 5.0) for i in range(5)])
     images = [ModelImage(7, Pose(np.eye(3), np.zeros(3)), intrinsics, kps,
                          {0: 0, 1: 1, 2: 2, 3: 3}, None),       # keypoint 4 unlinked
@@ -152,23 +156,23 @@ def test_lift_matches_columns_equal_the_per_object_lift(intrinsics, case):
     model, query = two_image_lift_fixture(intrinsics)
     matches = {
         # equal embed_dist: ties break by query index, then point id
-        "ties": {7: [MatchPair(3, 1, 0.5, 0.5), MatchPair(1, 2, 0.5, 0.5),
-                     MatchPair(1, 0, 0.5, 0.5), MatchPair(0, 3, 0.25, 0.5)],
-                 9: [MatchPair(2, 0, 0.5, 0.5), MatchPair(1, 1, 0.5, 0.5)]},
+        "ties": {7: match_table((3, 1, 0.5, 0.5), (1, 2, 0.5, 0.5),
+                                (1, 0, 0.5, 0.5), (0, 3, 0.25, 0.5)),
+                 9: match_table((2, 0, 0.5, 0.5), (1, 1, 0.5, 0.5))},
         # world point 0 is model keypoint 0 of image 7 and keypoint 1 of image 9
-        "point_from_two_images": {7: [MatchPair(0, 0, 0.4, 0.5)],
-                                  9: [MatchPair(1, 1, 0.3, 0.5), MatchPair(2, 2, 0.1, 0.5)]},
-        "query_claims_two_points": {7: [MatchPair(4, 0, 0.2, 0.5), MatchPair(4, 3, 0.1, 0.5)],
-                                    9: [MatchPair(4, 0, 0.05, 0.5), MatchPair(5, 2, 0.3, 0.5)]},
-        "unlinked": {7: [MatchPair(0, 4, 0.1, 0.5), MatchPair(1, 1, 0.2, 0.5)],
-                     9: [MatchPair(2, 3, 0.1, 0.5), MatchPair(3, 4, 0.3, 0.5)]},
-        "no_matches": {7: [], 9: []},
+        "point_from_two_images": {7: match_table((0, 0, 0.4, 0.5)),
+                                  9: match_table((1, 1, 0.3, 0.5), (2, 2, 0.1, 0.5))},
+        "query_claims_two_points": {7: match_table((4, 0, 0.2, 0.5), (4, 3, 0.1, 0.5)),
+                                    9: match_table((4, 0, 0.05, 0.5), (5, 2, 0.3, 0.5))},
+        "unlinked": {7: match_table((0, 4, 0.1, 0.5), (1, 1, 0.2, 0.5)),
+                     9: match_table((2, 3, 0.1, 0.5), (3, 4, 0.3, 0.5))},
+        "no_matches": {7: match_table(), 9: match_table()},
     }.get(case)
     if matches is None:  # many random claims over both images, with repeated distances
         rng = np.random.default_rng(9)
-        matches = {image_id: [MatchPair(int(q), int(m), float(d), 0.5)
-                              for q, m, d in zip(rng.integers(0, 6, 40), rng.integers(0, 5, 40),
-                                                 rng.choice([0.1, 0.2, 0.3, rng.uniform()], 40))]
+        matches = {image_id: match_table(*zip(rng.integers(0, 6, 40), rng.integers(0, 5, 40),
+                                              rng.choice([0.1, 0.2, 0.3, rng.uniform()], 40),
+                                              [0.5] * 40))
                    for image_id in (7, 9)}
     got, unlinked = lift_matches(matches, query, model)
     want, want_unlinked = reference_lift(matches, query, model)
@@ -297,7 +301,7 @@ def test_ensure_contexts_drops_keypoint_without_region(intrinsics):
            for i in range(6)]
     kps[2] = Keypoint(PixelPoint(120.0, 100.0), 0.4, 0.0, desc)  # region under 16 px
     links = {0: 10, 2: 12, 3: 13, 5: 15}  # keypoint 4 stays unlinked
-    pts = [WorldPoint(pid, np.array([float(pid), 0.0, 5.0])) for pid in links.values()]
+    pts = PointTable(list(links.values()), [(float(pid), 0.0, 5.0) for pid in links.values()])
     img = ModelImage(3, Pose(np.eye(3), np.zeros(3)), intrinsics, list(kps), dict(links), raster)
     ensure_contexts(Model3D(pts, [img]), ContextConfig())
     assert [kp.pos for kp in img.keypoints] == [kp.pos for i, kp in enumerate(kps) if i != 2]
@@ -354,7 +358,7 @@ def test_night_clip_registers_the_same_on_one_thread_and_two(small_day_night_sce
     lift = registration.lift_matches
 
     def recording(matches, query_kps, model):
-        seen.append((query_kps.xy.tobytes(), matches))
+        seen.append((query_kps.xy.tobytes(), {k: match_rows(v) for k, v in matches.items()}))
         return lift(matches, query_kps, model)
 
     monkeypatch.setattr(registration, "lift_matches", recording)
@@ -408,8 +412,8 @@ class DropFrame:
 def match_fields(fm):
     kps = fm.keypoints
     assert kps.contexts is None  # matching's output carries no contexts
-    pairs = {image_id: [(m.query_idx, m.model_idx, np.float64(m.embed_dist).tobytes(),
-                         np.float64(m.ratio).tobytes()) for m in ms]
+    pairs = {image_id: [(q, j, np.float64(d).tobytes(), np.float64(r).tobytes())
+                        for q, j, d, r in match_rows(ms)]
              for image_id, ms in fm.matches.items()}
     return fm.frame_index, kps.xy.tobytes(), pairs, fm.shortlist_ids
 
@@ -511,7 +515,7 @@ def test_fewer_than_six_correspondences_give_a_failed_record(intrinsics):
     onehot = np.eye(DESCRIPTOR_DIM, dtype=np.float32)
     kps = replace(keypoints_at(*[(40.0 + 50.0 * i, 60.0 + 30.0 * i) for i in range(5)]),
                   descriptors=onehot[:5])
-    model = Model3D([WorldPoint(i, xyz[i]) for i in range(5)],
+    model = Model3D(points_at(*xyz),
                     [ModelImage(0, pose, intrinsics, kps, {i: i for i in range(5)})])
     clip = Sequence([SequenceFrame(0.0, intrinsics, None, kps)])
     for min_inliers in (4, 0):
@@ -582,8 +586,8 @@ def test_float32_contexts_keep_sptemp_day_pairs(small_day_night_scene, monkeypat
     assert list(got) == list(want)
     assert sum(len(pairs) for pairs in want.values()) >= 10
     for image_id, pairs in want.items():
-        assert ([(m.query_idx, m.model_idx) for m in got[image_id]]
-                == [(m.query_idx, m.model_idx) for m in pairs])
+        assert got[image_id].query_idx.tolist() == pairs.query_idx.tolist()
+        assert got[image_id].model_idx.tolist() == pairs.model_idx.tolist()
 
 
 def test_an_index_for_another_model_fails_before_any_frame(monkeypatch, intrinsics):
@@ -593,12 +597,34 @@ def test_an_index_for_another_model_fails_before_any_frame(monkeypatch, intrinsi
     monkeypatch.setattr(registration, "_frame_keypoints", no_frame)
     rng = np.random.default_rng(2)
     kps = keypoints_at((40.0, 50.0), (90.0, 20.0))
-    model = Model3D([], [ModelImage(i, random_pose(rng), intrinsics, kps) for i in (0, 1)])
+    model = Model3D(points_at(), [ModelImage(i, random_pose(rng), intrinsics, kps) for i in (0, 1)])
     clip = Sequence([SequenceFrame(0.0, intrinsics, None, kps)])
     vocab = Vocabulary(np.eye(2, DESCRIPTOR_DIM))
     index = InvertedIndex([0, 5, 1, 3], np.zeros((4, 2)), np.zeros(2))
     with pytest.raises(IndexModelMismatch, match=r"\[3, 5\]"):
         match_sequence(clip, model, vocab, index, MatchConfig(mode="nn"))
+
+
+@pytest.mark.parametrize("call", [match_sequence, register_sequence])
+def test_bad_shortlist_arguments_fail_before_any_frame(monkeypatch, intrinsics, call):
+    def no_frame(*args):
+        raise AssertionError("no frame may be matched")
+
+    monkeypatch.setattr(registration, "_frame_keypoints", no_frame)
+    rng = np.random.default_rng(2)
+    kps = keypoints_at((40.0, 50.0), (90.0, 20.0))
+    model = Model3D(points_at(), [ModelImage(i, random_pose(rng), intrinsics, kps) for i in (0, 1)])
+    clip = Sequence([SequenceFrame(0.0, intrinsics, None, kps)])
+    vocab = Vocabulary(np.eye(2, DESCRIPTOR_DIM))
+    index = InvertedIndex([0, 1], np.zeros((2, 2)), np.zeros(2))
+    for size in (0, -1):  # -1 used to shortlist every image but the last
+        with pytest.raises(ValueError, match=f"shortlist_size must be at least 1, got {size}"):
+            call(clip, model, vocab, index, MatchConfig(mode="nn"), shortlist_size=size)
+    # one of the pair alone used to be ignored, shortlisting by image id
+    with pytest.raises(ValueError, match="index is missing"):
+        call(clip, model, vocab, None, MatchConfig(mode="nn"))
+    with pytest.raises(ValueError, match="vocab is missing"):
+        call(clip, model, None, index, MatchConfig(mode="nn"))
 
 
 def test_zero_weight_pruner_never_computes_frame_features(monkeypatch, intrinsics):
@@ -615,7 +641,7 @@ def test_zero_weight_pruner_never_computes_frame_features(monkeypatch, intrinsic
     raster = GrayImage(rng.uniform(0, 1, (intrinsics.height, intrinsics.width)))
     frames = [SequenceFrame(0.1 * i, intrinsics, None if i == 2 else raster, kps)
               for i in range(4)]
-    model = Model3D([], [ModelImage(0, random_pose(rng), intrinsics, kps)])
+    model = Model3D(points_at(), [ModelImage(0, random_pose(rng), intrinsics, kps)])
     for bias, threshold in ((0.0, 0.0), (1.0, -2.0), (-1.0, 0.0), (0.0, 1e-12)):
         pruner = LinearPruner(np.zeros(FEATURE_DIM), bias, threshold)
         got = match_sequence(Sequence(frames), model, match_cfg=MatchConfig(mode="nn"),
@@ -638,7 +664,7 @@ def moving_clip(intrinsics, n_frames):
     frames = [SequenceFrame(0.1 * i, intrinsics,
                             GrayImage(np.roll(px, (i, 2 * i), axis=(0, 1))), kps)
               for i in range(n_frames)]
-    model = Model3D([], [ModelImage(0, random_pose(rng), intrinsics, kps)])
+    model = Model3D(points_at(), [ModelImage(0, random_pose(rng), intrinsics, kps)])
     return Sequence(frames), model
 
 

@@ -149,3 +149,14 @@ def test_shortlist_deterministic():
     index = index_images(list(range(6)), per_image, vocab)
     q = rng.normal(size=(12, 4))
     assert shortlist(q, vocab, index) == shortlist(q, vocab, index)
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_shortlist_refuses_a_size_under_one(top_k):
+    # as a slice bound, -1 would mean every image but the last
+    vocab = corner_vocab()
+    same = np.array([[0.1, 0.1], [9.9, 0.2]])
+    index = index_images([5, 3, 8], [same, same, same], vocab)
+    assert len(shortlist(same, vocab, index, top_k=1)) == 1
+    with pytest.raises(ValueError, match=f"top_k must be at least 1, got {top_k}"):
+        shortlist(same, vocab, index, top_k=top_k)

@@ -70,7 +70,7 @@ def test_frames_carry_ground_truth(small_scene):
 
 
 def test_model_links_reproject_exactly(small_scene):
-    pts = np.stack([p.xyz for p in small_scene.model.points])
+    pts = small_scene.model.points.xyz
     for img in small_scene.model.images:
         uv, z = project_many(pts, img.pose, img.intrinsics)
         for kp_idx, pid in img.links.items():
