@@ -207,8 +207,8 @@ def assemble_affinity(P: np.ndarray, R: np.ndarray,
                       S: np.ndarray | None = None, G: np.ndarray | None = None) -> AffinityMatrix:
     """Block affinity: cross edges P*R, query-query edges S*G, no model edges.
 
-    Without S the query-query block is zero; G defaults to all ones and
-    needs S.
+    Without S the query-query block is zero; without G it is S as it is,
+    and G needs S.
     """
     P = np.asarray(P, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
@@ -223,10 +223,12 @@ def assemble_affinity(P: np.ndarray, R: np.ndarray,
         S = np.asarray(S, dtype=np.float64)
         if S.shape != (p, p):
             raise ShapeMismatch(f"S must be {p}x{p}, got {S.shape}")
-        G = np.ones((p, p)) if G is None else np.asarray(G, dtype=np.float64)
-        if G.shape != (p, p):
-            raise ShapeMismatch(f"G must be {p}x{p}, got {G.shape}")
-        w[:p, :p] = S * G
+        if G is not None:
+            G = np.asarray(G, dtype=np.float64)
+            if G.shape != (p, p):
+                raise ShapeMismatch(f"G must be {p}x{p}, got {G.shape}")
+            S = S * G
+        w[:p, :p] = S
     elif G is not None:
         raise ValueError("a temporal kernel needs a spatial kernel")
     return AffinityMatrix(w, p, q)

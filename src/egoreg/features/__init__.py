@@ -1,6 +1,7 @@
 """Keypoint detection, descriptors, and covariance region contexts."""
 
 from .context import (
+    CONTEXT_DIM,
     ContextConfig,
     Roi,
     attach_context,
@@ -11,8 +12,7 @@ from .context import (
 )
 from .detector import DetectorConfig, compute_descriptors, extract_keypoints
 from .image import GradientField, GrayImage, bilinear_sample
-from .keypoint import (CONTEXT_DIM, DESCRIPTOR_DIM, Keypoint, KeypointTable, as_table, contexts,
-                       descriptors)
+from .keypoint import DESCRIPTOR_DIM, Keypoint, KeypointTable, as_table, contexts, descriptors
 
 __all__ = [
     "CONTEXT_DIM",

@@ -43,7 +43,7 @@ from ..errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
 from ..parallel import map_on_two
 from .detector import _finalize_in_place
 from .image import GradientField, GrayImage
-from .keypoint import CONTEXT_DIM, DESCRIPTOR_DIM, KeypointTable
+from .keypoint import DESCRIPTOR_DIM, KeypointTable
 
 PATCH = 16
 CELL = PATCH // 4  # a patch is 4x4 histogram cells
@@ -53,6 +53,8 @@ STRIDE = 4  # grid node spacing, px
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
 EIGH_CHUNK = 8  # keypoints per batched eigendecomposition
+# the half-vectorized 128x128 log-matrix: the width of every context made here
+CONTEXT_DIM = (DESCRIPTOR_DIM * DESCRIPTOR_DIM + DESCRIPTOR_DIM) // 2  # 8256
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from ..geometry import PixelPoint
 from .image import frozen
 
 DESCRIPTOR_DIM = 128
-CONTEXT_DIM = (DESCRIPTOR_DIM * DESCRIPTOR_DIM + DESCRIPTOR_DIM) // 2  # 8256
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +30,7 @@ class Keypoint:
     scale        characteristic radius in pixels at full resolution
     orientation  dominant gradient direction, radians in [0, 2*pi)
     descriptor   L2-normalized 128-vector (float32)
-    context      8256-vector region descriptor (float32), None until attached
+    context      region descriptor vector (float32), None until attached
 
     Descriptor and context are read-only. A Keypoint read from a
     `KeypointTable` is a row view: they are views of the table's columns,
@@ -55,8 +54,6 @@ class Keypoint:
             raise ValueError("scale must be positive")
         if self.context is not None:
             c = np.asarray(self.context, dtype=np.float32).reshape(-1)
-            if c.shape[0] != CONTEXT_DIM:
-                raise ValueError(f"context must have length {CONTEXT_DIM}")
             object.__setattr__(self, "context", frozen(c, self.context))
 
     def with_context(self, context: np.ndarray | None) -> "Keypoint":
@@ -72,10 +69,11 @@ def _row_view(u: float, v: float, scale: float, orientation: float,
     return kp
 
 
-def _column(name: str, values, dtype, width: int | None) -> np.ndarray:
+def _column(name: str, values, dtype, ndim: int, width: int | None = None) -> np.ndarray:
+    """A read-only column of `ndim` dimensions, `width` wide unless None."""
     arr = np.asarray(values, dtype=dtype)
-    if arr.ndim != (1 if width is None else 2) or (width is not None and arr.shape[1] != width):
-        shape = "(n,)" if width is None else f"(n, {width})"
+    if arr.ndim != ndim or (width is not None and arr.shape[1] != width):
+        shape = "(n,)" if ndim == 1 else f"(n, {'w' if width is None else width})"
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     return frozen(arr, values)
 
@@ -88,7 +86,8 @@ class KeypointTable:
     scale        (n,) float64, positive
     orientation  (n,) float64 radians
     descriptors  (n, 128) float32
-    contexts     (n, 8256) float32, or None when the keypoints have none
+    contexts     (n, w) float32 of any width w (8256 from `attach_context`),
+                 or None when the keypoints have none
 
     Columns are read-only to this process. The constructor checks shapes
     and scales once for the whole table and copies a column only when its
@@ -107,13 +106,13 @@ class KeypointTable:
     contexts: np.ndarray | None = None
 
     def __post_init__(self):
-        cols = {"xy": _column("xy", self.xy, np.float64, 2),
-                "scale": _column("scale", self.scale, np.float64, None),
-                "orientation": _column("orientation", self.orientation, np.float64, None),
-                "descriptors": _column("descriptors", self.descriptors, np.float32,
+        cols = {"xy": _column("xy", self.xy, np.float64, 2, 2),
+                "scale": _column("scale", self.scale, np.float64, 1),
+                "orientation": _column("orientation", self.orientation, np.float64, 1),
+                "descriptors": _column("descriptors", self.descriptors, np.float32, 2,
                                        DESCRIPTOR_DIM)}
         if self.contexts is not None:
-            cols["contexts"] = _column("contexts", self.contexts, np.float32, CONTEXT_DIM)
+            cols["contexts"] = _column("contexts", self.contexts, np.float32, 2)
         n = len(cols["xy"])
         if any(len(col) != n for col in cols.values()):
             raise ValueError("columns differ in length")
@@ -187,7 +186,7 @@ def descriptors(table: KeypointTable) -> np.ndarray:
 
 
 def contexts(table: KeypointTable) -> np.ndarray:
-    """(n, 8256) float32 context column, read-only; raises if contexts are missing.
+    """(n, w) float32 context column, read-only; raises if contexts are missing.
 
     Context kernels take their pairwise product in float32 (see
     `embedding.gaussian_kernel`) on a centred copy, `contexts(table) - mu`,
@@ -196,7 +195,5 @@ def contexts(table: KeypointTable) -> np.ndarray:
     product is cheap next to the 8256-column one.
     """
     if table.contexts is None:
-        if not len(table):
-            return np.zeros((0, CONTEXT_DIM), dtype=np.float32)
         raise ValueError("keypoint without an attached context")
     return table.contexts

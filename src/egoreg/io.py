@@ -40,8 +40,9 @@ the new one whole. The new file gets the mode of the file it replaces, or
 that of a plain `open(path, "wb")` (0666 less the umask) when there was
 none; being new, it is owned by the saving user and shares no hard links
 of the old one. A save that fails part-way (say, on a point id that does
-not fit 32 bits) deletes its temporary file and leaves the target as it
-was. A target that exists and is not a regular file (a device, a FIFO) is
+not fit 32 bits, or on contexts that are not CONTEXT_DIM wide, which v1
+could not read back) deletes its temporary file and leaves the target as
+it was. A target that exists and is not a regular file (a device, a FIFO) is
 written through in place, as `open(path, "wb")` would. Nothing is
 fsynced: the replace is atomic for readers, not across a power loss.
 """
@@ -58,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CorruptTable, VersionUnsupported
+from .errors import BadMagic, CorruptTable, DimensionMismatch, VersionUnsupported
 from .features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, KeypointTable
 from .geometry import Intrinsics, Pose
 from .model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
@@ -167,6 +168,10 @@ def _pack_keypoints(kps: KeypointTable) -> Iterator[bytes | memoryview]:
     # rows of (u, v, scale, orientation)
     yield _table(np.column_stack([kps.xy, kps.scale, kps.orientation]), "<f8")
     have_ctx = n > 0 and kps.contexts is not None
+    if have_ctx and kps.contexts.shape[1] != CONTEXT_DIM:
+        # v1 stores no width; a load reads CONTEXT_DIM values a row
+        raise DimensionMismatch(f"format v1 stores contexts {CONTEXT_DIM} wide, "
+                                f"got {kps.contexts.shape[1]}")
     yield struct.pack("<B", (_FLAG_DESCRIPTORS if n else 0) | (_FLAG_CONTEXTS if have_ctx else 0))
     if n:
         yield _table(kps.descriptors, "<f4")

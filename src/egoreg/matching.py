@@ -29,7 +29,7 @@ from .embedding import (
     spatial_similarity,
     temporal_similarity,
 )
-from .errors import EmptyInput, RaggedTracks
+from .errors import DimensionMismatch, EmptyInput, RaggedTracks
 from .features import KeypointTable, contexts, descriptors
 from .parallel import map_on_two
 
@@ -141,9 +141,9 @@ class _Query(NamedTuple):
     G: np.ndarray | None
 
 
-def _query(F: KeypointTable, track_pos: np.ndarray | None) -> _Query:
-    """F's columns, centred once; with track positions also its spatial and
-    temporal kernels."""
+def _query(F: KeypointTable, spatial: bool, track_pos: np.ndarray | None = None) -> _Query:
+    """F's columns, centred once; with `spatial` also its spatial kernel,
+    and with track positions its temporal kernel."""
     if not len(F):
         raise EmptyInput("both keypoint sets must be non-empty")
     dq, c = descriptors(F), contexts(F)
@@ -151,20 +151,26 @@ def _query(F: KeypointTable, track_pos: np.ndarray | None) -> _Query:
     # coincident contexts centre to exact zeros
     mu = c.mean(axis=0, dtype=np.float64).astype(np.float32)
     cq = c - mu
-    if track_pos is None:
-        return _Query(dq, cq, mu, None, None)
-    tp = np.asarray(track_pos, dtype=np.float64)
-    if tp.ndim != 3 or tp.shape[0] != len(F) or tp.shape[2] != 2:
-        raise RaggedTracks(
-            f"expected ({len(F)}, K+1, 2) track positions, got {tp.shape}")
-    return _Query(dq, cq, mu, spatial_similarity(F.xy), temporal_similarity(tp))
+    S = spatial_similarity(F.xy) if spatial else None
+    G = None
+    if track_pos is not None:
+        tp = np.asarray(track_pos, dtype=np.float64)
+        if tp.ndim != 3 or tp.shape[0] != len(F) or tp.shape[2] != 2:
+            raise RaggedTracks(
+                f"expected ({len(F)}, K+1, 2) track positions, got {tp.shape}")
+        G = temporal_similarity(tp)
+    return _Query(dq, cq, mu, S, G)
 
 
 def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> MatchTable:
     if not len(M):
         raise EmptyInput("both keypoint sets must be non-empty")
+    cm = contexts(M)
+    if cm.shape[1] != len(query.mu):
+        raise DimensionMismatch(
+            f"query contexts are {len(query.mu)} wide, model contexts {cm.shape[1]}")
     P = gaussian_kernel(query.dq, descriptors(M), None)
-    cm = contexts(M) - query.mu  # one pass over the column into a new array
+    cm = cm - query.mu  # one pass over the column into a new array
     R = gaussian_kernel(query.cq, cm, None)
     # two images are matched at a time, so neither carries its (q, 8256)
     # centred contexts or its kernels into the solve
@@ -182,7 +188,7 @@ def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> Matc
 def match_single_frame(F: KeypointTable, M: KeypointTable,
                        cfg: MatchConfig = MatchConfig(mode=MODE_SINGLE)) -> MatchTable:
     """Match one query frame against one model image, descriptors + contexts only."""
-    return _embed_and_assign(_query(F, None), M, cfg)
+    return _embed_and_assign(_query(F, False), M, cfg)
 
 
 def match_spatiotemporal(F: KeypointTable, track_pos: np.ndarray, M: KeypointTable,
@@ -190,11 +196,12 @@ def match_spatiotemporal(F: KeypointTable, track_pos: np.ndarray, M: KeypointTab
     """Match with query-side spatial and temporal structure.
 
     track_pos is (p, K+1, 2) chronological positions for each query
-    keypoint, last entry the current frame; callers pass K = 0 tracks
-    (current positions only) for spatial-only matching, which makes the
-    temporal kernel all-ones. Untrackable keypoints must already be removed.
+    keypoint, last entry the current frame. K = 0 tracks (current
+    positions only) make the temporal kernel all-ones, which matches
+    spatially only, as `match_frame_to_shortlist` does without tracks.
+    Untrackable keypoints must already be removed.
     """
-    return _embed_and_assign(_query(F, track_pos), M, cfg)
+    return _embed_and_assign(_query(F, True, track_pos), M, cfg)
 
 
 def match_nearest_neighbor(F: KeypointTable, M: KeypointTable) -> MatchTable:
@@ -234,13 +241,10 @@ def match_frame_to_shortlist(F: KeypointTable, track_pos: np.ndarray | None,
     """
     if not len(F) or not shortlist:
         return {img.id: MatchTable.empty() for img in shortlist}
-    if cfg.mode in (MODE_NN, MODE_SINGLE):
-        tp = None
-    elif cfg.mode == MODE_SPATIAL or track_pos is None:
-        tp = F.xy[:, None, :]  # K = 0: current positions only
-    else:
-        tp = track_pos
-    query = _query(F, tp) if cfg.needs_contexts else None
+    query = None
+    if cfg.needs_contexts:
+        # `sp`, and `sptemp` without tracks, weight query pairs by S alone
+        query = _query(F, cfg.mode != MODE_SINGLE, track_pos if cfg.tracks else None)
 
     def run(img) -> MatchTable:
         try:

@@ -431,7 +431,9 @@ def match_sequence(sequence: Sequence, model: Model3D,
     """Match every kept frame of a sequence against shortlisted model images.
 
     Orchestrates pruning, feature extraction, backward tracking (in
-    spatio-temporal mode, where keypoints whose tracks die are discarded),
+    spatio-temporal mode, where keypoints whose tracks die are discarded;
+    when every track dies, the frame keeps all its keypoints and is matched
+    without tracks, by the spatial kernel alone as in `sp` mode),
     retrieval shortlisting, and per-image matching. Frames that fail a stage
     yield an empty record rather than aborting the run. Records hold no
     contexts: nothing after matching reads them.

@@ -8,11 +8,19 @@ the only structure bright enough to survive the night map. Texture points
 are discs filled from a small motif library (textures repeat across
 points, as on real buildings); they carry all the appearance identity by
 day and vanish completely at night. The night condition maps day pixels
-through clip(contrast * p^gamma + brightness + noise), and an optional
-per-frame dropout knocks whole splats out. At night, descriptors are
-therefore nearly useless (every surviving blob looks the same) while the
+through clip(p^gamma + brightness + noise), and an optional per-frame
+dropout knocks whole splats out. At night, descriptors are therefore
+nearly useless (every surviving blob looks the same) while the
 neighborhood layout around each blob still identifies it, and dropout
 gives the temporal machinery something real to reject.
+
+The layout is fixed by module constants: a facade EXTENT wide, rendered
+WIDTH x HEIGHT at FOCAL px, splats POINT_SIZE across with DEPTH_RELIEF of
+depth jitter, N_MOTIFS textures, point brightness in BRIGHTNESS_LOW ..
+BRIGHTNESS_HIGH over a background ramp BACKGROUND_LOW .. BACKGROUND_HIGH.
+`SynthConfig` holds what callers set: the seed, the scene's sizes
+(`n_points`, `n_model_images`, `n_query_frames`) and the night map
+(`gamma`, `brightness`, `noise_sigma`, `dropout_rate`).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .features import (ContextConfig, GradientField, GrayImage, KeypointTable,
-                       attach_context, compute_descriptors)
+                       attach_context, bilinear_sample, compute_descriptors)
 from .geometry import Intrinsics, Pose, project_many
 from .model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 
@@ -33,10 +41,23 @@ MAX_SPLAT_PX = 40.0
 LINK_MARGIN_PX = 12.0
 SPLAT_PX_PER_SCALE = 6.0
 
+EXTENT = 4.0  # facade width in world units; camera paths scale with it
+WIDTH = 320
+HEIGHT = 240
+FOCAL = 300.0
+POINT_SIZE = 0.30  # splat diameter in world units
+DEPTH_RELIEF = 0.10  # depth jitter, a fraction of EXTENT either way
+N_MOTIFS = 4
+BRIGHTNESS_LOW = 0.74
+BRIGHTNESS_HIGH = 1.0
+BACKGROUND_LOW = 0.50  # top row of the background ramp
+BACKGROUND_HIGH = 0.58  # bottom row
+_INTRINSICS = Intrinsics(FOCAL, FOCAL, WIDTH / 2.0, HEIGHT / 2.0, WIDTH, HEIGHT)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Scene layout plus the photometric night transform.
+    """Scene sizes plus the photometric night transform.
 
     Default photometric values are the identity, so `night` equals `day`
     until a transform is configured (see `night_preset`).
@@ -44,42 +65,29 @@ class SynthConfig:
 
     seed: int = 0
     n_points: int = 200
-    extent: float = 4.0
     n_model_images: int = 10
     n_query_frames: int = 10
-    width: int = 320
-    height: int = 240
-    focal: float = 300.0
-    point_size: float = 0.30
-    depth_relief: float = 0.10
-    n_motifs: int = 4
-    brightness_low: float = 0.74
-    brightness_high: float = 1.0
-    background_low: float = 0.50
-    background_high: float = 0.58
     gamma: float = 1.0
     brightness: float = 0.0
-    contrast: float = 1.0
     noise_sigma: float = 0.0
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if self.extent <= 0.0:
-            raise ValueError("extent must be positive")
+        # 0^0 = 1 would light every black pixel; a negative power divides by 0
+        if self.gamma <= 0.0:
+            raise ValueError("gamma must be positive")
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ValueError("dropout_rate must lie in [0, 1]")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
         if self.n_points < 1 or self.n_model_images < 1 or self.n_query_frames < 1:
             raise ValueError("scene needs at least one point, model image, and frame")
-        if self.n_motifs < 1:
-            raise ValueError("n_motifs must be positive")
 
 
 def night_preset(seed: int = 0) -> SynthConfig:
     """The default day-to-night transform: gamma crush, dimming, sensor noise."""
-    return SynthConfig(seed=seed, gamma=2.2, brightness=-0.4, contrast=1.0,
-                       noise_sigma=0.02, dropout_rate=0.05)
+    return SynthConfig(seed=seed, gamma=2.2, brightness=-0.4, noise_sigma=0.02,
+                       dropout_rate=0.05)
 
 
 @dataclass(frozen=True)
@@ -154,39 +162,34 @@ def _build_world(cfg: SynthConfig, rng: np.random.Generator) -> _World:
     # jittered grid over the facade keeps splats from piling up
     cols = max(1, int(round(np.sqrt(cfg.n_points * 4.0 / 3.0))))
     n_rows = (cfg.n_points + cols - 1) // cols
-    half_w = 0.5 * cfg.extent
-    half_h = 0.36 * cfg.extent
+    half_w = 0.5 * EXTENT
+    half_h = 0.36 * EXTENT
     xs = np.linspace(-half_w, half_w, cols) if cols > 1 else np.zeros(1)
     ys = np.linspace(-half_h, half_h, n_rows) if n_rows > 1 else np.zeros(1)
     gx, gy = np.meshgrid(xs, ys)
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)[:cfg.n_points]
-    step_x = xs[1] - xs[0] if cols > 1 else cfg.extent
-    step_y = ys[1] - ys[0] if n_rows > 1 else cfg.extent
+    step_x = xs[1] - xs[0] if cols > 1 else EXTENT
+    step_y = ys[1] - ys[0] if n_rows > 1 else EXTENT
     jitter = rng.uniform(-0.3, 0.3, size=cells.shape) * np.array([step_x, step_y])
-    depth = rng.uniform(-cfg.depth_relief, cfg.depth_relief, size=len(cells)) * cfg.extent
+    depth = rng.uniform(-DEPTH_RELIEF, DEPTH_RELIEF, size=len(cells)) * EXTENT
     points = np.column_stack([cells + jitter, depth])
     return _World(
         points=points,
         # alternate roles along the grid so anchors tile the facade evenly
         is_anchor=np.arange(len(points)) % 3 != 2,
-        motif_ids=rng.integers(0, cfg.n_motifs, size=len(points)),
-        brightness=rng.uniform(cfg.brightness_low, cfg.brightness_high, size=len(points)),
-        motifs=_motif_library(rng, cfg.n_motifs),
+        motif_ids=rng.integers(0, N_MOTIFS, size=len(points)),
+        brightness=rng.uniform(BRIGHTNESS_LOW, BRIGHTNESS_HIGH, size=len(points)),
+        motifs=_motif_library(rng, N_MOTIFS),
     )
-
-
-def _intrinsics(cfg: SynthConfig) -> Intrinsics:
-    return Intrinsics(cfg.focal, cfg.focal, cfg.width / 2.0, cfg.height / 2.0,
-                      cfg.width, cfg.height)
 
 
 def _model_poses(cfg: SynthConfig) -> list[Pose]:
     n = cfg.n_model_images
-    xs = np.linspace(-0.35, 0.35, n) * cfg.extent if n > 1 else np.zeros(1)
+    xs = np.linspace(-0.35, 0.35, n) * EXTENT if n > 1 else np.zeros(1)
     poses = []
     for i, x in enumerate(xs):
-        y = 0.03 * cfg.extent * np.sin(2.0 * np.pi * i / max(n, 1))
-        pos = np.array([x, y, -1.1 * cfg.extent])
+        y = 0.03 * EXTENT * np.sin(2.0 * np.pi * i / max(n, 1))
+        pos = np.array([x, y, -1.1 * EXTENT])
         poses.append(look_at(pos, np.zeros(3)))
     return poses
 
@@ -197,16 +200,15 @@ def _query_poses(cfg: SynthConfig) -> list[Pose]:
     poses = []
     for t in ts:
         pos = np.array([
-            (-0.18 + 0.36 * t + 0.017) * cfg.extent,
-            0.02 * cfg.extent * np.sin(2.0 * np.pi * t),
-            (-1.02 + 0.02 * np.sin(3.0 * np.pi * t)) * cfg.extent,
+            (-0.18 + 0.36 * t + 0.017) * EXTENT,
+            0.02 * EXTENT * np.sin(2.0 * np.pi * t),
+            (-1.02 + 0.02 * np.sin(3.0 * np.pi * t)) * EXTENT,
         ])
         poses.append(look_at(pos, np.zeros(3)))
     return poses
 
 
-def _render(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
-            keep: np.ndarray | None = None
+def _render(world: _World, pose: Pose, keep: np.ndarray | None = None
             ) -> tuple[GrayImage, np.ndarray, np.ndarray, np.ndarray]:
     """Splat the facade into an image.
 
@@ -214,17 +216,15 @@ def _render(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
     and camera depths (n,); size is NaN for points behind the camera or
     excluded by `keep`.
     """
-    uv, z = project_many(world.points, pose, intr)
+    uv, z = project_many(world.points, pose, _INTRINSICS)
     sizes = np.full(len(uv), np.nan)
-    visible = z > 0.1 * cfg.extent
+    visible = z > 0.1 * EXTENT
     if keep is not None:
         visible &= keep
-    sizes[visible] = np.clip(intr.fx * cfg.point_size / z[visible],
-                             MIN_SPLAT_PX, MAX_SPLAT_PX)
+    sizes[visible] = np.clip(FOCAL * POINT_SIZE / z[visible], MIN_SPLAT_PX, MAX_SPLAT_PX)
 
-    h, w = cfg.height, cfg.width
-    ramp = np.linspace(cfg.background_low, cfg.background_high, h)
-    img = np.tile(ramp[:, None], (1, w))
+    ramp = np.linspace(BACKGROUND_LOW, BACKGROUND_HIGH, HEIGHT)
+    img = np.tile(ramp[:, None], (1, WIDTH))
 
     order = np.argsort(-z, kind="stable")  # far first, near splats paint over
     for i in order:
@@ -234,9 +234,9 @@ def _render(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
         cu, cv = uv[i]
         half = s / 2.0
         x0 = max(0, int(np.floor(cu - half)))
-        x1 = min(w - 1, int(np.ceil(cu + half)))
+        x1 = min(WIDTH - 1, int(np.ceil(cu + half)))
         y0 = max(0, int(np.floor(cv - half)))
-        y1 = min(h - 1, int(np.ceil(cv + half)))
+        y1 = min(HEIGHT - 1, int(np.ceil(cv + half)))
         if x1 < x0 or y1 < y0:
             continue
         px = np.arange(x0, x1 + 1, dtype=np.float64)
@@ -260,18 +260,10 @@ def _render(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
         ramp = np.clip((r - core) / (0.5 - core), 0.0, 1.0)
         weight = np.cos(ramp * np.pi / 2.0) ** 2
         weight[r > 0.5] = 0.0
-        # map the splat square onto the motif texture, bilinearly
-        tx = np.clip((dx + 0.5) * (MOTIF_SIDE - 1), 0.0, MOTIF_SIDE - 1.0)
-        ty = np.clip((dy + 0.5) * (MOTIF_SIDE - 1), 0.0, MOTIF_SIDE - 1.0)
-        tx0 = np.minimum(tx.astype(int), MOTIF_SIDE - 2)
-        ty0 = np.minimum(ty.astype(int), MOTIF_SIDE - 2)
-        fx = tx - tx0
-        fy = ty - ty0
-        m = world.motifs[world.motif_ids[i]]
-        tex = ((m[ty0[:, None], tx0[None, :]] * (1 - fy[:, None]) * (1 - fx[None, :]))
-               + (m[ty0[:, None], tx0[None, :] + 1] * (1 - fy[:, None]) * fx[None, :])
-               + (m[ty0[:, None] + 1, tx0[None, :]] * fy[:, None] * (1 - fx[None, :]))
-               + (m[ty0[:, None] + 1, tx0[None, :] + 1] * fy[:, None] * fx[None, :]))
+        # the splat square spans the motif texture edge to edge
+        tex = bilinear_sample(world.motifs[world.motif_ids[i]],
+                              ((dx + 0.5) * (MOTIF_SIDE - 1))[None, :],
+                              ((dy + 0.5) * (MOTIF_SIDE - 1))[:, None])
         # cubic curve: only the top texture ranks survive the night map, as
         # sparse off-center glints next to the dominant center peak, so
         # night appearance is landmark-like while day keeps full texture
@@ -284,8 +276,8 @@ def _render(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
 
 def night_transform(image: GrayImage, cfg: SynthConfig,
                     rng: np.random.Generator | None = None) -> GrayImage:
-    """Apply clip(contrast * p^gamma + brightness + noise) to a raster."""
-    q = cfg.contrast * np.power(image.pixels, cfg.gamma) + cfg.brightness
+    """Apply clip(p^gamma + brightness + noise) to a raster."""
+    q = np.power(image.pixels, cfg.gamma) + cfg.brightness
     if cfg.noise_sigma > 0.0:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
@@ -293,34 +285,26 @@ def night_transform(image: GrayImage, cfg: SynthConfig,
     return GrayImage(np.clip(q, 0.0, 1.0).astype(np.float32).astype(np.float64))
 
 
-def _observations(cfg: SynthConfig, uv: np.ndarray, sizes: np.ndarray,
-                  z: np.ndarray) -> list[int]:
-    """Indices of points that land inside the frame and are not occluded."""
-    obs = []
-    for i in range(len(uv)):
-        if not np.isfinite(sizes[i]):
-            continue
-        u, v = uv[i]
-        if not (LINK_MARGIN_PX <= u <= cfg.width - 1 - LINK_MARGIN_PX
-                and LINK_MARGIN_PX <= v <= cfg.height - 1 - LINK_MARGIN_PX):
-            continue
-        occluded = False
-        for j in range(len(uv)):
-            if j == i or not np.isfinite(sizes[j]) or z[j] >= z[i]:
-                continue
-            if np.hypot(*(uv[j] - uv[i])) < 0.35 * sizes[j]:
-                occluded = True
-                break
-        if occluded:
-            continue
-        obs.append(i)
-    return obs
+def _observations(uv: np.ndarray, sizes: np.ndarray, z: np.ndarray) -> list[int]:
+    """Indices of points that land inside the frame and are not occluded:
+    no nearer splat's centre lies within 0.35 of that splat's size. Only
+    splats take part, so the infinite pixels of points at depth 0 never meet.
+    """
+    splat = np.flatnonzero(np.isfinite(sizes))
+    u, v = uv[splat].T
+    inside = splat[(LINK_MARGIN_PX <= u) & (u <= WIDTH - 1 - LINK_MARGIN_PX)
+                   & (LINK_MARGIN_PX <= v) & (v <= HEIGHT - 1 - LINK_MARGIN_PX)]
+    # (inside, splat) pairs: uv[j] - uv[i] for candidate i and splat j
+    d = uv[splat][None, :, :] - uv[inside][:, None, :]
+    covers = np.hypot(d[..., 0], d[..., 1]) < 0.35 * sizes[splat]
+    nearer = z[splat][None, :] < z[inside][:, None]
+    return inside[~(covers & nearer).any(axis=1)].tolist()
 
 
-def _model_image(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
-                 image_id: int, ctx_cfg: ContextConfig) -> ModelImage:
-    raster, uv, sizes, z = _render(cfg, world, pose, intr)
-    obs = _observations(cfg, uv, sizes, z)
+def _model_image(world: _World, pose: Pose, image_id: int,
+                 ctx_cfg: ContextConfig) -> ModelImage:
+    raster, uv, sizes, z = _render(world, pose)
+    obs = _observations(uv, sizes, z)
 
     grad = GradientField(raster)
     pos = uv[obs]
@@ -332,7 +316,7 @@ def _model_image(cfg: SynthConfig, world: _World, pose: Pose, intr: Intrinsics,
         raise DegenerateInput("model keypoint lost its context region; "
                               "shrink the RoI or enlarge the frame")
     links = {k: int(obs[k]) for k in range(len(obs))}
-    return ModelImage(image_id, pose, intr, kps, links, raster)
+    return ModelImage(image_id, pose, _INTRINSICS, kps, links, raster)
 
 
 def synth_scene(cfg: SynthConfig,
@@ -340,25 +324,23 @@ def synth_scene(cfg: SynthConfig,
     """Build the model and the day/night query sequences, all ground-truthed."""
     rng = np.random.default_rng(cfg.seed)
     world = _build_world(cfg, rng)
-    intr = _intrinsics(cfg)
-
-    images = [_model_image(cfg, world, pose, intr, i, ctx_cfg)
+    images = [_model_image(world, pose, i, ctx_cfg)
               for i, pose in enumerate(_model_poses(cfg))]
     model = Model3D(PointTable(np.arange(len(world.points)), world.points), images)
 
     day_frames = []
     night_frames = []
     for i, pose in enumerate(_query_poses(cfg)):
-        day_raster, _, _, _ = _render(cfg, world, pose, intr)
+        day_raster, _, _, _ = _render(world, pose)
         frame_rng = np.random.default_rng([cfg.seed, 7, i])
         if cfg.dropout_rate > 0.0:
             keep = frame_rng.random(len(world.points)) >= cfg.dropout_rate
-            base, _, _, _ = _render(cfg, world, pose, intr, keep=keep)
+            base, _, _, _ = _render(world, pose, keep=keep)
         else:
             base = day_raster
         night_raster = night_transform(base, cfg, frame_rng)
         ts = float(i) / 10.0
-        day_frames.append(SequenceFrame(ts, intr, day_raster, None, pose))
-        night_frames.append(SequenceFrame(ts, intr, night_raster, None, pose))
+        day_frames.append(SequenceFrame(ts, _INTRINSICS, day_raster, None, pose))
+        night_frames.append(SequenceFrame(ts, _INTRINSICS, night_raster, None, pose))
 
     return SynthScene(model, Sequence(day_frames), Sequence(night_frames), cfg)

@@ -288,9 +288,10 @@ def test_assemble_affinity_blocks_sptemp():
     R = rng.uniform(size=(4, 5))
     S = spatial_similarity(rng.uniform(0, 50, size=(4, 2)))
     aff = assemble_affinity(P, R, S)
-    # G defaults to all-ones, so the query block is S itself
+    # without G the query block is S itself, the bits an all-ones G gives
     assert np.array_equal(aff.W[:4, :4], S)
     assert np.all(aff.W[4:, 4:] == 0.0)
+    assert aff.W.tobytes() == assemble_affinity(P, R, S, np.ones((4, 4))).W.tobytes()
 
 
 def test_assemble_affinity_validation():

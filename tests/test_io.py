@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import pytest
 
 import egoreg
 from conftest import random_pose
-from egoreg.errors import BadMagic, CorruptTable, VersionUnsupported
+from egoreg.errors import BadMagic, CorruptTable, DimensionMismatch, VersionUnsupported
 from egoreg.features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, Keypoint
 from egoreg.features.image import frozen
 from egoreg.geometry import Intrinsics, PixelPoint
@@ -577,6 +578,23 @@ def test_a_failing_save_leaves_the_old_file_and_no_temporary(rng, tmp_path):
             save_model(broken, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.bin"]
+
+
+def test_contexts_v1_cannot_read_back_are_refused_and_leave_the_file(rng, tmp_path):
+    model = make_model(rng)
+    narrow = [ModelImage(img.id, img.pose, img.intrinsics,
+                         replace(img.keypoints, contexts=img.keypoints.contexts[:, :48]),
+                         img.links, img.raster) for img in model.images]
+    clip = Sequence([SequenceFrame(0.0, narrow[0].intrinsics, keypoints=narrow[0].keypoints)])
+    for save, obj, good in ((save_model, Model3D(model.points, narrow), model),
+                            (save_sequence, clip, Sequence([]))):
+        path = tmp_path / "file.bin"
+        save(good, path)
+        before = path.read_bytes()
+        with pytest.raises(DimensionMismatch, match=f"{CONTEXT_DIM} wide, got 48"):
+            save(obj, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["file.bin"]
 
 
 def test_a_saved_file_gets_the_mode_of_a_plain_open(rng, tmp_path):

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from egoreg.features import (
     KeypointTable,
     as_table,
     attach_context,
+    contexts,
     descriptors,
 )
 from egoreg.geometry import Intrinsics, PixelPoint
@@ -110,6 +112,24 @@ def test_constructor_copies_writeable_columns_and_checks_them_once():
         KeypointTable(xy, np.ones(3), np.zeros(3), desc[:, :64])
     with pytest.raises(ValueError, match="columns differ in length"):
         KeypointTable(xy, np.ones(2), np.zeros(3), desc)
+
+
+@pytest.mark.parametrize("width", [48, 528, CONTEXT_DIM])
+def test_a_context_column_takes_any_width(width):
+    rng = np.random.default_rng(5)
+    ctx = rng.random((3, width)).astype(np.float32)
+    table = KeypointTable(rng.uniform(0, 100, (3, 2)), np.ones(3), np.zeros(3),
+                          rng.random((3, DESCRIPTOR_DIM)).astype(np.float32), ctx)
+    assert contexts(table).shape == (3, width) and np.array_equal(contexts(table), ctx)
+    assert all(kp.context.shape == (width,) for kp in table)
+    assert as_table(list(table)).contexts.shape == (3, width)
+    with pytest.raises(ValueError, match=r"contexts must have shape \(n, w\)"):
+        replace(table, contexts=ctx[0])
+    with pytest.raises(ValueError, match="columns differ in length"):
+        replace(table, contexts=ctx[:2])
+    # an empty table without contexts has none either
+    with pytest.raises(ValueError, match="without an attached context"):
+        contexts(replace(table, contexts=None)[:0])
 
 
 def test_a_list_with_a_missing_context_becomes_a_table_without_contexts():
@@ -236,7 +256,7 @@ def test_context_kernel_operands_of_a_loaded_table_are_new_aligned_arrays(tmp_pa
         return kernel(a, b, sigma)
 
     monkeypatch.setattr(matching, "gaussian_kernel", recording)
-    query = matching._query(query_table, None)
+    query = matching._query(query_table, False)
     matching._embed_and_assign(query, model_table, MatchConfig(mode="single", embedding_dim=4))
     (dq, dm), (cq, cm) = operands
     for arr, column in ((dq, query_table.descriptors), (dm, model_table.descriptors),

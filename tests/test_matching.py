@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import concat_tables, match_rows
 from egoreg import matching, parallel
 from egoreg.embedding import pairwise_sq_dists
-from egoreg.errors import EmptyInput
+from egoreg.errors import DimensionMismatch, EmptyInput
 from egoreg.features import KeypointTable, descriptors
 from egoreg.matching import (
     MODES,
@@ -274,7 +274,7 @@ def test_coincident_contexts_leave_descriptors_to_decide():
     def with_context(kps, ctx):
         return replace(kps, contexts=np.tile(ctx, (len(kps), 1)))
 
-    assert not _query(with_context(query_kps, row), None).cq.any()
+    assert not _query(with_context(query_kps, row), False).cq.any()
     same = match_single_frame(with_context(query_kps, row), with_context(model_kps, row), cfg)
     zero = np.zeros(CTX_DIM, dtype=np.float32)
     flat = match_single_frame(with_context(query_kps, zero), with_context(model_kps, zero), cfg)
@@ -320,6 +320,49 @@ def test_shortlist_shares_query_side_without_changing_matches():
         for img in (images[0], images[2]):
             assert match_rows(got[img.id]) == match_rows(single(img.keypoints))
             assert len(got[img.id])
+
+
+def test_no_tracks_build_no_temporal_kernel(monkeypatch):
+    # `sp`, and `sptemp` without tracks, use S as it is: the same pairs as
+    # K = 0 tracks, whose temporal kernel is all ones
+    rng = np.random.default_rng(8)
+    query_kps, base = make_keypoints(rng, 20)
+    model_kps, _ = make_keypoints(rng, 18, desc_noise=0.05, base=base[:18])
+    images = [SimpleNamespace(id=0, keypoints=model_kps)]
+    cfg = MatchConfig(mode="sp", embedding_dim=8)
+    want = match_rows(match_spatiotemporal(query_kps, query_kps.xy[:, None, :], model_kps, cfg))
+    assert len(want)
+    kernels = []
+    assemble = matching.assemble_affinity
+
+    def recording(P, R, S=None, G=None):
+        kernels.append((S is not None, G))
+        return assemble(P, R, S, G)
+
+    def no_kernel(track_pos):
+        raise AssertionError("no temporal kernel without tracks")
+
+    monkeypatch.setattr(matching, "assemble_affinity", recording)
+    monkeypatch.setattr(matching, "temporal_similarity", no_kernel)
+    tracks = np.stack([query_kps.xy + 1.0, query_kps.xy], axis=1)
+    for mode, track_pos in (("sp", None), ("sp", tracks), ("sptemp", None)):
+        got = match_frame_to_shortlist(query_kps, track_pos, images,
+                                       MatchConfig(mode=mode, embedding_dim=8))
+        assert match_rows(got[0]) == want
+    assert kernels == [(True, None)] * 3
+
+
+def test_contexts_of_any_one_width_match_and_widths_that_differ_raise():
+    rng = np.random.default_rng(9)
+    query_kps, base = make_keypoints(rng, 12)
+    model_kps, _ = make_keypoints(rng, 12, desc_noise=0.05, base=base)
+    narrow = [replace(t, contexts=t.contexts[:, :48]) for t in (query_kps, model_kps)]
+    got = match_single_frame(*narrow, MatchConfig(mode="single", embedding_dim=8))
+    assert (got.query_idx == got.model_idx).sum() >= 8
+    images = [SimpleNamespace(id=0, keypoints=model_kps)]
+    for mode in ("single", "sp", "sptemp"):
+        with pytest.raises(DimensionMismatch, match="48 wide, model contexts 8256"):
+            match_frame_to_shortlist(narrow[0], None, images, MatchConfig(mode=mode))
 
 
 # ------------------------------------------------------- two at a time
@@ -393,7 +436,7 @@ def test_one_image_peak_memory_leaves_out_the_context_stack_during_the_solve():
     query_kps, base = make_keypoints(rng, 200, spread=15.0)
     model_kps, _ = make_keypoints(rng, 180, desc_noise=0.1, base=base[:180], spread=15.0)
     pos = query_kps.xy
-    query = _query(query_kps, np.stack([pos + 1.0, pos], axis=1))
+    query = _query(query_kps, True, np.stack([pos + 1.0, pos], axis=1))
     stack = 180 * CTX_DIM * 4
     square = 380 * 380 * 8
     tracemalloc.start()

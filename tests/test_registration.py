@@ -566,7 +566,7 @@ def test_centred_float32_context_kernel_is_close_to_float64(small_day_night_scen
     scene = small_day_night_scene
     day_kps, _ = day_frame_query(scene)
     for F in (day_kps, scene.model.images[0].keypoints):
-        query = matching._query(F, None)
+        query = matching._query(F, False)
         assert query.cq.dtype == np.float32
         for img in scene.model.images:
             cm = contexts(img.keypoints) - query.mu
@@ -689,6 +689,30 @@ def test_reused_pyramids_give_the_tracks_of_fresh_ones(monkeypatch, intrinsics):
     # sorted by frame: the two frames of a pair track concurrently
     assert sorted(past_frames) == [(1, 1), (2, 2), (3, 3), (4, 3), (5, 3)]
     assert min(alive) > 0
+
+
+def test_a_frame_whose_tracks_all_die_keeps_every_keypoint_and_no_tracks(monkeypatch,
+                                                                          intrinsics):
+    clip, model = moving_clip(intrinsics, 3)
+    matched = []
+
+    def dead(frames, kps, pyramids=None):
+        return [sequence.Track(i, np.zeros((len(frames), 2)), False) for i in range(len(kps))]
+
+    def recording(kps, track_pos, images, cfg):
+        matched.append((kps, track_pos))
+        return {}
+
+    monkeypatch.setattr(registration, "track_keypoints", dead)
+    monkeypatch.setattr(registration, "match_frame_to_shortlist", recording)
+    got = match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
+    # frame 0 has no past to track through; frames 1 and 2 lose every track
+    assert [len(fm.keypoints) for fm in got] == [len(fr.keypoints) for fr in clip.frames]
+    assert len(matched) == 3
+    for kps, track_pos in matched:
+        # the frames share one table, which each is matched with whole
+        assert track_pos is None
+        assert kps is clip.frames[0].keypoints
 
 
 def test_match_sequence_builds_each_frame_pyramid_once(monkeypatch, intrinsics):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from egoreg.geometry import project_many
+from egoreg import synth
+from egoreg.geometry import Pose, project_many
 from egoreg.synth import SynthConfig, look_at, night_preset, synth_scene
 
 SMALL = SynthConfig(n_points=40, n_model_images=3, n_query_frames=4)
@@ -66,7 +67,7 @@ def test_pixels_stay_in_range(small_night_scene):
 def test_frames_carry_ground_truth(small_scene):
     for fr in small_scene.day.frames:
         assert fr.gt_pose is not None
-        assert fr.intrinsics.width == SMALL.width
+        assert fr.intrinsics.width == synth.WIDTH
 
 
 def test_model_links_reproject_exactly(small_scene):
@@ -99,11 +100,104 @@ def test_full_dropout_leaves_background_only():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SynthConfig(extent=-1.0)
+    # 0^0 = 1 would light every black night pixel; a negative power divides by zero
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            SynthConfig(gamma=gamma)
     with pytest.raises(ValueError):
         SynthConfig(dropout_rate=1.5)
     with pytest.raises(ValueError):
         SynthConfig(n_points=0)
     with pytest.raises(ValueError):
         SynthConfig(noise_sigma=-0.1)
+
+
+# ------------------------------------------- visibility and motif sampling
+
+
+def loop_observations(uv, sizes, z):
+    """Per-point reference for `_observations`: each candidate against every splat."""
+    obs = []
+    for i in range(len(uv)):
+        if not np.isfinite(sizes[i]):
+            continue
+        u, v = uv[i]
+        if not (synth.LINK_MARGIN_PX <= u <= synth.WIDTH - 1 - synth.LINK_MARGIN_PX
+                and synth.LINK_MARGIN_PX <= v <= synth.HEIGHT - 1 - synth.LINK_MARGIN_PX):
+            continue
+        occluded = False
+        for j in range(len(uv)):
+            if j == i or not np.isfinite(sizes[j]) or z[j] >= z[i]:
+                continue
+            if np.hypot(*(uv[j] - uv[i])) < 0.35 * sizes[j]:
+                occluded = True
+                break
+        if not occluded:
+            obs.append(i)
+    return obs
+
+
+def four_term_bilinear(m, us, vs):
+    """Reference for the motif lookup: bilinear weights written out per
+    corner, on a (1, nx) row of texture columns and a (ny, 1) column of rows."""
+    side = m.shape[0]
+    tx = np.clip(us.ravel(), 0.0, side - 1.0)
+    ty = np.clip(vs.ravel(), 0.0, side - 1.0)
+    tx0 = np.minimum(tx.astype(int), side - 2)
+    ty0 = np.minimum(ty.astype(int), side - 2)
+    fx = tx - tx0
+    fy = ty - ty0
+    return ((m[ty0[:, None], tx0[None, :]] * (1 - fy[:, None]) * (1 - fx[None, :]))
+            + (m[ty0[:, None], tx0[None, :] + 1] * (1 - fy[:, None]) * fx[None, :])
+            + (m[ty0[:, None] + 1, tx0[None, :]] * fy[:, None] * (1 - fx[None, :]))
+            + (m[ty0[:, None] + 1, tx0[None, :] + 1] * fy[:, None] * fx[None, :]))
+
+
+def views(cfg):
+    """The scene's world, and every view synth_scene renders: model images,
+    day frames and night frames with their dropout."""
+    world = synth._build_world(cfg, np.random.default_rng(cfg.seed))
+    out = [(pose, None) for pose in synth._model_poses(cfg)]
+    for i, pose in enumerate(synth._query_poses(cfg)):
+        draw = np.random.default_rng([cfg.seed, 7, i]).random(len(world.points))
+        out += [(pose, None), (pose, draw >= cfg.dropout_rate)]
+    return world, out
+
+
+def along_the_facade(world):
+    """A camera at the point nearest the facade's centre, looking along +x:
+    the points on its left are behind it, and that point itself sits at
+    depth exactly 0 (the rotation only permutes axes, so the arithmetic is
+    exact) and projects to +-inf."""
+    k = int(np.argmin(np.hypot(world.points[:, 0], world.points[:, 1])))
+    r = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    centre = world.points[k] + [0.0, 0.05, 0.05]
+    return Pose(r, -(r @ centre))
+
+
+@pytest.mark.parametrize("seed", [0, 401])
+def test_array_passes_match_the_per_point_references(seed, monkeypatch):
+    cfg = replace(SMALL_NIGHT, seed=seed)
+    world, scene_views = views(cfg)
+    behind = along_the_facade(world)
+    uv, z = project_many(world.points, behind, synth._INTRINSICS)
+    assert np.isinf(uv).all(axis=1).any() and (z < 0).any()
+    # seen edge-on from outside, splats line up and hide one another
+    edge_on = look_at(np.array([-2.0 * synth.EXTENT, 0.0, 0.0]), np.zeros(3))
+    for pose, keep in scene_views + [(behind, None), (edge_on, None)]:
+        raster, uv, sizes, z = synth._render(world, pose, keep)
+        obs = synth._observations(uv, sizes, z)
+        assert obs == loop_observations(uv, sizes, z)
+        assert all(type(i) is int for i in obs)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "bilinear_sample", four_term_bilinear)
+            want, *_ = synth._render(world, pose, keep)
+        assert raster.pixels.tobytes() == want.pixels.tobytes()
+    # neither pose is vacuous: with points behind the camera some stay
+    # visible, and edge-on some splat inside the frame is occluded
+    assert synth._observations(*synth._render(world, behind)[1:])
+    _, uv, sizes, z = synth._render(world, edge_on)
+    margin = synth.LINK_MARGIN_PX
+    far = [synth.WIDTH - 1 - margin, synth.HEIGHT - 1 - margin]
+    inside = ((uv >= margin) & (uv <= far)).all(axis=1)
+    assert len(synth._observations(uv, sizes, z)) < inside.sum()
