@@ -39,11 +39,12 @@ reading the file it mapped, and a reader of the path sees the old file or
 the new one whole. The new file gets the mode of the file it replaces, or
 that of a plain `open(path, "wb")` (0666 less the umask) when there was
 none; being new, it is owned by the saving user and shares no hard links
-of the old one. A save that fails part-way (say, on a point id that does
-not fit 32 bits, or on contexts that are not CONTEXT_DIM wide, which v1
-could not read back) deletes its temporary file and leaves the target as
-it was. A target that exists and is not a regular file (a device, a FIFO) is
-written through in place, as `open(path, "wb")` would. Nothing is
+of the old one. A save checks what it can refuse (a point id that does not
+fit 32 bits, contexts that are not CONTEXT_DIM wide, which v1 could not
+read back) before it writes a byte; a save that fails part-way deletes its
+temporary file and leaves the target as it was. A target that exists and
+is not a regular file (a device, a FIFO) is written through in place, as
+`open(path, "wb")` would, so a refused save sends it no byte. Nothing is
 fsynced: the replace is atomic for readers, not across a power loss.
 """
 
@@ -162,16 +163,25 @@ def _table(values, dtype) -> memoryview:
     return memoryview(np.ascontiguousarray(values, dtype=dtype))
 
 
+def _check_context_widths(tables: Iterable[KeypointTable | None]) -> None:
+    """Refuse contexts v1 cannot read back, before a save writes its first byte.
+
+    v1 stores no width; a load reads CONTEXT_DIM values a row.
+    """
+    for kps in tables:
+        if kps is None or not len(kps) or kps.contexts is None:
+            continue
+        if kps.contexts.shape[1] != CONTEXT_DIM:
+            raise DimensionMismatch(f"format v1 stores contexts {CONTEXT_DIM} wide, "
+                                    f"got {kps.contexts.shape[1]}")
+
+
 def _pack_keypoints(kps: KeypointTable) -> Iterator[bytes | memoryview]:
     n = len(kps)
     yield struct.pack("<I", n)
     # rows of (u, v, scale, orientation)
     yield _table(np.column_stack([kps.xy, kps.scale, kps.orientation]), "<f8")
     have_ctx = n > 0 and kps.contexts is not None
-    if have_ctx and kps.contexts.shape[1] != CONTEXT_DIM:
-        # v1 stores no width; a load reads CONTEXT_DIM values a row
-        raise DimensionMismatch(f"format v1 stores contexts {CONTEXT_DIM} wide, "
-                                f"got {kps.contexts.shape[1]}")
     yield struct.pack("<B", (_FLAG_DESCRIPTORS if n else 0) | (_FLAG_CONTEXTS if have_ctx else 0))
     if n:
         yield _table(kps.descriptors, "<f4")
@@ -259,6 +269,7 @@ def _model_parts(model: Model3D) -> Iterator[bytes | memoryview]:
     # assigning the column would wrap an id outside 32 bits silently
     if len(ids) and (ids.min() < 0 or ids.max() > np.iinfo(np.uint32).max):
         raise OverflowError(f"world point ids {ids.min()}..{ids.max()} do not fit 32 bits")
+    _check_context_widths(img.keypoints for img in model.images)
     records = np.empty(len(ids), dtype=_POINT_RECORD)
     records["id"], records["xyz"] = ids, model.points.xyz
     yield MODEL_MAGIC
@@ -302,6 +313,7 @@ def load_model(path: str | Path) -> Model3D:
 
 
 def _sequence_parts(seq: Sequence) -> Iterator[bytes | memoryview]:
+    _check_context_widths(fr.keypoints for fr in seq.frames)
     yield SEQUENCE_MAGIC
     yield struct.pack("<I", FORMAT_VERSION)
     yield struct.pack("<I", len(seq.frames))

@@ -5,20 +5,22 @@ thread and, when `_helper_thread_pays`, one helper thread. Results come
 back in input order and each item runs the same arithmetic on either
 thread, so callers get the same bits either way.
 
-Three callers nest: `match_sequence` maps all its kept frames through it,
+Four callers nest: `match_sequence` maps all its kept frames through it,
 and inside a frame `attach_context` maps its eigendecomposition chunks and
-`match_frame_to_shortlist` its shortlisted model images. A top-level call
-starts the helper on the second item while the caller runs the first. A
-call made from inside a running item publishes its items as a batch
-nested in that item's batch, and its lane works through them. A lane with
-nothing of its own to run takes the next item of the oldest batch that
-has some pending: the next frame while frames are left, then the other
-lane's images or chunks, instead of waiting at a barrier (work sharing;
-as in Blumofe & Leiserson's work stealing, JACM 1999, the idle worker
-takes the oldest work). A lane inside an item runs only items of batches
-nested inside that item's own batch, never a sibling of the item: each
-lane has at most one outer item open, so at most two frames are in
-flight. A frame's whole pipeline is independent of its neighbour's
+`match_frame_to_shortlist` its shortlisted model images; on a map build,
+`ensure_contexts` maps the model images that lack contexts, each with its
+`attach_context` chunks inside. A top-level call starts the helper on the
+second item while the caller runs the first. A call made from inside a
+running item publishes its items as a batch nested in that item's batch,
+and its lane works through them. A lane with nothing of its own to run
+takes the next item of the oldest batch that has some pending: the next
+frame (or model image) while any is left, then the other lane's images or
+chunks, instead of waiting at a barrier (work sharing; as in Blumofe &
+Leiserson's work stealing, JACM 1999, the idle worker takes the oldest
+work). A lane inside an item runs only items of batches nested inside that
+item's own batch, never a sibling of the item: each lane has at most one
+outer item open, so at most two frames (or model images) are in flight.
+A frame's whole pipeline is independent of its neighbour's
 matches, and the work that dominates (LAPACK eigensolvers, BLAS products,
 the assignment solver) spends most of its time outside the interpreter
 lock. The only state lanes share across items is what callers share

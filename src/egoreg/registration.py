@@ -36,7 +36,7 @@ from .features import (
 )
 from .geometry import Intrinsics, Pose
 from .matching import MatchConfig, MatchTable, match_frame_to_shortlist
-from .model import Model3D, Sequence
+from .model import Model3D, ModelImage, Sequence
 from .parallel import map_on_two
 from .retrieval import DEFAULT_SHORTLIST, InvertedIndex, Vocabulary, shortlist
 from .sequence import (LinearPruner, frame_pyramid, frame_quality_feature,  # noqa: F401 (re-export)
@@ -364,18 +364,31 @@ def ensure_contexts(model: Model3D, ctx_cfg: ContextConfig) -> None:
     """Compute missing model keypoint contexts from stored rasters, in place.
 
     Keypoints without a context region are removed and links renumbered.
+    Every image is checked before any work starts, and the model changes
+    only once every image's contexts are computed: a model that is refused
+    (an image lacking both contexts and a raster) or whose computation
+    raises stays exactly as it was. The images go through one
+    `map_on_two`, each with its own `attach_context` whose chunks nest
+    inside it, so two images are in flight, two gradient fields, and a
+    lane that finishes its image takes the other's pending chunks.
+    Contexts and links are the same bits on one lane or two.
     """
-    for img in model.images:
-        if not len(img.keypoints) or img.keypoints.contexts is not None:
-            continue
+    todo = [img for img in model.images
+            if len(img.keypoints) and img.keypoints.contexts is None]
+    for img in todo:
         if img.raster is None:
             raise EmptyInput(
                 f"model image {img.id} lacks contexts and has no raster to compute them")
+
+    def fill(img: ModelImage) -> tuple[KeypointTable, dict[int, int]]:
         rois = context_regions(img.keypoints, img.raster.width, img.raster.height, ctx_cfg)
         kept = [i for i, roi in enumerate(rois) if roi is not None]
-        img.keypoints, _ = attach_context(img.raster, img.keypoints.take(kept), ctx_cfg)
+        kps, _ = attach_context(img.raster, img.keypoints.take(kept), ctx_cfg)
         remap = {old: new for new, old in enumerate(kept)}
-        img.links = {remap[i]: pid for i, pid in img.links.items() if i in remap}
+        return kps, {remap[i]: pid for i, pid in img.links.items() if i in remap}
+
+    for img, (kps, links) in zip(todo, map_on_two(fill, todo)):
+        img.keypoints, img.links = kps, links
 
 
 def _frame_keypoints(frame, det_cfg: DetectorConfig, ctx_cfg: ContextConfig,

@@ -61,20 +61,43 @@ def _sq_dists_to(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
+def _sq_dists_to_row(x: np.ndarray, sq: np.ndarray, tol: np.ndarray, j: int) -> np.ndarray:
+    """Squared distances from every row of `x` to row j, one product per call.
+
+    `sq` holds the rows' squared norms and `tol` their round-off bound. A
+    row whose norms-form value is within round-off of 0 is recomputed from
+    its difference, so a row equal to row j reads exactly 0.
+    """
+    d2 = sq - 2.0 * (x @ x[j]) + sq[j]
+    near = np.flatnonzero(d2 <= tol + tol[j])
+    diff = x[near] - x[j]
+    d2[near] = np.einsum("ij,ij->i", diff, diff)
+    return d2
+
+
 def build_vocabulary(descriptors: np.ndarray, k: int, seed: int = 0) -> Vocabulary:
-    """Standard k-means with seeded greedy ++ initialization, <= 50 iterations."""
+    """Standard k-means with seeded greedy ++ initialization, <= 50 iterations.
+
+    Seeding (Arthur & Vassilvitskii, SODA 2007) computes the squared norms
+    once; each pick's distances are then one matrix-vector product, so
+    memory stays O(n*d) however many descriptors there are. A Lloyd step
+    reads each cluster's rows from one stable sort of the labels.
+    """
     x = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
-    n = x.shape[0]
+    n, d = x.shape
     if k < 2:
         raise ValueError("need at least 2 clusters")
     if n < k:
         raise TooFewDescriptors(f"need at least k={k} descriptors, got {n}")
 
     rng = np.random.default_rng(seed)
-    centers = np.empty((k, x.shape[1]), dtype=np.float64)
+    centers = np.empty((k, d), dtype=np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    # bounds the error of sq_i + sq_j - 2 x_i.x_j with margin
+    tol = 4.0 * d * np.finfo(np.float64).eps * sq
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = np.einsum("ij,ij->i", x - centers[0], x - centers[0])
+    d2 = _sq_dists_to_row(x, sq, tol, first)
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -83,18 +106,19 @@ def build_vocabulary(descriptors: np.ndarray, k: int, seed: int = 0) -> Vocabula
         else:
             j = int(rng.choice(n, p=d2 / total))
         centers[i] = x[j]
-        diff = x - centers[i]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        d2 = np.minimum(d2, _sq_dists_to_row(x, sq, tol, j))
 
-    labels = np.zeros(n, dtype=np.intp)
     for _ in range(KMEANS_MAX_ITERS):
         dists = _sq_dists_to(centers, x)
         labels = np.argmin(dists, axis=1)
         new_centers = centers.copy()
         counts = np.bincount(labels, minlength=k)
+        # cluster c's rows are order[ends[c] - counts[c]:ends[c]], in row order
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(counts)
         for c in range(k):
             if counts[c] > 0:
-                new_centers[c] = x[labels == c].mean(axis=0)
+                new_centers[c] = x[order[ends[c] - counts[c]:ends[c]]].mean(axis=0)
             else:
                 # adopt the point farthest from its assigned center
                 far = int(np.argmax(dists[np.arange(n), labels]))

@@ -661,6 +661,26 @@ def test_saving_to_a_fifo_writes_through_it(rng, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["out.fifo", "plain.bin"]
 
 
+def test_a_refused_save_sends_a_fifo_no_byte(rng, tmp_path):
+    # the bad table is the last one, after every table v1 could store
+    model = make_model(rng)
+    last = model.images[-1]
+    narrow = ModelImage(last.id, last.pose, last.intrinsics,
+                        replace(last.keypoints, contexts=last.keypoints.contexts[:, :48]),
+                        last.links, last.raster)
+    frames = [SequenceFrame(float(t), img.intrinsics, keypoints=img.keypoints)
+              for t, img in enumerate(model.images[:-1] + [narrow])]
+    for save, obj in ((save_model, Model3D(model.points, model.images[:-1] + [narrow])),
+                      (save_sequence, Sequence(frames))):
+        fifo = tmp_path / f"{save.__name__}.fifo"
+        os.mkfifo(fifo)
+        reader, got = _in_thread(fifo.read_bytes)
+        with pytest.raises(DimensionMismatch, match=f"{CONTEXT_DIM} wide, got 48"):
+            save(obj, fifo)
+        reader.join(timeout=30)
+        assert got == [b""]
+
+
 def test_a_model_loads_through_a_pipe(rng, tmp_path):
     # a pipe reports size 0, like an empty file, but has bytes to read
     path = tmp_path / "model.bin"

@@ -9,7 +9,8 @@ from scipy import ndimage
 from conftest import keypoints_at, match_rows, match_table, points_at, random_pose
 from egoreg import matching, registration, sequence
 from egoreg.embedding import gaussian_kernel
-from egoreg.errors import DegenerateConfiguration, IndexModelMismatch, TooFewCorrespondences
+from egoreg.errors import (DegenerateConfiguration, EmptyInput, IndexModelMismatch,
+                           TooFewCorrespondences)
 from egoreg.evaluation import pose_errors
 from egoreg.features import (
     CONTEXT_DIM,
@@ -18,7 +19,9 @@ from egoreg.features import (
     DetectorConfig,
     GrayImage,
     Keypoint,
+    KeypointTable,
     attach_context,
+    context_regions,
     contexts,
     extract_keypoints,
 )
@@ -309,6 +312,60 @@ def test_ensure_contexts_drops_keypoint_without_region(intrinsics):
     old_index = {kp.pos: i for i, kp in enumerate(kps)}
     assert {old_index[img.keypoints[i].pos]: pid for i, pid in img.links.items()} == \
         {i: pid for i, pid in links.items() if i != 2}
+
+
+def context_model(intrinsics):
+    """Three images of 10 keypoints on random rasters, without contexts; image 1's
+    keypoint 4 has a region under 16 px, so computing contexts drops it."""
+    rng = np.random.default_rng(11)
+    images, pids = [], []
+    for i in range(3):
+        xy = rng.uniform(30.0, 200.0, size=(10, 2))
+        scale = np.full(10, 2.0)
+        if i == 1:
+            scale[4] = 0.4
+        kps = KeypointTable(xy, scale, np.zeros(10),
+                            rng.random((10, DESCRIPTOR_DIM)).astype(np.float32))
+        links = {j: 100 * i + j for j in (0, 3, 4, 7, 9)}
+        pids += links.values()
+        images.append(ModelImage(i, Pose(np.eye(3), np.zeros(3)), intrinsics, kps, links,
+                                 GrayImage(rng.uniform(0, 1, size=(240, 320)))))
+    pts = PointTable(pids, [(float(p), 0.0, 5.0) for p in pids])
+    return Model3D(pts, images)
+
+
+def test_ensure_contexts_is_per_image_attach_context_on_one_lane_and_two(
+        intrinsics, on_both_paths):
+    want = []
+    for img in context_model(intrinsics).images:
+        kept = [j for j, roi in enumerate(context_regions(img.keypoints, 320, 240))
+                if roi is not None]
+        kps, _ = attach_context(img.raster, img.keypoints.take(kept))
+        links = {kept.index(j): pid for j, pid in img.links.items() if j in kept}
+        want.append((kps, links))
+    assert len(want[1][0]) == 9 and 104 not in want[1][1].values()
+
+    def run():
+        model = context_model(intrinsics)
+        ensure_contexts(model, ContextConfig())
+        return [(img.keypoints, img.links) for img in model.images]
+
+    for got in on_both_paths(run):
+        for (kps, links), (want_kps, want_links) in zip(got, want, strict=True):
+            assert kps.xy.tobytes() == want_kps.xy.tobytes()
+            assert kps.contexts.tobytes() == want_kps.contexts.tobytes()
+            assert list(links.items()) == list(want_links.items())
+
+
+def test_ensure_contexts_refuses_a_model_before_changing_any_image(intrinsics):
+    model = context_model(intrinsics)
+    model.images[2].raster = None
+    before = [(img.keypoints, dict(img.links)) for img in model.images]
+    with pytest.raises(EmptyInput, match="model image 2"):
+        ensure_contexts(model, ContextConfig())
+    for img, (kps, links) in zip(model.images, before):
+        assert img.keypoints is kps and img.keypoints.contexts is None
+        assert img.links == links
 
 
 # ------------------------------------------------- end to end, sptemp mode

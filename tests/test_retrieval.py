@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from egoreg.errors import EmptyInput, TooFewDescriptors
 from egoreg.retrieval import (
+    KMEANS_MAX_ITERS,
     Vocabulary,
     build_vocabulary,
     index_images,
@@ -61,6 +64,98 @@ def test_kmeans_rejects_too_few_points():
         build_vocabulary(np.zeros((3, 2)), k=4)
     with pytest.raises(ValueError):
         build_vocabulary(np.zeros((10, 2)), k=1)
+
+
+def reference_vocabulary(x, k, seed):
+    """(centers, whether a Lloyd step left a cluster empty), by a difference
+    array per ++ pick and a masked mean per cluster: the plain form that
+    `build_vocabulary` must give the same bits as."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[int(rng.integers(n))]
+    d2 = np.einsum("ij,ij->i", x - centers[0], x - centers[0])
+    for i in range(1, k):
+        total = float(d2.sum())
+        j = int(np.argmax(d2)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centers[i] = x[j]
+        diff = x - centers[i]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+    emptied = False
+    for _ in range(KMEANS_MAX_ITERS):
+        dists = np.maximum(np.einsum("ij,ij->i", x, x)[:, None] - 2.0 * x @ centers.T
+                           + np.einsum("ij,ij->i", centers, centers)[None, :], 0.0)
+        labels = np.argmin(dists, axis=1)
+        new_centers = centers.copy()
+        counts = np.bincount(labels, minlength=k)
+        for c in range(k):
+            if counts[c] > 0:
+                new_centers[c] = x[labels == c].mean(axis=0)
+            else:
+                emptied = True
+                new_centers[c] = x[int(np.argmax(dists[np.arange(n), labels]))]
+        if np.array_equal(new_centers, centers):
+            break
+        centers = new_centers
+    return centers, emptied
+
+
+def unit_rows(rng, n, d=128):
+    # float64 values: the cluster sums of float32 rows are exact in any order
+    x = rng.random((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def assert_same_centers(x, k, seed):
+    want, emptied = reference_vocabulary(x, k, seed)
+    assert build_vocabulary(x, k, seed).centers.tobytes() == want.tobytes()
+    return emptied
+
+
+@pytest.mark.parametrize("seed", [401, 433])
+def test_kmeans_gives_the_reference_bits_on_random_rows(seed):
+    x = unit_rows(np.random.default_rng(seed), 300)
+    for k in (300, 128, 16):
+        assert_same_centers(x, k, seed)
+
+
+def test_kmeans_gives_the_reference_bits_with_more_clusters_than_distinct_rows():
+    rng = np.random.default_rng(5)
+    x = np.repeat(unit_rows(rng, 40), 3, axis=0)
+    rng.shuffle(x)
+    for k, seed in ((60, 0), (120, 1), (45, 2)):
+        # picks after the 40 distinct rows fall back to the farthest point,
+        # and a Lloyd step leaves their clusters empty
+        assert assert_same_centers(x, k, seed)
+
+
+def test_kmeans_gives_the_reference_bits_on_all_zero_rows():
+    assert_same_centers(np.zeros((50, 128)), 10, 0)
+
+
+def test_kmeans_gives_the_reference_bits_when_a_lloyd_step_empties_a_cluster():
+    # distinct rows 1e-9 apart: the ++ picks tell them apart, a Lloyd
+    # assignment does not, so one of each pair of centres loses its rows
+    base = np.random.default_rng(0).random((5, 16))
+    x = np.vstack([base, base + 1e-9])
+    for seed in range(4):
+        assert assert_same_centers(x, 8, seed)
+
+
+def test_kmeans_peak_memory_stays_near_the_input_size():
+    # an (n, n) seeding matrix would take 3.2 GB here, a difference array
+    # per pick another copy of the input
+    rng = np.random.default_rng(0)
+    blobs = rng.normal(size=(8, 128)) * 10.0
+    x = blobs[rng.integers(0, 8, 20_000)] + rng.normal(scale=0.1, size=(20_000, 128))
+    tracemalloc.start()
+    try:
+        build_vocabulary(x, 8, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
 
 
 # ---------------------------------------------------------------- indexing
