@@ -20,6 +20,7 @@ egoreg's own saves do.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -64,6 +65,18 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
         return int(text)
     parse.__name__ = "int"  # argparse names the type of a value that does not parse
+    return parse
+
+
+def _positive(at_most: float = math.inf):
+    """An argparse type: a finite float above 0 and at most `at_most`."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and 0.0 < value <= at_most):
+            most = f" and at most {at_most:g}" if at_most < math.inf else ""
+            raise argparse.ArgumentTypeError(f"must be finite, above 0{most}, got {text}")
+        return value
+    parse.__name__ = "float"
     return parse
 
 
@@ -122,11 +135,11 @@ def _add_match_flags(p: argparse.ArgumentParser):
     p.add_argument("--dim", type=_at_least(1), default=match.embedding_dim,
                    help="embedding dimension")
     p.add_argument("--topk", type=_at_least(1), default=DEFAULT_SHORTLIST, help="shortlist size")
-    p.add_argument("--ratio", type=float, default=match.ratio_threshold,
+    p.add_argument("--ratio", type=_positive(1.0), default=match.ratio_threshold,
                    help="ratio test threshold")
-    p.add_argument("--temporal-window", type=int, default=match.temporal_window,
+    p.add_argument("--temporal-window", type=_at_least(0), default=match.temporal_window,
                    help="past frames tracked per query frame")
-    p.add_argument("--roi-scale", type=float, default=ctx.scale_factor,
+    p.add_argument("--roi-scale", type=_positive(), default=ctx.scale_factor,
                    help="context region scale factor")
 
 
@@ -394,9 +407,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("model")
     _add_match_flags(p)
     ransac = RansacConfig()
-    p.add_argument("--reproj-px", type=float, default=ransac.reproj_threshold,
+    p.add_argument("--reproj-px", type=_positive(), default=ransac.reproj_threshold,
                    help="inlier threshold at the 800px reference diagonal")
-    p.add_argument("--min-inliers", type=int, default=ransac.min_inliers)
+    p.add_argument("--min-inliers", type=_at_least(1), default=ransac.min_inliers)
     p.add_argument("--seed", type=_at_least(0), default=ransac.seed)
     p.add_argument("--pruner")
     p.add_argument("--out")
@@ -415,8 +428,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("model")
     _add_match_flags(p)
     p.add_argument("--dims", type=_comma_list(_at_least(1)), default="20,40,60,80,100")
-    p.add_argument("--factors", type=_comma_list(float), default="0.7,0.8,0.9,1,1.1,1.5,2.5,5.5,10")
-    p.add_argument("--inlier-px", type=float, default=4.0,
+    p.add_argument("--factors", type=_comma_list(_positive()),
+                   default="0.7,0.8,0.9,1,1.1,1.5,2.5,5.5,10")
+    p.add_argument("--inlier-px", type=_positive(), default=4.0,
                    help="reference-reprojection inlier threshold at the 800px diagonal")
     p.set_defaults(func=_cmd_sweep)
 

@@ -74,14 +74,13 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _median_bandwidth(d2: np.ndarray, same: bool, max_pairs: int = MEDIAN_MAX_PAIRS,
-                      seed: int = 0) -> float:
+def _median_bandwidth(d2: np.ndarray, same: bool, max_pairs: int = MEDIAN_MAX_PAIRS) -> float:
     """Median-heuristic bandwidth read off a squared-distance matrix.
 
     `same` means d2 compares a set with itself: the median then runs over
     unordered distinct pairs (the upper triangle), otherwise over the whole
     cross product. Pairs are numbered row-major; above `max_pairs` of them,
-    `max_pairs` numbers are drawn uniformly with a seeded generator. When
+    `max_pairs` numbers are drawn uniformly with a generator seeded 0. When
     the median is zero but positive distances exist, the smallest positive
     squared distance is used instead; if every distance is zero the input
     is degenerate and DegenerateInput is raised.
@@ -90,7 +89,7 @@ def _median_bandwidth(d2: np.ndarray, same: bool, max_pairs: int = MEDIAN_MAX_PA
     if vals.size < 1:
         raise DegenerateInput("no pairs to measure")
     if vals.size > max_pairs:
-        vals = vals[np.random.default_rng(seed).integers(0, vals.size, size=max_pairs)]
+        vals = vals[np.random.default_rng(0).integers(0, vals.size, size=max_pairs)]
     med = float(np.median(vals))
     if med <= 0.0:
         pos = vals[vals > 0.0]
@@ -100,15 +99,15 @@ def _median_bandwidth(d2: np.ndarray, same: bool, max_pairs: int = MEDIAN_MAX_PA
     return float(np.sqrt(med))
 
 
-def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float | None) -> np.ndarray:
+def gaussian_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """exp(-||a_i - b_j||^2 / sigma^2), shape (len(a), len(b)), float64.
 
     One pairwise product per call, in the inputs' common precision
     (`np.result_type(a, b, np.float32)`); float32 squared distances are
     promoted to float64 before the bandwidth and the exp. Float32 callers
     should centre both sets on one mean first: distances do not change,
-    and the cancellation error drops. With sigma None the median-heuristic
-    bandwidth is read off the kernel's own squared distances, at the pairs
+    and the cancellation error drops. The bandwidth sigma is the median
+    heuristic, read off the kernel's own squared distances, at the pairs
     `median_sigma(a, b)` reads (bitwise equal for float64 inputs); when
     every squared distance is exactly zero the points coincide and the
     kernel is all ones.
@@ -123,42 +122,38 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float | None) -> np.nda
     b = a if same else np.atleast_2d(np.asarray(b, dtype=dt))
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[1]} vs {b.shape[1]}")
-    if sigma is not None and sigma <= 0.0:
-        raise ValueError("sigma must be positive")
     d2 = pairwise_sq_dists(a, b).astype(np.float64, copy=False)
-    if sigma is None:
-        if d2.size and not d2.any():
-            return np.ones_like(d2)
-        sigma = _median_bandwidth(d2, same)
+    if d2.size and not d2.any():
+        return np.ones_like(d2)
+    sigma = _median_bandwidth(d2, same)
     return np.exp(-d2 / (sigma * sigma))
 
 
-def median_sigma(a: np.ndarray, b: np.ndarray | None = None,
-                 max_pairs: int = MEDIAN_MAX_PAIRS, seed: int = 0) -> float:
+def median_sigma(a: np.ndarray, b: np.ndarray | None = None) -> float:
     """Bandwidth from the median of squared pairwise distances.
 
     With one argument (or b is a) the median runs over unordered distinct
     pairs; with two sets it runs over the cross product (see
-    `_median_bandwidth`). Kernels with sigma None compute the same value
-    from their own distances, so the pipeline never calls this.
+    `_median_bandwidth`). The kernels compute the same value from their
+    own distances, so the pipeline never calls this.
     """
     same = b is None or b is a
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     bb = a if same else np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != bb.shape[1]:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[1]} vs {bb.shape[1]}")
-    return _median_bandwidth(pairwise_sq_dists(a, bb), same, max_pairs, seed)
+    return _median_bandwidth(pairwise_sq_dists(a, bb), same)
 
 
 def _symmetrize_exact(m: np.ndarray) -> np.ndarray:
     return np.triu(m) + np.triu(m, 1).T
 
 
-def spatial_similarity(pos: np.ndarray, sigma: float | None = None) -> np.ndarray:
+def spatial_similarity(pos: np.ndarray) -> np.ndarray:
     """`gaussian_kernel` on (p, 2) pixel positions, exactly symmetric with a
     unit diagonal; one point, or points that all coincide, give all ones."""
     pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
-    s = _symmetrize_exact(gaussian_kernel(pos, pos, sigma))
+    s = _symmetrize_exact(gaussian_kernel(pos, pos))
     np.fill_diagonal(s, 1.0)
     return s
 
@@ -184,19 +179,19 @@ def temporal_distance_profile(track_pos: np.ndarray) -> np.ndarray:
     return _symmetrize_exact(total)
 
 
-def temporal_similarity(track_pos: np.ndarray, sigma: float | None = None) -> np.ndarray:
+def temporal_similarity(track_pos: np.ndarray) -> np.ndarray:
     """Kernel on temporal stability of pairwise distances.
 
     Pairs whose mutual distance stays constant over the track get weight 1;
     pairs whose distance fluctuates decay with exp(-profile / sigma^2).
-    A profile that is identically zero (static motion or no past frames)
-    yields the all-ones matrix regardless of sigma.
+    sigma is the median heuristic over every pair's profile. A profile
+    that is identically zero (static motion or no past frames) yields the
+    all-ones matrix.
     """
     prof = temporal_distance_profile(track_pos)
     if not np.any(prof > 0.0):
         return np.ones_like(prof)
-    if sigma is None:
-        sigma = _median_bandwidth(prof, True, max_pairs=prof.size)
+    sigma = _median_bandwidth(prof, True, max_pairs=prof.size)
     g = np.exp(-prof / (sigma * sigma))
     g = _symmetrize_exact(g)
     np.fill_diagonal(g, 1.0)

@@ -169,9 +169,9 @@ def _embed_and_assign(query: _Query, M: KeypointTable, cfg: MatchConfig) -> Matc
     if cm.shape[1] != len(query.mu):
         raise DimensionMismatch(
             f"query contexts are {len(query.mu)} wide, model contexts {cm.shape[1]}")
-    P = gaussian_kernel(query.dq, descriptors(M), None)
+    P = gaussian_kernel(query.dq, descriptors(M))
     cm = cm - query.mu  # one pass over the column into a new array
-    R = gaussian_kernel(query.cq, cm, None)
+    R = gaussian_kernel(query.cq, cm)
     # two images are matched at a time, so neither carries its (q, 8256)
     # centred contexts or its kernels into the solve
     del cm

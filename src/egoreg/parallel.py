@@ -5,11 +5,14 @@ thread and, when `_helper_thread_pays`, one helper thread. Results come
 back in input order and each item runs the same arithmetic on either
 thread, so callers get the same bits either way.
 
-Four callers nest: `match_sequence` maps all its kept frames through it,
-and inside a frame `attach_context` maps its eigendecomposition chunks and
-`match_frame_to_shortlist` its shortlisted model images; on a map build,
-`ensure_contexts` maps the model images that lack contexts, each with its
-`attach_context` chunks inside. A top-level call starts the helper on the
+Four callers nest: `registration` maps all kept frames of a clip through
+one call, each frame matched and, in `register_sequence`, lifted and
+posed in the item that matched it; inside a frame `attach_context` maps
+its eigendecomposition chunks and `match_frame_to_shortlist` its
+shortlisted model images. On a map build, `ensure_contexts` maps the model
+images that lack contexts, each with its `attach_context` chunks inside.
+So a clip or a map build is one top-level call, with one helper thread
+and no barrier between its stages. A top-level call starts the helper on the
 second item while the caller runs the first. A call made from inside a
 running item publishes its items as a batch nested in that item's batch,
 and its lane works through them. A lane with nothing of its own to run
@@ -24,7 +27,7 @@ A frame's whole pipeline is independent of its neighbour's
 matches, and the work that dominates (LAPACK eigensolvers, BLAS products,
 the assignment solver) spends most of its time outside the interpreter
 lock. The only state lanes share across items is what callers share
-themselves: `match_sequence`'s tracking pyramids, under its lock.
+themselves: a clip's tracking pyramids, under `registration`'s lock.
 
 The helper pays only with a single-threaded BLAS and at least two CPUs in
 this process's affinity set. With a multi-threaded BLAS the helper would

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,9 +123,8 @@ def lift_matches(matches: dict[int, MatchTable], query_kps: KeypointTable,
                  model: Model3D) -> tuple[Correspondences, int]:
     """Turn per-image match tables into one table of unique 2D-3D correspondences.
 
-    Each image's links are read as columns and its matched model rows are
-    looked up in them; matches to unlinked model keypoints are dropped and
-    counted. Points come from the model's `PointTable`. Candidates
+    Only the matched model rows are looked up in each image's links;
+    matches to unlinked model keypoints are dropped and counted. Points come from the model's `PointTable`. Candidates
     are sorted by (embedded distance, query index, point id); a candidate
     is kept when neither its world point nor its query keypoint was claimed
     by an earlier one. So the smallest embedded distance wins, ties resolve
@@ -135,14 +135,12 @@ def lift_matches(matches: dict[int, MatchTable], query_kps: KeypointTable,
     for image_id, m in matches.items():
         if not len(m):
             continue
-        img = model.image(image_id)
-        kp_idx, pids = img.link_columns()
-        linked = np.zeros(len(img.keypoints), dtype=bool)
-        pid_of = np.zeros(len(img.keypoints), dtype=np.int64)
-        linked[kp_idx], pid_of[kp_idx] = True, pids
-        ok = linked[m.model_idx]
+        links = model.image(image_id).links
+        pids = [links.get(j) for j in m.model_idx.tolist()]
+        ok = np.fromiter((pid is not None for pid in pids), bool, len(pids))
         unlinked += len(m) - int(ok.sum())
-        cols.append((m.query_idx[ok], pid_of[m.model_idx[ok]], m.embed_dist[ok]))
+        cols.append((m.query_idx[ok], np.array([pid for pid in pids if pid is not None],
+                                               np.int64), m.embed_dist[ok]))
     query_idx, point_id, dist = map(np.concatenate, zip(*cols))
     order = np.lexsort((point_id, query_idx, dist))
     query_idx, point_id = query_idx[order], point_id[order]
@@ -433,6 +431,83 @@ def _tracking_window(sequence: Sequence, i: int, cfg: MatchConfig) -> range | No
     return window
 
 
+def _map_frames(sequence: Sequence, model: Model3D, vocab: Vocabulary | None,
+                index: InvertedIndex | None, match_cfg: MatchConfig, det_cfg: DetectorConfig,
+                ctx_cfg: ContextConfig, pruner: LinearPruner | None, shortlist_size: int,
+                then: Callable[[FrameMatches], object]) -> list:
+    """[then(the FrameMatches of i) for each kept frame i], one `map_on_two`
+    item per frame, as `match_sequence` describes: `then` runs on the lane
+    that matched the frame, once the frame's pyramids are released."""
+    if shortlist_size < 1:
+        raise ValueError(f"shortlist_size must be at least 1, got {shortlist_size}")
+    if (vocab is None) != (index is None):
+        raise ValueError("shortlisting needs both vocab and index; "
+                         f"{'index' if index is None else 'vocab'} is missing")
+    if index is not None:
+        missing = sorted(set(index.image_ids) - {img.id for img in model.images})
+        if missing:
+            raise IndexModelMismatch(f"index names model images {missing} the model lacks")
+    if not sequence.frames:
+        return []
+    kept = range(len(sequence.frames))
+    if pruner is not None:
+        kept = prune_frames([fr.image for fr in sequence.frames], pruner)
+    windows = {i: _tracking_window(sequence, i, match_cfg) for i in kept}
+    # frame index -> how many unmatched frames' windows reach it
+    reach = Counter(j for window in windows.values() for j in window or ())
+    pyramids: dict[int, list[np.ndarray]] = {}  # frame index -> frame_pyramid
+    pyramids_lock = threading.Lock()
+
+    def window_pyramids(window: range) -> list[list[np.ndarray]]:
+        with pyramids_lock:
+            for j in window:
+                if j not in pyramids:
+                    pyramids[j] = frame_pyramid(sequence.frames[j].image)
+            return [pyramids[j] for j in window]
+
+    def frame_item(i: int):
+        try:
+            fm = match_frame(i)
+        finally:
+            with pyramids_lock:
+                for j in windows[i] or ():
+                    reach[j] -= 1
+                    if not reach[j]:
+                        pyramids.pop(j, None)
+        return then(fm)
+
+    def match_frame(i: int) -> FrameMatches:
+        frame, window = sequence.frames[i], windows[i]
+        try:
+            kps = _frame_keypoints(frame, det_cfg, ctx_cfg, match_cfg.needs_contexts)
+        except EmptyInput as exc:
+            log.warning("frame %d: %s", i, exc)
+            return FrameMatches(i, as_table([]), {}, [])
+
+        track_pos = None
+        if window is not None and len(kps):
+            tracks = track_keypoints([sequence.frames[j].image for j in window], kps,
+                                     window_pyramids(window))
+            keep_idx = [t.keypoint_idx for t in tracks if t.alive]
+            if keep_idx:
+                kps = kps.take(keep_idx)
+                track_pos = np.stack([tracks[j].positions for j in keep_idx])
+
+        if not len(kps):
+            return FrameMatches(i, as_table([]), {}, [])
+
+        if index is not None:
+            ranked = shortlist(descriptors(kps), vocab, index, shortlist_size)
+            images = [model.image(image_id) for image_id, _ in ranked]
+        else:
+            images = sorted(model.images, key=lambda im: im.id)[:shortlist_size]
+
+        matches = match_frame_to_shortlist(kps, track_pos, images, match_cfg)
+        return FrameMatches(i, replace(kps, contexts=None), matches, [img.id for img in images])
+
+    return map_on_two(frame_item, list(kept))
+
+
 def match_sequence(sequence: Sequence, model: Model3D,
                    vocab: Vocabulary | None = None,
                    index: InvertedIndex | None = None,
@@ -462,78 +537,13 @@ def match_sequence(sequence: Sequence, model: Model3D,
     float32 context column (6.6 MB). The one piece of state the lanes share
     across frames is the cache of tracking pyramids, guarded by one lock:
     the lane that first needs a frame's pyramid builds it, once, and it is
-    dropped when no unfinished frame's window reaches that frame any more.
+    dropped when no unmatched frame's window reaches that frame any more.
     Before any frame, a `shortlist_size` under 1 or only one of `vocab` and
     `index` raises ValueError; an `index` naming images the model lacks
     raises IndexModelMismatch.
     """
-    if shortlist_size < 1:
-        raise ValueError(f"shortlist_size must be at least 1, got {shortlist_size}")
-    if (vocab is None) != (index is None):
-        raise ValueError("shortlisting needs both vocab and index; "
-                         f"{'index' if index is None else 'vocab'} is missing")
-    if index is not None:
-        missing = sorted(set(index.image_ids) - {img.id for img in model.images})
-        if missing:
-            raise IndexModelMismatch(f"index names model images {missing} the model lacks")
-    if not sequence.frames:
-        return []
-    kept = range(len(sequence.frames))
-    if pruner is not None:
-        kept = prune_frames([fr.image for fr in sequence.frames], pruner)
-    windows = {i: _tracking_window(sequence, i, match_cfg) for i in kept}
-    # frame index -> how many unfinished frames' windows reach it
-    reach = Counter(j for window in windows.values() for j in window or ())
-    pyramids: dict[int, list[np.ndarray]] = {}  # frame index -> frame_pyramid
-    pyramids_lock = threading.Lock()
-
-    def window_pyramids(window: range) -> list[list[np.ndarray]]:
-        with pyramids_lock:
-            for j in window:
-                if j not in pyramids:
-                    pyramids[j] = frame_pyramid(sequence.frames[j].image)
-            return [pyramids[j] for j in window]
-
-    def match_frame(i: int) -> FrameMatches:
-        try:
-            return match_kept_frame(i)
-        finally:
-            with pyramids_lock:
-                for j in windows[i] or ():
-                    reach[j] -= 1
-                    if not reach[j]:
-                        pyramids.pop(j, None)
-
-    def match_kept_frame(i: int) -> FrameMatches:
-        frame, window = sequence.frames[i], windows[i]
-        try:
-            kps = _frame_keypoints(frame, det_cfg, ctx_cfg, match_cfg.needs_contexts)
-        except EmptyInput as exc:
-            log.warning("frame %d: %s", i, exc)
-            return FrameMatches(i, as_table([]), {}, [])
-
-        track_pos = None
-        if window is not None and len(kps):
-            tracks = track_keypoints([sequence.frames[j].image for j in window], kps,
-                                     window_pyramids(window))
-            keep_idx = [t.keypoint_idx for t in tracks if t.alive]
-            if keep_idx:
-                kps = kps.take(keep_idx)
-                track_pos = np.stack([tracks[j].positions for j in keep_idx])
-
-        if not len(kps):
-            return FrameMatches(i, as_table([]), {}, [])
-
-        if index is not None:
-            ranked = shortlist(descriptors(kps), vocab, index, shortlist_size)
-            images = [model.image(image_id) for image_id, _ in ranked]
-        else:
-            images = sorted(model.images, key=lambda im: im.id)[:shortlist_size]
-
-        matches = match_frame_to_shortlist(kps, track_pos, images, match_cfg)
-        return FrameMatches(i, replace(kps, contexts=None), matches, [img.id for img in images])
-
-    return map_on_two(match_frame, list(kept))
+    return _map_frames(sequence, model, vocab, index, match_cfg, det_cfg, ctx_cfg, pruner,
+                       shortlist_size, lambda fm: fm)
 
 
 def register_sequence(sequence: Sequence, model: Model3D,
@@ -547,12 +557,14 @@ def register_sequence(sequence: Sequence, model: Model3D,
                       shortlist_size: int = DEFAULT_SHORTLIST) -> list[RegistrationRecord]:
     """Register every kept frame of a sequence against the model.
 
-    Runs the matching pipeline, lifts matches to 2D-3D correspondences,
-    and estimates each frame's pose with RANSAC. Frames that fail any stage
-    produce a failed record rather than aborting the run. Frames are lifted
-    and posed through `map_on_two`, records in frame order; each
-    `ransac_pnp` call seeds its own generator from `ransac_cfg.seed`, so the
-    poses are the same bits on one lane or two.
+    Each kept frame goes through the matching pipeline of `match_sequence`,
+    then its matches are lifted to 2D-3D correspondences and its pose is
+    estimated with RANSAC, all in the one `map_on_two` item that matched
+    it: a clip is one pass, with no barrier between matching and pose.
+    Frames that fail any stage produce a failed record rather than aborting
+    the run. Records come in frame order; each `ransac_pnp` call seeds its
+    own generator from `ransac_cfg.seed`, so the poses are the same bits on
+    one lane or two.
     """
     def register(fm: FrameMatches) -> RegistrationRecord:
         corrs, unlinked = lift_matches(fm.matches, fm.keypoints, model)
@@ -563,5 +575,5 @@ def register_sequence(sequence: Sequence, model: Model3D,
         return RegistrationRecord(fm.frame_index, est, fm.shortlist_ids, len(fm.keypoints),
                                   sum(len(v) for v in fm.matches.values()), unlinked)
 
-    return map_on_two(register, match_sequence(
-        sequence, model, vocab, index, match_cfg, det_cfg, ctx_cfg, pruner, shortlist_size))
+    return _map_frames(sequence, model, vocab, index, match_cfg, det_cfg, ctx_cfg, pruner,
+                       shortlist_size, register)

@@ -55,7 +55,7 @@ class InvertedIndex:
 def _sq_dists_to(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(
         np.einsum("ij,ij->i", x, x)[:, None]
-        - 2.0 * x @ centers.T
+        - 2.0 * (x @ centers.T)  # scales the (n, k) product, not a copy of x
         + np.einsum("ij,ij->i", centers, centers)[None, :],
         0.0,
     )

@@ -208,6 +208,42 @@ def test_usage_errors_are_exit_1(capsys):
         assert err.startswith("usage:") and flag in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("register", "--temporal-window", "-2"),  # used to switch tracking off
+    ("register", "--min-inliers", "-5"),
+    ("register", "--min-inliers", "0"),
+    ("register", "--ratio", "-1"),  # used to run the whole clip, then exit 3
+    ("register", "--ratio", "0"),
+    ("register", "--ratio", "1.5"),
+    ("register", "--ratio", "nan"),
+    ("register", "--reproj-px", "-1"),
+    ("register", "--reproj-px", "inf"),
+    ("register", "--roi-scale", "0"),
+    ("register", "--roi-scale", "nan"),  # used to fail on a huge negative side
+    ("match", "--temporal-window", "-1"),
+    ("sweep roi", "--factors", "1,0"),
+    ("sweep roi", "--factors", "1,nan"),
+    ("sweep roi", "--inlier-px", "-1"),
+])
+def test_out_of_range_numbers_are_usage_errors(scene_dir, tmp_path, capsys, command, flag,
+                                               value):
+    argv = command.split() + [str(scene_dir / "day2.eseq"), str(scene_dir / "model.emrg")]
+    out = tmp_path / "out.txt"
+    if command != "sweep roi":  # sweep writes to stdout only
+        argv += ["--out", str(out)]
+    code, stdout, err = run_cli(argv + [flag, value], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("usage:") and flag in err
+    assert not out.exists()
+    # the same value from a config file is a data error naming its key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={value}\n")
+    code, stdout, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert (code, stdout) == (2, "")
+    assert f": {flag[2:].replace('-', '_')}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_files_are_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["register", str(tmp_path / "none.eseq"),
                             str(tmp_path / "none.emrg")], capsys)

@@ -34,23 +34,22 @@ def random_affinity(rng, p, q, with_query_block=False):
 
 
 def test_gaussian_kernel_hand_value():
-    k = gaussian_kernel(np.array([[0.0]]), np.array([[1.0]]), sigma=2.0)
-    assert k[0, 0] == pytest.approx(np.exp(-0.25), rel=1e-12)
+    # squared distances 1 and 9: the median bandwidth is sigma^2 = 5
+    k = gaussian_kernel(np.array([[0.0]]), np.array([[1.0], [3.0]]))
+    assert k[0] == pytest.approx(np.exp([-0.2, -1.8]), rel=1e-12)
 
 
 def test_gaussian_kernel_self_is_one():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 8))
-    k = gaussian_kernel(a, a, sigma=1.3)
+    k = gaussian_kernel(a, a)
     assert np.allclose(np.diag(k), 1.0)
     assert k.max() <= 1.0 and k.min() > 0.0
 
 
 def test_gaussian_kernel_validation():
     with pytest.raises(DimensionMismatch):
-        gaussian_kernel(np.zeros((2, 3)), np.zeros((2, 4)), sigma=1.0)
-    with pytest.raises(ValueError):
-        gaussian_kernel(np.zeros((2, 3)), np.zeros((2, 3)), sigma=0.0)
+        gaussian_kernel(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -63,22 +62,22 @@ def test_gaussian_kernel_coincident_points_are_all_ones(dtype):
                  (np.zeros((1, 3)), np.zeros((1, 3)))]:
         a, b = a.astype(dtype), b.astype(dtype)
         for x, y in [(a, b), (a, a)]:
-            k = gaussian_kernel(x, y, None)
+            k = gaussian_kernel(x, y)
             assert k.dtype == np.float64
             assert np.array_equal(k, np.ones((len(x), len(y))))
     with pytest.raises(DegenerateInput):  # no pairs at all is still degenerate
-        gaussian_kernel(np.zeros((0, 3), dtype), np.zeros((2, 3), dtype), None)
+        gaussian_kernel(np.zeros((0, 3), dtype), np.zeros((2, 3), dtype))
 
 
 def test_gaussian_kernel_precision_follows_its_inputs():
     rng = np.random.default_rng(13)
     a, b = rng.normal(size=(30, 64)), rng.normal(size=(20, 64))
-    k64 = gaussian_kernel(a, b, None)
+    k64 = gaussian_kernel(a, b)
     # any float64 operand keeps the whole product in float64
-    assert np.array_equal(gaussian_kernel(a.astype(np.float32).astype(np.float64), b, None),
-                          gaussian_kernel(a.astype(np.float32), b, None))
+    assert np.array_equal(gaussian_kernel(a.astype(np.float32).astype(np.float64), b),
+                          gaussian_kernel(a.astype(np.float32), b))
     # float32 inputs: float32 product, float64 bandwidth and exp
-    k32 = gaussian_kernel(a.astype(np.float32), b.astype(np.float32), None)
+    k32 = gaussian_kernel(a.astype(np.float32), b.astype(np.float32))
     assert k32.dtype == np.float64
     assert np.abs(k32 - k64).max() < 1e-5
     assert not np.array_equal(k32, k64)
@@ -113,7 +112,7 @@ def test_one_container_passed_twice_is_one_set():
                   rng.integers(0, 9, size=(12, 3)), np.array([0.1, 0.7, 2.3])]
     for c in containers:
         arr = np.atleast_2d(np.asarray(c, dtype=np.result_type(np.asarray(c), np.float32)))
-        for fn in (lambda a, b: gaussian_kernel(a, b, None), median_sigma):
+        for fn in (gaussian_kernel, median_sigma):
             want, got = outcome(fn, arr, arr), outcome(fn, c, c)
             if isinstance(want, type):
                 assert got is want
@@ -144,13 +143,14 @@ def test_median_sigma_cross_matches_enumeration():
 
 
 def test_median_sigma_subsample_deterministic():
+    # 300 points: 44850 pairs, of which 10000 seeded ones are read
     rng = np.random.default_rng(9)
     a = rng.normal(size=(300, 4))
-    s1 = median_sigma(a, max_pairs=500, seed=3)
-    s2 = median_sigma(a, max_pairs=500, seed=3)
-    assert s1 == s2
+    s1 = median_sigma(a)
+    assert s1 == median_sigma(a)
     # and close to the exhaustive value
-    assert s1 == pytest.approx(median_sigma(a), rel=0.2)
+    d2 = pairwise_sq_dists(a, a)[np.triu_indices(len(a), k=1)]
+    assert s1 == pytest.approx(float(np.sqrt(np.median(d2))), rel=0.05)
 
 
 def test_median_sigma_degenerate():
@@ -161,17 +161,17 @@ def test_median_sigma_degenerate():
 
 
 def test_kernels_resolve_the_median_sigma_bandwidth_bitwise():
-    # kernels with sigma None read the bandwidth off their own distances
+    # kernels read the bandwidth off their own distances
     rng = np.random.default_rng(11)
     for na, nb, d in [(6, 4, 3), (150, 90, 16), (120, 130, 200)]:
         a, b = rng.normal(size=(na, d)), rng.normal(size=(nb, d))
-        assert np.array_equal(gaussian_kernel(a, b, None),
-                              gaussian_kernel(a, b, median_sigma(a, b)))
-        assert np.array_equal(gaussian_kernel(a, a, None),
-                              gaussian_kernel(a, a, median_sigma(a)))
+        for x, y, sigma in [(a, b, median_sigma(a, b)), (a, a, median_sigma(a))]:
+            assert np.array_equal(gaussian_kernel(x, y),
+                                  np.exp(-pairwise_sq_dists(x, y) / (sigma * sigma)))
     for p in (3, 40, 200):  # 200 points: 19900 pairs, subsampled
         pos = rng.uniform(0.0, 320.0, size=(p, 2))
-        assert np.array_equal(spatial_similarity(pos), spatial_similarity(pos, median_sigma(pos)))
+        assert np.array_equal(spatial_similarity(pos),
+                              reference_spatial_similarity(pos, median_sigma(pos)))
 
 
 def test_median_sigma_wide_cross_matches_difference_form():
@@ -199,10 +199,11 @@ def test_spatial_similarity_shape_and_diag():
 
 
 def test_spatial_similarity_decays_with_distance():
+    # squared distances 1, 2500 and 2401: the median bandwidth is sigma^2 = 2401
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 0.0]])
-    s = spatial_similarity(pos, sigma=10.0)
+    s = spatial_similarity(pos)
     assert s[0, 1] > s[0, 2]
-    assert s[0, 1] == pytest.approx(np.exp(-0.01), rel=1e-12)
+    assert s[0, 1] == pytest.approx(np.exp(-1.0 / 2401.0), rel=1e-12)
 
 
 def reference_spatial_similarity(pos, sigma=None):
@@ -224,8 +225,6 @@ def test_spatial_similarity_is_bitwise_the_distance_form_kernel():
         if p == 17:
             pos[5] = pos[9]  # one coincident pair among distinct ones
         assert np.array_equal(spatial_similarity(pos), reference_spatial_similarity(pos))
-        assert np.array_equal(spatial_similarity(pos, 12.5),
-                              reference_spatial_similarity(pos, 12.5))
 
 
 def test_spatial_similarity_of_one_or_coincident_points_is_all_ones():
@@ -262,9 +261,10 @@ def test_temporal_similarity_penalizes_wobble():
     steady[2, :, 0] = [8.0, 8.0, 8.0]
     wobble = steady.copy()
     wobble[2, 0, 0] = 20.0  # pair (0,2) distance jumps between frames
-    g = temporal_similarity(wobble, sigma=5.0)
+    g = temporal_similarity(wobble)
     assert g[0, 1] == pytest.approx(1.0)
-    assert g[0, 2] < 1.0
+    # profiles 0, 144 and 144: the median bandwidth is sigma^2 = 144
+    assert g[0, 2] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 # ------------------------------------------------------------- affinity

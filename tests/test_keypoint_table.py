@@ -251,9 +251,9 @@ def test_context_kernel_operands_of_a_loaded_table_are_new_aligned_arrays(tmp_pa
     operands = []
     kernel = matching.gaussian_kernel
 
-    def recording(a, b, sigma):
+    def recording(a, b):
         operands.append((a, b))
-        return kernel(a, b, sigma)
+        return kernel(a, b)
 
     monkeypatch.setattr(matching, "gaussian_kernel", recording)
     query = matching._query(query_table, False)

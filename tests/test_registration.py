@@ -7,7 +7,7 @@ import pytest
 from scipy import ndimage
 
 from conftest import keypoints_at, match_rows, match_table, points_at, random_pose
-from egoreg import matching, registration, sequence
+from egoreg import matching, parallel, registration, sequence
 from egoreg.embedding import gaussian_kernel
 from egoreg.errors import (DegenerateConfiguration, EmptyInput, IndexModelMismatch,
                            TooFewCorrespondences)
@@ -30,7 +30,9 @@ from egoreg.matching import MatchConfig
 from egoreg.model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 from egoreg.registration import (
     Correspondences,
+    PoseEstimate,
     RansacConfig,
+    RegistrationRecord,
     ensure_contexts,
     lift_matches,
     match_sequence,
@@ -466,58 +468,61 @@ class DropFrame:
         return self.asked - 1 != self.drop
 
 
-def match_fields(fm):
-    kps = fm.keypoints
+def match_fields(kps, matches):
     assert kps.contexts is None  # matching's output carries no contexts
     pairs = {image_id: [(q, j, np.float64(d).tobytes(), np.float64(r).tobytes())
                         for q, j, d, r in match_rows(ms)]
-             for image_id, ms in fm.matches.items()}
-    return fm.frame_index, kps.xy.tobytes(), pairs, fm.shortlist_ids
+             for image_id, ms in matches.items()}
+    return kps.xy.tobytes(), pairs
 
 
 def lanes_agree(on_both_paths, monkeypatch, clip, model, window=3, pruner=None):
-    """register_sequence on one lane and on two: records, matches and each
-    frame's contexts agree bit for bit. Returns the records and the frames
-    and images the helper lane ran."""
-    seen, contexts_seen, off_main = [], {}, []
-    match = registration.match_sequence
+    """register_sequence on one lane and on two: records, the matches each
+    frame lifts and each frame's contexts agree bit for bit. Returns the
+    records and the frames and images the helper lane ran."""
+    lifted, contexts_seen, off_main = [], {}, []
+    lane = threading.local()  # .frame: the frame this lane last opened
     frame_keypoints = registration._frame_keypoints
+    lift = registration.lift_matches
     embed = matching._embed_and_assign
 
-    def recording(*args):
-        out = match(*args)
-        seen.append([match_fields(fm) for fm in out])
-        return out
-
     def noting_lane(frame, *args):
+        lane.frame = clip.frames.index(frame)
         if threading.current_thread() is not threading.main_thread():
-            off_main.append(clip.frames.index(frame))
+            off_main.append(lane.frame)
         kps = frame_keypoints(frame, *args)
-        contexts_seen[clip.frames.index(frame)] = (
-            None if kps.contexts is None else kps.contexts.tobytes())
+        contexts_seen[lane.frame] = None if kps.contexts is None else kps.contexts.tobytes()
         return kps
+
+    def recording(matches, query_kps, model):
+        # a frame is lifted in the item that matched it, so on the same lane
+        # and before that lane opens another frame
+        lifted.append((lane.frame, match_fields(query_kps, matches)))
+        return lift(matches, query_kps, model)
 
     def noting_image(query, M, cfg):
         if threading.current_thread() is not threading.main_thread():
             off_main.append("image")
         return embed(query, M, cfg)
 
-    monkeypatch.setattr(registration, "match_sequence", recording)
     monkeypatch.setattr(registration, "_frame_keypoints", noting_lane)
+    monkeypatch.setattr(registration, "lift_matches", recording)
     monkeypatch.setattr(matching, "_embed_and_assign", noting_image)
 
     def run():
-        seen.clear()
+        lifted.clear()
         contexts_seen.clear()
         records = register_sequence(
             clip, model, match_cfg=MatchConfig(mode="sptemp", temporal_window=window),
             det_cfg=DetectorConfig(max_keypoints=60),
             pruner=pruner() if pruner else None)
-        return [record_fields(r) for r in records], seen[0], dict(contexts_seen)
+        return [record_fields(r) for r in records], sorted(lifted), dict(contexts_seen)
 
-    (alone, alone_matches, alone_ctx), (two, two_matches, two_ctx) = on_both_paths(run)
+    (alone, alone_lifted, alone_ctx), (two, two_lifted, two_ctx) = on_both_paths(run)
     assert alone == two
-    assert alone_matches == two_matches
+    assert alone_lifted == two_lifted
+    assert [i for i, _ in alone_lifted] == [r[0] for r in alone]  # each kept frame once
+    assert [len(np.frombuffer(xy)) // 2 for _, (xy, _) in alone_lifted] == [r[-3] for r in alone]
     assert alone_ctx == two_ctx
     assert sorted(alone_ctx) == [r[0] for r in alone if r[-3] > 0]
     return alone, off_main
@@ -561,6 +566,78 @@ def test_an_empty_frame_on_the_helper_lane_gives_an_empty_record(five_frame_clip
     assert (status, pose, shortlist_ids, n_keypoints, n_matches) == ("failed", None, [], 0, 0)
     assert off_main  # the helper lane ran some frame or image
     assert records[2][-2] > 0  # the frame after it still matches, without tracks
+
+
+def dead_tracks(frames, kps, pyramids=None):
+    """track_keypoints as if every track died."""
+    return [sequence.Track(i, np.zeros((len(frames), 2)), False) for i in range(len(kps))]
+
+
+def two_pass(clip, model, ransac_cfg=RansacConfig(), **kwargs):
+    """The two-pass composition register_sequence replaced: match_sequence
+    over the whole clip, then each frame's lift and RANSAC."""
+    records = []
+    for fm in match_sequence(clip, model, **kwargs):
+        corrs, unlinked = lift_matches(fm.matches, fm.keypoints, model)
+        try:
+            est = ransac_pnp(corrs, clip.frames[fm.frame_index].intrinsics, ransac_cfg)
+        except TooFewCorrespondences:
+            est = PoseEstimate.failed(len(corrs))
+        records.append(RegistrationRecord(fm.frame_index, est, fm.shortlist_ids,
+                                          len(fm.keypoints),
+                                          sum(len(v) for v in fm.matches.values()), unlinked))
+    return records
+
+
+@pytest.mark.parametrize("case", ["day", "night", "pruned", "empty", "tracks_die"])
+def test_register_sequence_is_match_sequence_then_lift_and_ransac(five_frame_clips,
+                                                                   on_both_paths,
+                                                                   monkeypatch, case):
+    model, clips = five_frame_clips
+    frames = list(clips["night" if case == "night" else "day"].frames[:3])
+    if case == "empty":
+        frames[1] = replace(frames[1], image=None, keypoints=None)
+    if case == "tracks_die":
+        monkeypatch.setattr(registration, "track_keypoints", dead_tracks)
+    clip = Sequence(frames)
+    kwargs = dict(match_cfg=MatchConfig(mode="sptemp", temporal_window=3),
+                  det_cfg=DetectorConfig(max_keypoints=60))
+
+    def run():
+        pruner = DropFrame(1) if case == "pruned" else None
+        got = register_sequence(clip, model, pruner=pruner, **kwargs)
+        pruner = DropFrame(1) if case == "pruned" else None
+        want = two_pass(clip, model, pruner=pruner, **kwargs)
+        return [record_fields(r) for r in got], [record_fields(r) for r in want]
+
+    (alone, alone_want), (two, two_want) = on_both_paths(run)
+    assert alone == alone_want == two == two_want
+    assert [r[0] for r in alone] == ([0, 2] if case == "pruned" else [0, 1, 2])
+    if case != "night":  # day frames register; night sptemp frames do not
+        assert any(r[1] == "registered" for r in alone)
+
+
+def test_register_sequence_maps_once_on_one_helper_thread(five_frame_clips, monkeypatch):
+    model, clips = five_frame_clips
+    monkeypatch.setattr(parallel, "_helper_thread_pays", lambda: True)
+    maps, started = [], []
+    map_frames, start = registration.map_on_two, threading.Thread.start
+
+    def counting_map(fn, items):
+        maps.append(len(items))
+        return map_frames(fn, items)
+
+    def counting_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(registration, "map_on_two", counting_map)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    records = register_sequence(Sequence(clips["night"].frames[:3]), model,
+                                match_cfg=MatchConfig(mode="sptemp", temporal_window=3))
+    assert [r.frame_index for r in records] == [0, 1, 2]
+    assert maps == [3]
+    assert started == ["egoreg-lane"]
 
 
 def test_fewer_than_six_correspondences_give_a_failed_record(intrinsics):
@@ -627,9 +704,9 @@ def test_centred_float32_context_kernel_is_close_to_float64(small_day_night_scen
         assert query.cq.dtype == np.float32
         for img in scene.model.images:
             cm = contexts(img.keypoints) - query.mu
-            r32 = gaussian_kernel(query.cq, cm, None)
+            r32 = gaussian_kernel(query.cq, cm)
             r64 = gaussian_kernel(contexts(F).astype(np.float64),
-                                  contexts(img.keypoints).astype(np.float64), None)
+                                  contexts(img.keypoints).astype(np.float64))
             assert np.abs(r32 - r64).max() < 1e-5
 
 
@@ -753,14 +830,11 @@ def test_a_frame_whose_tracks_all_die_keeps_every_keypoint_and_no_tracks(monkeyp
     clip, model = moving_clip(intrinsics, 3)
     matched = []
 
-    def dead(frames, kps, pyramids=None):
-        return [sequence.Track(i, np.zeros((len(frames), 2)), False) for i in range(len(kps))]
-
     def recording(kps, track_pos, images, cfg):
         matched.append((kps, track_pos))
         return {}
 
-    monkeypatch.setattr(registration, "track_keypoints", dead)
+    monkeypatch.setattr(registration, "track_keypoints", dead_tracks)
     monkeypatch.setattr(registration, "match_frame_to_shortlist", recording)
     got = match_sequence(clip, model, match_cfg=MatchConfig(temporal_window=3))
     # frame 0 has no past to track through; frames 1 and 2 lose every track
