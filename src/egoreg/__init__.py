@@ -18,10 +18,8 @@ from .evaluation import (MatchReport, RegistrationReport, count_inliers,
 from .features import (CONTEXT_DIM, DESCRIPTOR_DIM, ContextConfig,
                        DetectorConfig, GradientField, GrayImage, Keypoint,
                        KeypointTable, attach_context, compute_descriptors,
-                       covariance_descriptor, dense_descriptors,
-                       extract_keypoints, log_euclidean_vec)
-from .geometry import (Intrinsics, PixelPoint, Pose, compose_pose, invert_pose,
-                       project_many)
+                       dense_descriptors, extract_keypoints)
+from .geometry import Intrinsics, PixelPoint, Pose, project_many
 from .io import (load_index, load_model, load_pruner, load_sequence,
                  save_index, save_model, save_pruner, save_sequence)
 from .matching import (MODES, MatchConfig, MatchTable, hungarian,
@@ -34,9 +32,9 @@ from .registration import (Correspondences, FrameMatches, PoseEstimate,
                            register_sequence)
 from .retrieval import (InvertedIndex, Vocabulary, build_vocabulary,
                         index_images, shortlist)
-from .sequence import (FrameQualityFeature, LinearPruner, Track, blur_metric,
-                       frame_quality_feature, motion_histogram, optical_flow,
-                       prune_frames, track_keypoints, train_pruner)
+from .sequence import (LinearPruner, Track, blur_metric, frame_quality_feature,
+                       motion_histogram, optical_flow, prune_frames, track_keypoints,
+                       train_pruner)
 from .synth import SynthConfig, SynthScene, look_at, night_preset, night_transform, synth_scene
 
 __version__ = "0.1.0"

@@ -312,7 +312,7 @@ def _cmd_evaluate(args) -> int:
         raise CorruptTable(f"{args.ground_truth}: every frame needs a reference pose")
     estimates = _parse_register_output(args.results, len(refs))
     report = registration_report(estimates, refs)
-    curve = registration_curve(report, args.thresholds, args.thresholds)
+    curve = registration_curve(report, args.thresholds)
     print("# egoreg-evaluate v1")
     for i in range(len(refs)):
         if report.registered[i]:
@@ -418,7 +418,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("evaluate", help="score register output against references")
     p.add_argument("results", help="output of `egoreg register`")
     p.add_argument("ground_truth", help="sequence file with reference poses")
-    p.add_argument("--thresholds", type=_comma_list(float), default="0.25,0.5,1,2,4",
+    p.add_argument("--thresholds", type=_comma_list(_positive()), default="0.25,0.5,1,2,4",
                    help="comma list, meters for position and degrees for orientation")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -57,13 +57,8 @@ class EmbeddedSet:
     query: np.ndarray
     model: np.ndarray
     eigenvalues: np.ndarray
-    requested_dim: int
     truncated: bool
     zero_degree: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.query.shape[1]
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,7 +284,6 @@ def solve_embedding(affinity: AffinityMatrix, dim: int) -> EmbeddedSet:
         query=z[:p],
         model=z[p:],
         eigenvalues=evals[sel].copy(),
-        requested_dim=dim,
         truncated=truncated,
         zero_degree=~nz,
     )

@@ -13,10 +13,6 @@ class RoiTooSmall(EgoregError):
     pass
 
 
-class TooFewSamples(EgoregError):
-    pass
-
-
 class NotPositiveDefinite(EgoregError):
     pass
 

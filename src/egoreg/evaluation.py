@@ -107,10 +107,6 @@ class RegistrationReport:
     orient_errors: np.ndarray
 
     @property
-    def n_frames(self) -> int:
-        return int(self.registered.shape[0])
-
-    @property
     def n_registered(self) -> int:
         return int(self.registered.sum())
 
@@ -152,19 +148,14 @@ def registration_report(estimates: list[Pose | None], references: list[Pose]) ->
 
 
 def registration_curve(report: RegistrationReport,
-                       pos_thresholds: list[float],
-                       orient_thresholds: list[float]) -> dict[str, list[tuple[float, int]]]:
-    """Counts of registered frames within each error threshold.
+                       thresholds: list[float]) -> dict[str, list[tuple[float, int]]]:
+    """Counts of registered frames within each error threshold, read as
+    scene units for position and degrees for orientation.
 
     Counts are monotonically non-decreasing in the threshold and never
     exceed the number of registered frames.
     """
-    pos_counts = [
-        (float(t), int(np.sum(report.registered & (report.pos_errors <= t))))
-        for t in pos_thresholds
-    ]
-    orient_counts = [
-        (float(t), int(np.sum(report.registered & (report.orient_errors <= t))))
-        for t in orient_thresholds
-    ]
-    return {"position": pos_counts, "orientation": orient_counts}
+    return {name: [(float(t), int(np.sum(report.registered & (errors <= t))))
+                   for t in thresholds]
+            for name, errors in (("position", report.pos_errors),
+                                 ("orientation", report.orient_errors))}

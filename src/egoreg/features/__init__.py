@@ -6,9 +6,7 @@ from .context import (
     Roi,
     attach_context,
     context_regions,
-    covariance_descriptor,
     dense_descriptors,
-    log_euclidean_vec,
 )
 from .detector import DetectorConfig, compute_descriptors, extract_keypoints
 from .image import GradientField, GrayImage, bilinear_sample
@@ -30,9 +28,7 @@ __all__ = [
     "compute_descriptors",
     "context_regions",
     "contexts",
-    "covariance_descriptor",
     "dense_descriptors",
     "descriptors",
     "extract_keypoints",
-    "log_euclidean_vec",
 ]

@@ -16,19 +16,8 @@ square; a region with under two nodes gives no context.
 
 `attach_context` maps EIGH_CHUNK covariances at a time through one batched
 eigendecomposition, so a chunk bounds its memory: 128 KiB per 128x128
-matrix, a few (EIGH_CHUNK, 128, 128) stacks in flight. It feeds grid rows
-in their fixed row-major order; the row sort that makes the public
-`covariance_descriptor` bitwise invariant to sample order lives only there.
-
-Chunks go through `egoreg.parallel.map_on_two`, so with a single-threaded
-BLAS on two CPUs two chunks are in flight; the eigensolver releases the
-interpreter lock. Inside `match_sequence`'s frame lanes the frame's own
-thread works through its chunks, and the other lane takes pending ones
-once no frame is left for it to open. Chunks share only the frame's
-gradient field, whose window sums are filled before they start, and
-write disjoint rows; each chunk's arithmetic is the same on both threads,
-so contexts are bitwise identical. (The one piece of state lanes share
-across frames is `match_sequence`'s pyramid cache, under its own lock.)
+matrix, a few (EIGH_CHUNK, 128, 128) stacks in flight. Grid rows enter
+the covariance in their fixed row-major order.
 """
 
 from __future__ import annotations
@@ -39,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import NotPositiveDefinite, RoiTooSmall, TooFewSamples
+from ..errors import NotPositiveDefinite, RoiTooSmall
 from ..parallel import map_on_two
 from .detector import _finalize_in_place
 from .image import GradientField, GrayImage
@@ -140,23 +129,6 @@ def _covariance(x: np.ndarray) -> np.ndarray:
     return c
 
 
-def covariance_descriptor(samples: np.ndarray) -> np.ndarray:
-    """Regularized sample covariance of descriptor rows, (d, d) float64.
-
-    Rows are lexicographically sorted before the core that `attach_context`
-    shares, so the result is bitwise invariant to input permutation. The
-    ridge added to the diagonal is 1e-6 * trace/d + 1e-12, which keeps the
-    matrix positive definite even when there are fewer samples than
-    dimensions.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("samples must be a 2D array")
-    if x.shape[0] < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {x.shape[0]}")
-    return _covariance(x[np.lexsort(x.T[::-1])])
-
-
 @functools.cache
 def _half_vector(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices of a d x d matrix's upper triangle in row-major order,
@@ -169,7 +141,12 @@ def _half_vector(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _log_euclidean(c: np.ndarray) -> np.ndarray:
-    """Half-vectorized matrix logarithms of a (k, d, d) SPD stack, (k, d(d+1)/2)."""
+    """Half-vectorized matrix logarithms of a (k, d, d) SPD stack, (k, d(d+1)/2).
+
+    Each row is the upper triangle of log(C) in row-major order with the
+    off-diagonal entries scaled by sqrt(2). Raises NotPositiveDefinite when
+    some C has a non-positive eigenvalue.
+    """
     evals, evecs = np.linalg.eigh(c)
     if evals[:, 0].min() <= 0.0:
         raise NotPositiveDefinite(f"minimum eigenvalue {evals[:, 0].min():.6g}")
@@ -184,20 +161,6 @@ def _log_euclidean(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_euclidean_vec(c: np.ndarray) -> np.ndarray:
-    """Half-vectorized matrix logarithm of an SPD matrix.
-
-    Output is the upper triangle of log(C) in row-major order with
-    off-diagonal entries scaled by sqrt(2), length d*(d+1)/2. With that
-    scaling ||vec(log C1) - vec(log C2)|| equals ||log C1 - log C2||_F.
-    Raises NotPositiveDefinite when C has a non-positive eigenvalue.
-    """
-    c = np.asarray_chkfinite(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("input must be a square matrix")
-    return _log_euclidean(c[None])[0]
-
-
 def attach_context(image: GrayImage, kps: KeypointTable,
                    cfg: ContextConfig = ContextConfig(),
                    field: GradientField | None = None) -> tuple[KeypointTable, int]:
@@ -205,14 +168,13 @@ def attach_context(image: GrayImage, kps: KeypointTable,
 
     Keypoints for which `context_regions` finds no region are dropped and
     counted by the second return value; the others come back in input
-    order, with any contexts they had replaced. Contexts equal the
-    per-keypoint composition dense_descriptors -> covariance_descriptor ->
-    log_euclidean_vec up to round-off, and are computed EIGH_CHUNK at a
-    time into one (n, 8256) float32 column, two chunks in flight through
-    `map_on_two` (see the module docstring). Called from a frame lane, the
-    chunks run on that lane, and the other lane takes pending ones once no
-    frame is left for it to open. The contexts are the same bits either way, and an error in a
-    chunk on either thread is raised here with its own type.
+    order, with any contexts they had replaced. Each context is the
+    half-vectorized matrix logarithm of the regularized covariance of the
+    keypoint's `dense_descriptors`, computed EIGH_CHUNK keypoints at a time
+    into one (n, 8256) float32 column. The chunks go through `map_on_two`;
+    they share the frame's gradient field, whose window sums are filled
+    before they start, and write disjoint rows, so the contexts are the
+    same bits on one lane or two.
     """
     if field is None:
         field = GradientField(image)

@@ -46,19 +46,13 @@ class DetectorConfig:
     max_keypoints: int = 0  # 0 = unlimited
 
 
-def finalize_descriptor(hist: np.ndarray) -> np.ndarray:
-    """Normalize, clip large components, renormalize each row of a (..., 128) array.
+def _finalize_in_place(v: np.ndarray) -> np.ndarray:
+    """Normalize, clip large components, renormalize each row of a (..., 128)
+    float64 array the caller owns, overwriting it.
 
     A row with no gradient energy maps to the uniform unit vector so that
-    featureless patches still produce a valid descriptor.
-    """
-    return _finalize_in_place(np.array(hist, dtype=np.float64))
-
-
-def _finalize_in_place(v: np.ndarray) -> np.ndarray:
-    """`finalize_descriptor` on a float64 array the caller owns, overwriting it.
-
-    Needs one more buffer, for the squares.
+    featureless patches still produce a valid descriptor. Needs one more
+    buffer, for the squares.
     """
     sq = np.empty_like(v)
 

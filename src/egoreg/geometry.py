@@ -67,10 +67,6 @@ class Pose:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
     def center(self) -> np.ndarray:
         """Camera position in world coordinates, -R^T t."""
         return -self.R.T @ self.t
@@ -79,15 +75,6 @@ class Pose:
         """Transform (n, 3) or (3,) world coordinates into camera coordinates."""
         xyz = np.asarray(xyz, dtype=np.float64)
         return xyz @ self.R.T + self.t
-
-
-def compose_pose(a: Pose, b: Pose) -> Pose:
-    """Composition (a after b): the pose that applies b, then a."""
-    return Pose(a.R @ b.R, a.R @ b.t + a.t)
-
-
-def invert_pose(p: Pose) -> Pose:
-    return Pose(p.R.T, -p.R.T @ p.t)
 
 
 def project_many(xyz: np.ndarray, pose: Pose, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:

@@ -382,7 +382,10 @@ def load_index(path: str | Path) -> tuple[Vocabulary, InvertedIndex]:
     ids = r.array("<u4", n_images).astype(int).tolist()
     vectors = r.array("<f8", n_images * k).reshape(n_images, k)
     r.done()
-    return Vocabulary(centers), InvertedIndex(ids, vectors, idf)
+    try:
+        return Vocabulary(centers), InvertedIndex(ids, vectors, idf)
+    except ValueError as exc:
+        raise CorruptTable(f"{path}: {exc}") from exc
 
 
 def save_pruner(pruner: LinearPruner, path: str | Path) -> None:

@@ -104,7 +104,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 
 def ratio_filter(assignment: np.ndarray, zq: np.ndarray, zm: np.ndarray,
-                 threshold: float = 0.8) -> MatchTable:
+                 threshold: float) -> MatchTable:
     """Keep assignments whose distance beats the runner-up by `threshold`.
 
     For each (query row, model row) pair of `assignment`, the runner-up
@@ -229,15 +229,11 @@ def match_frame_to_shortlist(F: KeypointTable, track_pos: np.ndarray | None,
     kernels) is built once per frame and shared, read-only, by every
     image. Each image is then matched with one pairwise product per
     kernel, and results are keyed by model image id in shortlist order.
-    Images go through `map_on_two`: with a single-threaded BLAS on two
-    CPUs, two are matched at once. Called from a frame lane of
-    `match_sequence`, the frame's lane works through the images and the
-    other lane takes pending ones once no frame is left for it to open.
-    The images share only the read-only query side; each image's
-    arithmetic is the same on either thread, so the pairs are the same
-    bits and in the same order either way. An image that fails to match
-    (EmptyInput) contributes an empty table rather than aborting the frame;
-    any other error is raised here with its own type.
+    The images go through `map_on_two`; they share only the read-only
+    query side, so the pairs are the same bits on one lane or two. An
+    image that fails to match (EmptyInput) contributes an empty table
+    rather than aborting the frame; any other error is raised here with
+    its own type.
     """
     if not len(F) or not shortlist:
         return {img.id: MatchTable.empty() for img in shortlist}

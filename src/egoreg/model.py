@@ -6,6 +6,7 @@ checks each image's links against it as arrays.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,22 +67,26 @@ class ModelImage:
     def __post_init__(self):
         self.keypoints = as_table(self.keypoints)
 
-    def link_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """`links` as int64 (keypoint indices, point ids), in link order."""
-        n = len(self.links)
-        return np.fromiter(self.links, np.int64, n), np.fromiter(self.links.values(), np.int64, n)
-
 
 @dataclass(eq=False)
 class Model3D:
-    """A point cloud with the registered images it was built from."""
+    """A point cloud with the registered images it was built from.
+
+    Image ids are unique, and every link names a keypoint of its image and
+    a point of the table; CorruptTable otherwise.
+    """
 
     points: PointTable
     images: list[ModelImage]
 
     def __post_init__(self):
+        dup = sorted(i for i, n in Counter(img.id for img in self.images).items() if n > 1)
+        if dup:
+            raise CorruptTable(f"duplicate model image ids {dup}")
         for img in self.images:
-            kp_idx, pids = img.link_columns()
+            n = len(img.links)
+            kp_idx = np.fromiter(img.links, np.int64, n)
+            pids = np.fromiter(img.links.values(), np.int64, n)
             missing = self.points.rows(pids) < 0
             bad = np.flatnonzero(missing | (kp_idx < 0) | (kp_idx >= len(img.keypoints)))
             if not bad.size:

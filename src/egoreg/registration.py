@@ -85,22 +85,26 @@ class Correspondences:
 
 @dataclass(eq=False)
 class PoseEstimate:
-    """RANSAC outcome for one frame."""
+    """RANSAC outcome for one frame; `pose` is None when it failed."""
 
     pose: Pose | None
     inlier_mask: np.ndarray
     mean_reproj: float
-    status: str  # "registered" or "failed"
     n_correspondences: int
 
     @classmethod
     def failed(cls, n: int) -> PoseEstimate:
         """No pose for a frame with n correspondences."""
-        return cls(None, np.zeros(n, dtype=bool), float("nan"), "failed", n)
+        return cls(None, np.zeros(n, dtype=bool), float("nan"), n)
 
     @property
     def registered(self) -> bool:
-        return self.status == "registered"
+        return self.pose is not None
+
+    @property
+    def status(self) -> str:
+        """The record's status word: "registered" or "failed"."""
+        return "registered" if self.registered else "failed"
 
     @property
     def n_inliers(self) -> int:
@@ -231,14 +235,14 @@ def _dlt(xyz: np.ndarray, uv: np.ndarray, k: Intrinsics) -> tuple[np.ndarray, np
 
 
 def _refine(rmat: np.ndarray, t: np.ndarray, xyz: np.ndarray, uv: np.ndarray,
-            k: Intrinsics, iters: int = GN_ITERS) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton steps on pixel reprojection error."""
+            k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Up to GN_ITERS Gauss-Newton steps on pixel reprojection error."""
     best_r, best_t = rmat, t
     err, z = _reproj_errors(rmat, t, xyz, uv, k)
     if not np.all(np.isfinite(err)):
         return best_r, best_t
     best_cost = float(err @ err)
-    for _ in range(iters):
+    for _ in range(GN_ITERS):
         cam = xyz @ rmat.T + t
         z = cam[:, 2]
         if np.any(z <= 1e-9):
@@ -309,7 +313,7 @@ def ransac_pnp(corrs: Correspondences, k: Intrinsics,
     Seeded samples draw the table's rows uniformly, so the pose depends on
     row order. The inlier threshold is `reproj_threshold` scaled by the
     image diagonal against the 640x480 reference. The final pose refits on
-    all inliers of the best hypothesis; `status` is "registered" only when
+    all inliers of the best hypothesis; the estimate has a pose only when
     the refit consensus reaches `min_inliers`. Fewer rows than
     max(`min_inliers`, 6) raise TooFewCorrespondences.
     """
@@ -355,7 +359,7 @@ def ransac_pnp(corrs: Correspondences, k: Intrinsics,
     if int(final_mask.sum()) < cfg.min_inliers:
         return PoseEstimate.failed(n)
     mean_reproj = float(err[final_mask].mean())
-    return PoseEstimate(pose, final_mask, mean_reproj, "registered", n)
+    return PoseEstimate(pose, final_mask, mean_reproj, n)
 
 
 def ensure_contexts(model: Model3D, ctx_cfg: ContextConfig) -> None:
@@ -366,10 +370,8 @@ def ensure_contexts(model: Model3D, ctx_cfg: ContextConfig) -> None:
     only once every image's contexts are computed: a model that is refused
     (an image lacking both contexts and a raster) or whose computation
     raises stays exactly as it was. The images go through one
-    `map_on_two`, each with its own `attach_context` whose chunks nest
-    inside it, so two images are in flight, two gradient fields, and a
-    lane that finishes its image takes the other's pending chunks.
-    Contexts and links are the same bits on one lane or two.
+    `map_on_two`, each with its own `attach_context`; they share nothing,
+    so contexts and links are the same bits on one lane or two.
     """
     todo = [img for img in model.images
             if len(img.keypoints) and img.keypoints.contexts is None]
@@ -436,8 +438,13 @@ def _map_frames(sequence: Sequence, model: Model3D, vocab: Vocabulary | None,
                 ctx_cfg: ContextConfig, pruner: LinearPruner | None, shortlist_size: int,
                 then: Callable[[FrameMatches], object]) -> list:
     """[then(the FrameMatches of i) for each kept frame i], one `map_on_two`
-    item per frame, as `match_sequence` describes: `then` runs on the lane
-    that matched the frame, once the frame's pyramids are released."""
+    item per frame, as `match_sequence` describes; `then` runs in the
+    frame's item, once the frame's pyramids are released.
+
+    Frames share only the cache of tracking pyramids, under one lock: the
+    first frame that needs a pyramid builds it, once, and it is dropped
+    when no unmatched frame's window reaches it any more.
+    """
     if shortlist_size < 1:
         raise ValueError(f"shortlist_size must be at least 1, got {shortlist_size}")
     if (vocab is None) != (index is None):
@@ -526,19 +533,13 @@ def match_sequence(sequence: Sequence, model: Model3D,
     yield an empty record rather than aborting the run. Records hold no
     contexts: nothing after matching reads them.
 
-    All kept frames go through one `map_on_two`, each running its whole
-    pipeline on the lane that takes it; a frame does not depend on another
-    frame's matches, so the records are the same bits in the same order on
-    one lane or two. A lane that has finished its frame opens the next
-    one, and once no frame is left it takes the other frame's pending
-    contexts chunks or images. At most two frames are in flight, holding
-    two frames' features at once: for a raw 320x240 frame, its gradient
-    field with the window sums contexts read (~7 MB) and its (200, 8256)
-    float32 context column (6.6 MB). The one piece of state the lanes share
-    across frames is the cache of tracking pyramids, guarded by one lock:
-    the lane that first needs a frame's pyramid builds it, once, and it is
-    dropped when no unmatched frame's window reaches that frame any more.
-    Before any frame, a `shortlist_size` under 1 or only one of `vocab` and
+    All kept frames go through one `map_on_two`, one item per frame. A
+    frame shares only the tracking pyramids of the frames its window
+    reaches, so the records are the same bits in the same order on one
+    lane or two. Two frames in flight hold two frames' features: for a raw
+    320x240 frame, its gradient field with the window sums contexts read
+    (~7 MB) and its (200, 8256) float32 context column (6.6 MB). Before
+    any frame, a `shortlist_size` under 1 or only one of `vocab` and
     `index` raises ValueError; an `index` naming images the model lacks
     raises IndexModelMismatch.
     """
@@ -559,8 +560,7 @@ def register_sequence(sequence: Sequence, model: Model3D,
 
     Each kept frame goes through the matching pipeline of `match_sequence`,
     then its matches are lifted to 2D-3D correspondences and its pose is
-    estimated with RANSAC, all in the one `map_on_two` item that matched
-    it: a clip is one pass, with no barrier between matching and pose.
+    estimated with RANSAC, all in the frame's one `map_on_two` item.
     Frames that fail any stage produce a failed record rather than aborting
     the run. Records come in frame order; each `ransac_pnp` call seeds its
     own generator from `ransac_cfg.seed`, so the poses are the same bits on

@@ -8,6 +8,7 @@ expensive) embedding matcher has to consider per query frame.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,19 @@ class Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class InvertedIndex:
-    """Per-image tf-idf vectors plus the idf weights used to build them."""
+    """Per-image tf-idf vectors plus the idf weights used to build them.
+
+    Image ids are unique; ValueError otherwise.
+    """
 
     image_ids: list[int]
     vectors: np.ndarray  # (n_images, k), L2-normalized rows (or zero)
     idf: np.ndarray      # (k,)
+
+    def __post_init__(self):
+        dup = sorted(i for i, n in Counter(self.image_ids).items() if n > 1)
+        if dup:
+            raise ValueError(f"duplicate image ids {dup}")
 
 
 def _sq_dists_to(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -142,7 +151,8 @@ def index_images(image_ids: list[int], image_descriptors: list[np.ndarray],
     idf_i = max(0, ln(N / (1 + n_i))) with n_i the number of images whose
     word i occurs at least once; tf is the within-image relative frequency.
     Rows normalize to unit length; an all-zero row (possible when idf
-    vanishes everywhere, e.g. a single-image index) stays zero.
+    vanishes everywhere, e.g. a single-image index) stays zero. Duplicate
+    image ids raise ValueError.
     """
     if len(image_ids) != len(image_descriptors) or not image_ids:
         raise EmptyInput("need matching, non-empty ids and descriptor sets")

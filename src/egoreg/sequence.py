@@ -23,22 +23,13 @@ SEARCH = 8
 MAG_BIN_EDGES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 N_SECTIONS = 3
 FEATURE_DIM = N_SECTIONS * N_SECTIONS * 16 + 1  # 145
+TRAIN_ITERS = 500
+TRAIN_L2 = 1e-3
 
 TRACK_WINDOW = 11
 TRACK_LEVELS = 3
 TRACK_MAX_ITERS = 30
 TRACK_RESIDUAL_MAX = 0.25
-
-
-@dataclass(frozen=True, eq=False)
-class FrameQualityFeature:
-    """Motion histogram (144) plus blur score (1) for one frame."""
-
-    motion: np.ndarray
-    blur: float
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.motion, [self.blur]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +46,9 @@ class LinearPruner:
             raise ValueError(f"weights must have length {FEATURE_DIM}")
         object.__setattr__(self, "weights", w)
 
-    def keep(self, feature: FrameQualityFeature) -> bool:
-        return float(self.weights @ feature.vector()) + self.bias >= self.threshold
+    def keep(self, feature: np.ndarray) -> bool:
+        """The rule on one `frame_quality_feature` vector."""
+        return float(self.weights @ feature) + self.bias >= self.threshold
 
     def fixed_decision(self) -> bool | None:
         """`keep`'s answer for every feature when all weights are zero, else None.
@@ -80,46 +72,46 @@ class Track:
     alive: bool
 
 
-def optical_flow(prev: GrayImage, curr: GrayImage,
-                 block: int = BLOCK, search: int = SEARCH) -> np.ndarray:
+def optical_flow(prev: GrayImage, curr: GrayImage) -> np.ndarray:
     """Dense block-matching flow from prev to curr, (h, w, 2) as (vx, vy).
 
-    Each block-aligned 8x8 tile of prev is compared against shifted tiles of
-    curr within +-search pixels by sum of absolute differences; every pixel
-    of the tile gets the winning displacement. Shifts are scanned from small
-    to large displacement so exact ties resolve toward zero motion. Pixels
-    in partial tiles at the right/bottom edges keep zero flow.
+    Each block-aligned BLOCK x BLOCK (8x8) tile of prev is compared against
+    shifted tiles of curr within +-SEARCH (8) pixels by sum of absolute
+    differences; every pixel of the tile gets the winning displacement.
+    Shifts are scanned from small to large displacement so exact ties
+    resolve toward zero motion. Pixels in partial tiles at the right/bottom
+    edges keep zero flow.
     """
     if prev.pixels.shape != curr.pixels.shape:
         raise SizeMismatch(f"frame sizes differ: {prev.pixels.shape} vs {curr.pixels.shape}")
     a, b = prev.pixels, curr.pixels
     h, w = a.shape
-    by, bx = h // block, w // block
+    by, bx = h // BLOCK, w // BLOCK
     if by == 0 or bx == 0:
-        raise ImageTooSmall(f"need at least one {block}x{block} block")
+        raise ImageTooSmall(f"need at least one {BLOCK}x{BLOCK} block")
 
-    ha, wa = by * block, bx * block
+    ha, wa = by * BLOCK, bx * BLOCK
     shifts = [(dy, dx)
-              for dy in range(-search, search + 1)
-              for dx in range(-search, search + 1)]
+              for dy in range(-SEARCH, SEARCH + 1)
+              for dx in range(-SEARCH, SEARCH + 1)]
     shifts.sort(key=lambda s: (s[0] * s[0] + s[1] * s[1], s[0], s[1]))
 
     # curr padded with inf: a tile that leaves the frame sums to inf
-    b = np.pad(b, search, constant_values=np.inf)
+    b = np.pad(b, SEARCH, constant_values=np.inf)
     a = a[:ha, :wa]
     diff = np.empty((ha, wa))
     best = np.full((by, bx), np.inf)
     flow_block = np.zeros((by, bx, 2), dtype=np.float64)
     for dy, dx in shifts:
-        np.subtract(a, b[search + dy:search + dy + ha, search + dx:search + dx + wa], out=diff)
-        sad = np.abs(diff, out=diff).reshape(by, block, bx, block).sum(axis=(1, 3))
+        np.subtract(a, b[SEARCH + dy:SEARCH + dy + ha, SEARCH + dx:SEARCH + dx + wa], out=diff)
+        sad = np.abs(diff, out=diff).reshape(by, BLOCK, bx, BLOCK).sum(axis=(1, 3))
         better = sad < best
         if np.any(better):
             best[better] = sad[better]
             flow_block[better] = (dx, dy)
 
     flow = np.zeros((h, w, 2), dtype=np.float64)
-    flow[:ha, :wa] = np.repeat(np.repeat(flow_block, block, axis=0), block, axis=1)
+    flow[:ha, :wa] = np.repeat(np.repeat(flow_block, BLOCK, axis=0), BLOCK, axis=1)
     return flow
 
 
@@ -183,13 +175,15 @@ def blur_metric(image: GrayImage) -> float:
     return float(np.clip(max(one_direction(0), one_direction(1)), 0.0, 1.0))
 
 
-def frame_quality_feature(prev: GrayImage | None, curr: GrayImage) -> FrameQualityFeature:
-    """Quality feature for one frame given its predecessor (None for the first)."""
+def frame_quality_feature(prev: GrayImage | None, curr: GrayImage) -> np.ndarray:
+    """Quality feature of one frame given its predecessor (None for the
+    first): its motion histogram (144 values, zero for the first frame),
+    then its blur score, (145,)."""
     if prev is None:
         motion = np.zeros(N_SECTIONS * N_SECTIONS * 16, dtype=np.float64)
     else:
         motion = motion_histogram(optical_flow(prev, curr))
-    return FrameQualityFeature(motion, blur_metric(curr))
+    return np.concatenate([motion, [blur_metric(curr)]])
 
 
 def prune_frames(frames: list[GrayImage | None], pruner: LinearPruner) -> list[int]:
@@ -201,20 +195,21 @@ def prune_frames(frames: list[GrayImage | None], pruner: LinearPruner) -> list[i
         else pruner.keep(frame_quality_feature(frames[i - 1] if i > 0 else None, frame)))]
 
 
-def train_pruner(features: list[FrameQualityFeature], labels: list[int],
-                 l2: float = 1e-3, iters: int = 500, lr: float = 1.0,
-                 seed: int = 0, threshold: float = 0.0) -> tuple[LinearPruner, float]:
-    """Fit the linear keep/discard rule with plain gradient descent.
+def train_pruner(features: list[np.ndarray], labels: list[int]) -> tuple[LinearPruner, float]:
+    """Fit the linear keep/discard rule to `frame_quality_feature` vectors.
 
-    Features are standardized for optimization and the affine map is folded
-    back into the returned weights, so the pruner applies to raw features.
-    Labels are 1 = keep, 0 = discard; both classes must be present. Returns
-    the pruner and its training accuracy.
+    Logistic regression by TRAIN_ITERS unit steps of plain gradient descent
+    with L2 weight TRAIN_L2, from small weights drawn with a generator
+    seeded 0. Features are standardized for optimization and
+    the affine map is folded back into the returned weights, so the pruner
+    (threshold 0) applies to raw features. Labels are 1 = keep, 0 =
+    discard; both classes must be present. Returns the pruner and its
+    training accuracy.
     """
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if len(set(y.tolist())) < 2:
         raise SingleClass("training labels must contain both classes")
-    x = np.stack([f.vector() for f in features])
+    x = np.stack(features)
     if x.shape[0] != y.shape[0]:
         raise SizeMismatch("features and labels must align")
 
@@ -223,24 +218,23 @@ def train_pruner(features: list[FrameQualityFeature], labels: list[int],
     sd[sd == 0.0] = 1.0
     xs = (x - mu) / sd
 
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 1e-6, FEATURE_DIM)
+    w = np.random.default_rng(0).normal(0.0, 1e-6, FEATURE_DIM)
     b = 0.0
     n = xs.shape[0]
-    for _ in range(iters):
+    for _ in range(TRAIN_ITERS):
         z = xs @ w + b
         pred = 1.0 / (1.0 + np.exp(-z))
         err = pred - y
-        gw = xs.T @ err / n + l2 * w
+        gw = xs.T @ err / n + TRAIN_L2 * w
         gb = float(err.mean())
-        w = w - lr * gw
-        b = b - lr * gb
+        w = w - gw
+        b = b - gb
 
     decision = xs @ w + b
     accuracy = float(np.mean((decision >= 0.0) == (y > 0.5)))
     w_raw = w / sd
     b_raw = b - float((w * (mu / sd)).sum())
-    return LinearPruner(w_raw, b_raw, threshold), accuracy
+    return LinearPruner(w_raw, b_raw), accuracy
 
 
 def frame_pyramid(frame: GrayImage) -> list[np.ndarray]:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .features import (ContextConfig, GradientField, GrayImage, KeypointTable,
-                       attach_context, bilinear_sample, compute_descriptors)
+from .features import (GradientField, GrayImage, KeypointTable, attach_context,
+                       bilinear_sample, compute_descriptors)
 from .geometry import Intrinsics, Pose, project_many
 from .model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 
@@ -209,22 +209,24 @@ def _query_poses(cfg: SynthConfig) -> list[Pose]:
 
 
 def _render(world: _World, pose: Pose, keep: np.ndarray | None = None
-            ) -> tuple[GrayImage, np.ndarray, np.ndarray, np.ndarray]:
-    """Splat the facade into an image.
+            ) -> tuple[GrayImage, GrayImage, np.ndarray, np.ndarray, np.ndarray]:
+    """Splat the facade into an image, and into a second one with only the
+    splats that `keep` holds.
 
-    Returns the raster, projected centers (n, 2), splat pixel sizes (n,),
-    and camera depths (n,); size is NaN for points behind the camera or
-    excluded by `keep`.
+    Returns both rasters, projected centers (n, 2), splat pixel sizes (n,),
+    and camera depths (n,); size is NaN for points behind the camera. Each
+    splat's weight and value are computed once and composited, far to
+    near, into every canvas that holds it. Without `keep` every splat is
+    kept, and the second raster is the first.
     """
     uv, z = project_many(world.points, pose, _INTRINSICS)
     sizes = np.full(len(uv), np.nan)
     visible = z > 0.1 * EXTENT
-    if keep is not None:
-        visible &= keep
     sizes[visible] = np.clip(FOCAL * POINT_SIZE / z[visible], MIN_SPLAT_PX, MAX_SPLAT_PX)
 
     ramp = np.linspace(BACKGROUND_LOW, BACKGROUND_HIGH, HEIGHT)
     img = np.tile(ramp[:, None], (1, WIDTH))
+    canvases = [img] if keep is None else [img, img.copy()]
 
     order = np.argsort(-z, kind="stable")  # far first, near splats paint over
     for i in order:
@@ -244,43 +246,45 @@ def _render(world: _World, pose: Pose, keep: np.ndarray | None = None
         dx = (px - cu) / s
         dy = (py - cv) / s
         r = np.sqrt(dx[None, :] ** 2 + dy[:, None] ** 2)
-        patch = img[y0:y1 + 1, x0:x1 + 1]
 
         if world.is_anchor[i]:
             # smooth unit-brightness blob; wide enough that the part left
             # above the night threshold still spans the detector's smallest
             # scale, and radially symmetric so the blob center is found at
             # the exact projection day and night
-            blob = np.exp(-(r / 0.25) ** 2)
-            img[y0:y1 + 1, x0:x1 + 1] = patch * (1.0 - blob) + blob
-            continue
+            weight = np.exp(-(r / 0.25) ** 2)
+            fill = weight
+        else:
+            # textured disc: flat core with a cosine taper to the rim
+            core = 0.22
+            taper = np.clip((r - core) / (0.5 - core), 0.0, 1.0)
+            weight = np.cos(taper * np.pi / 2.0) ** 2
+            weight[r > 0.5] = 0.0
+            # the splat square spans the motif texture edge to edge
+            tex = bilinear_sample(world.motifs[world.motif_ids[i]],
+                                  ((dx + 0.5) * (MOTIF_SIDE - 1))[None, :],
+                                  ((dy + 0.5) * (MOTIF_SIDE - 1))[:, None])
+            # cubic curve: only the top texture ranks survive the night map,
+            # as sparse off-center glints next to the dominant center peak,
+            # so night appearance is landmark-like while day keeps full texture
+            fill = world.brightness[i] * (0.45 + 0.55 * tex ** 3) * weight
+        rest = 1.0 - weight
+        for canvas in canvases if keep is None or keep[i] else canvases[:1]:
+            patch = canvas[y0:y1 + 1, x0:x1 + 1]
+            patch *= rest
+            patch += fill
 
-        # textured disc: flat core with a cosine taper to the rim
-        core = 0.22
-        ramp = np.clip((r - core) / (0.5 - core), 0.0, 1.0)
-        weight = np.cos(ramp * np.pi / 2.0) ** 2
-        weight[r > 0.5] = 0.0
-        # the splat square spans the motif texture edge to edge
-        tex = bilinear_sample(world.motifs[world.motif_ids[i]],
-                              ((dx + 0.5) * (MOTIF_SIDE - 1))[None, :],
-                              ((dy + 0.5) * (MOTIF_SIDE - 1))[:, None])
-        # cubic curve: only the top texture ranks survive the night map, as
-        # sparse off-center glints next to the dominant center peak, so
-        # night appearance is landmark-like while day keeps full texture
-        value = world.brightness[i] * (0.45 + 0.55 * tex ** 3)
-        img[y0:y1 + 1, x0:x1 + 1] = patch * (1.0 - weight) + value * weight
-
-    raster = np.clip(img, 0.0, 1.0).astype(np.float32).astype(np.float64)
-    return GrayImage(raster), uv, sizes, z
+    rasters = [GrayImage(np.clip(c, 0.0, 1.0).astype(np.float32).astype(np.float64))
+               for c in canvases]
+    return rasters[0], rasters[-1], uv, sizes, z
 
 
 def night_transform(image: GrayImage, cfg: SynthConfig,
-                    rng: np.random.Generator | None = None) -> GrayImage:
-    """Apply clip(p^gamma + brightness + noise) to a raster."""
+                    rng: np.random.Generator) -> GrayImage:
+    """Apply clip(p^gamma + brightness + noise) to a raster; the noise is
+    drawn from `rng`."""
     q = np.power(image.pixels, cfg.gamma) + cfg.brightness
     if cfg.noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
         q = q + rng.normal(0.0, cfg.noise_sigma, size=q.shape)
     return GrayImage(np.clip(q, 0.0, 1.0).astype(np.float32).astype(np.float64))
 
@@ -301,9 +305,8 @@ def _observations(uv: np.ndarray, sizes: np.ndarray, z: np.ndarray) -> list[int]
     return inside[~(covers & nearer).any(axis=1)].tolist()
 
 
-def _model_image(world: _World, pose: Pose, image_id: int,
-                 ctx_cfg: ContextConfig) -> ModelImage:
-    raster, uv, sizes, z = _render(world, pose)
+def _model_image(world: _World, pose: Pose, image_id: int) -> ModelImage:
+    raster, _, uv, sizes, z = _render(world, pose)
     obs = _observations(uv, sizes, z)
 
     grad = GradientField(raster)
@@ -311,7 +314,7 @@ def _model_image(world: _World, pose: Pose, image_id: int,
     scales = sizes[obs] / SPLAT_PX_PER_SCALE
     descs = compute_descriptors(grad, pos, scales)
     kps = KeypointTable.adopt(pos, scales, np.zeros(len(obs)), descs)
-    kps, dropped = attach_context(raster, kps, ctx_cfg, field=grad)
+    kps, dropped = attach_context(raster, kps, field=grad)
     if dropped:
         raise DegenerateInput("model keypoint lost its context region; "
                               "shrink the RoI or enlarge the frame")
@@ -319,25 +322,24 @@ def _model_image(world: _World, pose: Pose, image_id: int,
     return ModelImage(image_id, pose, _INTRINSICS, kps, links, raster)
 
 
-def synth_scene(cfg: SynthConfig,
-                ctx_cfg: ContextConfig = ContextConfig()) -> SynthScene:
-    """Build the model and the day/night query sequences, all ground-truthed."""
+def synth_scene(cfg: SynthConfig) -> SynthScene:
+    """Build the model and the day/night query sequences, all ground-truthed.
+
+    Model keypoints carry contexts at the default `ContextConfig`.
+    """
     rng = np.random.default_rng(cfg.seed)
     world = _build_world(cfg, rng)
-    images = [_model_image(world, pose, i, ctx_cfg)
-              for i, pose in enumerate(_model_poses(cfg))]
+    images = [_model_image(world, pose, i) for i, pose in enumerate(_model_poses(cfg))]
     model = Model3D(PointTable(np.arange(len(world.points)), world.points), images)
 
     day_frames = []
     night_frames = []
     for i, pose in enumerate(_query_poses(cfg)):
-        day_raster, _, _, _ = _render(world, pose)
         frame_rng = np.random.default_rng([cfg.seed, 7, i])
+        keep = None
         if cfg.dropout_rate > 0.0:
             keep = frame_rng.random(len(world.points)) >= cfg.dropout_rate
-            base, _, _, _ = _render(world, pose, keep=keep)
-        else:
-            base = day_raster
+        day_raster, base, _, _, _ = _render(world, pose, keep)
         night_raster = night_transform(base, cfg, frame_rng)
         ts = float(i) / 10.0
         day_frames.append(SequenceFrame(ts, _INTRINSICS, day_raster, None, pose))

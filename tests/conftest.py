@@ -1,6 +1,13 @@
+import os
 import sys
 
-import numpy as np
+# One BLAS thread, as the benchmark runs; numpy reads it once, when it loads.
+# With a BLAS thread per CPU, a test beside a second test run on a 2-CPU host
+# took 30-40x longer (a 4 s lane test: 130-175 s, at switch intervals of 1e-6,
+# 1e-5 and 1e-4 alike); with one thread it took 4-6 s.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from egoreg import parallel

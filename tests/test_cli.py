@@ -224,12 +224,16 @@ def test_usage_errors_are_exit_1(capsys):
     ("sweep roi", "--factors", "1,0"),
     ("sweep roi", "--factors", "1,nan"),
     ("sweep roi", "--inlier-px", "-1"),
+    ("evaluate", "--thresholds", "-1"),  # used to print a curve row for each
+    ("evaluate", "--thresholds", "0"),
+    ("evaluate", "--thresholds", "nan"),
+    ("evaluate", "--thresholds", "inf"),
 ])
 def test_out_of_range_numbers_are_usage_errors(scene_dir, tmp_path, capsys, command, flag,
                                                value):
     argv = command.split() + [str(scene_dir / "day2.eseq"), str(scene_dir / "model.emrg")]
     out = tmp_path / "out.txt"
-    if command != "sweep roi":  # sweep writes to stdout only
+    if command in ("match", "register"):  # sweep and evaluate write to stdout only
         argv += ["--out", str(out)]
     code, stdout, err = run_cli(argv + [flag, value], capsys)
     assert (code, stdout) == (1, "")

@@ -118,7 +118,6 @@ def test_registration_report_aggregates(rng):
     # frame 0 exact, frame 1 offset by 0.3 in camera x, frames 2-3 failed
     offset = Pose(refs[1].R, refs[1].t + np.array([0.3, 0.0, 0.0]))
     rep = registration_report([refs[0], offset, None, None], refs)
-    assert rep.n_frames == 4
     assert rep.n_registered == 2
     assert rep.registered.tolist() == [True, True, False, False]
     assert rep.pos_errors[0] == pytest.approx(0.0)
@@ -150,7 +149,7 @@ def test_registration_curve_monotone(rng):
             continue
         ests.append(Pose(ref.R, ref.t + np.array([0.1 * i, 0.0, 0.0])))
     rep = registration_report(ests, refs)
-    curve = registration_curve(rep, [0.05, 0.15, 0.25, 1.0], [0.1, 10.0])
+    curve = registration_curve(rep, [0.05, 0.15, 0.25, 1.0])
     pos_counts = [c for _, c in curve["position"]]
     assert pos_counts == sorted(pos_counts)
     assert pos_counts[-1] == rep.n_registered

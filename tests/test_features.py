@@ -8,7 +8,7 @@ from scipy import ndimage
 from scipy.linalg import expm, logm
 
 from conftest import concat_tables
-from egoreg.errors import NotPositiveDefinite, TooFewSamples
+from egoreg.errors import NotPositiveDefinite
 from egoreg.features import (
     ContextConfig,
     DetectorConfig,
@@ -25,13 +25,11 @@ from egoreg.features.context import (
     _covariance,
     _log_euclidean,
     context_regions,
-    covariance_descriptor,
     dense_descriptors,
-    log_euclidean_vec,
 )
 from egoreg import parallel
 from egoreg.features import context, detector
-from egoreg.features.detector import _octave_candidates, _orientations, _solve, finalize_descriptor
+from egoreg.features.detector import _finalize_in_place, _octave_candidates, _orientations, _solve
 
 
 def blob_image(w=120, h=100, centers=((60.0, 50.0),), sigma=4.0, amp=0.8):
@@ -40,6 +38,11 @@ def blob_image(w=120, h=100, centers=((60.0, 50.0),), sigma=4.0, amp=0.8):
     for cu, cv in centers:
         px += amp * np.exp(-((xs - cu) ** 2 + (ys - cv) ** 2) / (2.0 * sigma ** 2))
     return GrayImage(np.clip(px, 0.0, 1.0))
+
+
+def finalize_descriptor(hist):
+    """`_finalize_in_place` on a float64 copy of `hist`."""
+    return _finalize_in_place(np.array(hist, dtype=np.float64))
 
 
 def random_spd(rng, d, max_condition=1e6):
@@ -259,25 +262,18 @@ def test_dense_grid_count_default_stride():
 
 def test_covariance_descriptor_properties():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(40, 6))
-    c = covariance_descriptor(x)
-    assert np.array_equal(c, c.T)
-    assert np.all(np.linalg.eigvalsh(c) > 0.0)
-    # permutation invariance is bitwise thanks to canonical row ordering
-    perm = rng.permutation(40)
-    assert np.array_equal(c, covariance_descriptor(x[perm]))
-
-
-def test_covariance_descriptor_too_few_samples():
-    with pytest.raises(TooFewSamples):
-        covariance_descriptor(np.zeros((1, 4)))
+    # the ridge keeps the covariance positive definite with more samples
+    # than dimensions and with fewer
+    for n in (40, 4):
+        c = _covariance(rng.normal(size=(n, 6)))
+        assert np.array_equal(c, c.T)
+        assert np.all(np.linalg.eigvalsh(c) > 0.0)
 
 
 def test_log_euclidean_isometry():
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        c = random_spd(rng, 6)
-        vec = log_euclidean_vec(c)
+    cs = np.stack([random_spd(rng, 6) for _ in range(10)])
+    for c, vec in zip(cs, _log_euclidean(cs)):
         lg = logm(c)
         assert np.linalg.norm(vec) == pytest.approx(np.linalg.norm(lg, "fro"), abs=1e-9)
 
@@ -285,7 +281,8 @@ def test_log_euclidean_isometry():
 def test_log_euclidean_distance_equals_frobenius():
     rng = np.random.default_rng(5)
     c1, c2 = random_spd(rng, 5), random_spd(rng, 5)
-    d_vec = np.linalg.norm(log_euclidean_vec(c1) - log_euclidean_vec(c2))
+    v1, v2 = _log_euclidean(np.stack([c1, c2]))
+    d_vec = np.linalg.norm(v1 - v2)
     d_frob = np.linalg.norm(logm(c1) - logm(c2), "fro")
     assert d_vec == pytest.approx(d_frob, rel=1e-9)
 
@@ -293,7 +290,7 @@ def test_log_euclidean_distance_equals_frobenius():
 def test_log_euclidean_round_trip():
     rng = np.random.default_rng(6)
     c = random_spd(rng, 7)
-    vec = log_euclidean_vec(c)
+    vec = _log_euclidean(c[None])[0]
     # rebuild log(C) from the half-vectorization and exponentiate back
     d = 7
     iu, ju = np.triu_indices(d)
@@ -306,16 +303,17 @@ def test_log_euclidean_round_trip():
 
 def test_log_euclidean_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        log_euclidean_vec(np.diag([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        log_euclidean_vec(np.diag([1.0, np.nan]))
+        _log_euclidean(np.diag([1.0, -0.5])[None])
+    # one indefinite matrix in a stack fails the whole stack
+    with pytest.raises(NotPositiveDefinite):
+        _log_euclidean(np.stack([np.eye(2), np.diag([1.0, 0.0])]))
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), d=st.integers(2, 8))
 def test_log_euclidean_isometry_property(seed, d):
     c = random_spd(np.random.default_rng(seed), d)
-    vec = log_euclidean_vec(c)
+    vec = _log_euclidean(c[None])[0]
     assert vec.shape == (d * (d + 1) // 2,)
     assert np.linalg.norm(vec) == pytest.approx(
         np.linalg.norm(logm(c), "fro"), rel=1e-9, abs=1e-9)
@@ -360,7 +358,9 @@ def test_attach_context_matches_per_keypoint_oracle(on_both_paths):
     assert all(np.array_equal(a.context, b.context) for a, b in zip(with_ctx, threaded))
     field = GradientField(img)
     for i, got in zip(kept, with_ctx):
-        want = log_euclidean_vec(covariance_descriptor(dense_descriptors(field, rois[i])))
+        # the per-keypoint composition, with grid rows in sorted order
+        rows = dense_descriptors(field, rois[i])
+        want = _log_euclidean(_covariance(rows[np.lexsort(rows.T[::-1])])[None])[0]
         assert got.context.dtype == np.float32
         assert np.allclose(got.context, want, rtol=0.0, atol=1e-5)
 
@@ -513,9 +513,7 @@ def test_finalize_descriptor_is_bitwise_unchanged():
     batch = np.stack([np.zeros(128), rng.uniform(0, 1, 128), spike,
                       np.full(128, 1e-16), rng.uniform(0, 5, 128), rng.exponential(1, 128)])
     for hist in (batch, batch[1], np.zeros(128), rng.uniform(0, 2, (3, 5, 128))):
-        before = hist.copy()
         assert np.array_equal(finalize_descriptor(hist), old_finalize_descriptor(hist))
-        assert np.array_equal(hist, before)  # the input is not overwritten
 
 
 def old_orientation_at(field, u, v, scale):

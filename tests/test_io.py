@@ -410,6 +410,32 @@ def test_loaded_links_and_ids_keep_the_model_checks(rng, tmp_path):
             load_model(path)
 
 
+def test_duplicate_model_image_ids_are_refused_in_memory_and_on_load(rng, tmp_path):
+    # matches are keyed by image id, so a twin's matches would replace the
+    # first image's and lift through the first image's links
+    model = make_model(rng)
+    first, second = model.images
+    twin = ModelImage(first.id, second.pose, second.intrinsics, second.keypoints,
+                      second.links, second.raster)
+    with pytest.raises(CorruptTable, match=r"^duplicate model image ids \[0\]$"):
+        Model3D(model.points, [first, twin])
+    path = tmp_path / "model.bin"
+    save_model(SimpleNamespace(points=model.points, images=[first, twin]), path)
+    with pytest.raises(CorruptTable,
+                       match=rf"^{re.escape(str(path))}: duplicate model image ids \[0\]$"):
+        load_model(path)
+
+
+def test_an_index_file_with_duplicate_image_ids_is_refused(rng, tmp_path):
+    vocab = Vocabulary(rng.normal(size=(3, 2)))
+    crafted = SimpleNamespace(image_ids=[5, 2, 5], vectors=rng.random((3, 3)), idf=rng.random(3))
+    path = tmp_path / "index.bin"
+    save_index(vocab, crafted, path)
+    with pytest.raises(CorruptTable,
+                       match=rf"^{re.escape(str(path))}: duplicate image ids \[5\]$"):
+        load_index(path)
+
+
 def test_corrupt_files_name_what_was_read(rng, tmp_path):
     model = make_model(rng)
     path = tmp_path / "model.bin"

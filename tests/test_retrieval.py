@@ -6,6 +6,7 @@ import pytest
 from egoreg.errors import EmptyInput, TooFewDescriptors
 from egoreg.retrieval import (
     KMEANS_MAX_ITERS,
+    InvertedIndex,
     Vocabulary,
     build_vocabulary,
     index_images,
@@ -196,6 +197,17 @@ def test_index_rejects_empty_and_mismatched():
         index_images([], [], vocab)
     with pytest.raises(EmptyInput):
         index_images([1, 2], [np.zeros((2, 2))], vocab)
+
+
+def test_index_refuses_duplicate_image_ids():
+    # shortlist would name the image twice, and its matches would be keyed
+    # by the one id
+    vocab = corner_vocab()
+    descs = [np.array([[1.0, 1.0]]), np.array([[9.0, 9.0]]), np.array([[0.0, 9.0]])]
+    with pytest.raises(ValueError, match=r"duplicate image ids \[4\]"):
+        index_images([4, 7, 4], descs, vocab)
+    with pytest.raises(ValueError, match=r"duplicate image ids \[4\]"):
+        InvertedIndex([4, 4], np.zeros((2, 4)), np.zeros(4))
 
 
 # --------------------------------------------------------------- shortlist

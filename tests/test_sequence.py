@@ -13,7 +13,6 @@ from egoreg.sequence import (
     TRACK_MAX_ITERS,
     TRACK_RESIDUAL_MAX,
     TRACK_WINDOW,
-    FrameQualityFeature,
     LinearPruner,
     blur_metric,
     frame_quality_feature,
@@ -96,9 +95,7 @@ def test_optical_flow_is_bitwise_unchanged():
     pairs = [(img, noisy), (img, img), (img, shifted(img, 8, -8)),
              (textured_image(4, h=12, w=20), textured_image(5, h=12, w=20))]
     for (a, b) in pairs:
-        for block, search in ((8, 8), (8, 3), (5, 12), (8, 0)):
-            assert np.array_equal(optical_flow(a, b, block, search),
-                                  old_optical_flow(a, b, block, search))
+        assert np.array_equal(optical_flow(a, b), old_optical_flow(a, b))
 
 # -------------------------------------------------------------- histogram
 
@@ -172,8 +169,18 @@ def test_train_pruner_separates_sharp_from_blurred():
     assert sum(k == bool(l) for k, l in zip(kept, labels)) >= 20
 
 
+def test_frame_quality_feature_is_motion_histogram_then_blur():
+    a, b = textured_image(6), shifted(textured_image(6), 2, 1)
+    feat = frame_quality_feature(a, b)
+    assert feat.shape == (FEATURE_DIM,)
+    assert np.array_equal(feat[:-1], motion_histogram(optical_flow(a, b)))
+    assert feat[-1] == blur_metric(b)
+    first = frame_quality_feature(None, b)
+    assert not first[:-1].any() and first[-1] == blur_metric(b)
+
+
 def test_train_pruner_single_class_raises():
-    feats = [FrameQualityFeature(np.zeros(144), 0.5)] * 4
+    feats = [np.append(np.zeros(144), 0.5)] * 4
     with pytest.raises(SingleClass):
         train_pruner(feats, [1, 1, 1, 1])
 

@@ -185,19 +185,77 @@ def test_array_passes_match_the_per_point_references(seed, monkeypatch):
     # seen edge-on from outside, splats line up and hide one another
     edge_on = look_at(np.array([-2.0 * synth.EXTENT, 0.0, 0.0]), np.zeros(3))
     for pose, keep in scene_views + [(behind, None), (edge_on, None)]:
-        raster, uv, sizes, z = synth._render(world, pose, keep)
+        raster, kept, uv, sizes, z = synth._render(world, pose, keep)
         obs = synth._observations(uv, sizes, z)
         assert obs == loop_observations(uv, sizes, z)
         assert all(type(i) is int for i in obs)
         with monkeypatch.context() as m:
             m.setattr(synth, "bilinear_sample", four_term_bilinear)
-            want, *_ = synth._render(world, pose, keep)
+            want, want_kept, *_ = synth._render(world, pose, keep)
         assert raster.pixels.tobytes() == want.pixels.tobytes()
+        assert kept.pixels.tobytes() == want_kept.pixels.tobytes()
     # neither pose is vacuous: with points behind the camera some stay
     # visible, and edge-on some splat inside the frame is occluded
-    assert synth._observations(*synth._render(world, behind)[1:])
-    _, uv, sizes, z = synth._render(world, edge_on)
+    assert synth._observations(*synth._render(world, behind)[2:])
+    _, _, uv, sizes, z = synth._render(world, edge_on)
     margin = synth.LINK_MARGIN_PX
     far = [synth.WIDTH - 1 - margin, synth.HEIGHT - 1 - margin]
     inside = ((uv >= margin) & (uv <= far)).all(axis=1)
     assert len(synth._observations(uv, sizes, z)) < inside.sum()
+
+
+def one_canvas_render(world, pose, keep=None):
+    """A raster painted with only the splats that `keep` holds (all without
+    it), one canvas per call: how a night frame's dropout view was painted
+    in a second pass over the splats."""
+    uv, z = project_many(world.points, pose, synth._INTRINSICS)
+    sizes = np.full(len(uv), np.nan)
+    visible = z > 0.1 * synth.EXTENT
+    if keep is not None:
+        visible &= keep
+    sizes[visible] = np.clip(synth.FOCAL * synth.POINT_SIZE / z[visible],
+                             synth.MIN_SPLAT_PX, synth.MAX_SPLAT_PX)
+    ramp = np.linspace(synth.BACKGROUND_LOW, synth.BACKGROUND_HIGH, synth.HEIGHT)
+    img = np.tile(ramp[:, None], (1, synth.WIDTH))
+    for i in np.argsort(-z, kind="stable"):
+        if not np.isfinite(sizes[i]):
+            continue
+        s = sizes[i]
+        cu, cv = uv[i]
+        x0 = max(0, int(np.floor(cu - s / 2.0)))
+        x1 = min(synth.WIDTH - 1, int(np.ceil(cu + s / 2.0)))
+        y0 = max(0, int(np.floor(cv - s / 2.0)))
+        y1 = min(synth.HEIGHT - 1, int(np.ceil(cv + s / 2.0)))
+        if x1 < x0 or y1 < y0:
+            continue
+        dx = (np.arange(x0, x1 + 1, dtype=np.float64) - cu) / s
+        dy = (np.arange(y0, y1 + 1, dtype=np.float64) - cv) / s
+        r = np.sqrt(dx[None, :] ** 2 + dy[:, None] ** 2)
+        patch = img[y0:y1 + 1, x0:x1 + 1]
+        if world.is_anchor[i]:
+            blob = np.exp(-(r / 0.25) ** 2)
+            img[y0:y1 + 1, x0:x1 + 1] = patch * (1.0 - blob) + blob
+            continue
+        weight = np.cos(np.clip((r - 0.22) / (0.5 - 0.22), 0.0, 1.0) * np.pi / 2.0) ** 2
+        weight[r > 0.5] = 0.0
+        tex = synth.bilinear_sample(world.motifs[world.motif_ids[i]],
+                                    ((dx + 0.5) * (synth.MOTIF_SIDE - 1))[None, :],
+                                    ((dy + 0.5) * (synth.MOTIF_SIDE - 1))[:, None])
+        value = world.brightness[i] * (0.45 + 0.55 * tex ** 3)
+        img[y0:y1 + 1, x0:x1 + 1] = patch * (1.0 - weight) + value * weight
+    return np.clip(img, 0.0, 1.0).astype(np.float32).astype(np.float64)
+
+
+@pytest.mark.parametrize("seed", [0, 401])
+def test_one_splat_pass_paints_both_canvases_as_two_renders_did(seed):
+    cfg = replace(SMALL_NIGHT, seed=seed)
+    world, scene_views = views(cfg)
+    n = len(world.points)
+    pose = scene_views[-1][0]
+    extra = [(pose, np.zeros(n, bool)), (pose, np.ones(n, bool)), (pose, np.arange(n) % 2 == 0)]
+    for pose, keep in scene_views + extra:
+        day, kept, *_ = synth._render(world, pose, keep)
+        assert day.pixels.tobytes() == one_canvas_render(world, pose).tobytes()
+        assert kept.pixels.tobytes() == one_canvas_render(world, pose, keep).tobytes()
+        if keep is None:
+            assert kept is day
