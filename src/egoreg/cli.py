@@ -281,6 +281,7 @@ def _cmd_register(args) -> int:
 
 def _parse_register_output(path: str, n_frames: int) -> list[Pose | None]:
     estimates: list[Pose | None] = [None] * n_frames
+    seen: set[int] = set()
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "# egoreg-register v1":
         raise CorruptTable(f"{path}: not an egoreg-register v1 file")
@@ -290,12 +291,22 @@ def _parse_register_output(path: str, n_frames: int) -> list[Pose | None]:
         parts = line.split()
         if parts[0] != "frame" or len(parts) != 8 + 12:
             raise CorruptTable(f"{path}:{lineno}: malformed record")
-        idx = int(parts[1])
+        try:
+            idx = int(parts[1])
+        except ValueError:
+            raise CorruptTable(
+                f"{path}:{lineno}: frame index {parts[1]!r} is not an integer") from None
         if not 0 <= idx < n_frames:
             raise CorruptTable(f"{path}:{lineno}: frame {idx} outside sequence")
+        if idx in seen:
+            raise CorruptTable(f"{path}:{lineno}: second record for frame {idx}")
+        seen.add(idx)
         if parts[2] != "registered":
             continue
-        vals = np.array([float(x) for x in parts[8:]])
+        try:
+            vals = np.array([float(x) for x in parts[8:]])
+        except ValueError as exc:
+            raise CorruptTable(f"{path}:{lineno}: non-numeric pose value: {exc}") from None
         if not np.all(np.isfinite(vals)):
             raise CorruptTable(f"{path}:{lineno}: registered frame with non-finite pose")
         try:

@@ -31,6 +31,10 @@ def frozen(arr: np.ndarray, source) -> np.ndarray:
     rewrites the file in place changes the kept array under it (see
     `egoreg.io`). Anything else, a writable mapping included, may alias
     memory that its owner can still write, so it is copied.
+
+    `GrayImage` applies this to the array it stores, float32 when given
+    float32: a loaded raster stays a view of the mapping. Its float64
+    pixels are made later, on first access, not here.
     """
     root = arr
     while True:
@@ -55,12 +59,26 @@ def frozen(arr: np.ndarray, source) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """A (height, width) float image with values in [0, 1]."""
+    """A (height, width) image with values in [0, 1].
 
-    pixels: np.ndarray
+    `stored` holds the pixels as given when they are float32, made
+    read-only by `frozen`: a raster that `egoreg.io` loads stays a view of
+    the file mapping, so a load copies no pixels. Any other input is stored
+    as float64, converted as `np.asarray` does. The checks (2-D, non-empty,
+    every value in [0, 1]) run on the stored array.
+
+    `pixels` is the float64 image every consumer reads. For float64 input
+    it is `stored` itself; float32 pixels are widened (exactly) on the first
+    access and the result is kept, so an image nothing reads is never
+    widened. Size and shape read `stored` and widen nothing.
+    """
+
+    stored: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.asarray(self.stored)
+        if px.dtype != np.float32:
+            px = np.asarray(self.stored, dtype=np.float64)
         if px.ndim != 2:
             raise ValueError("pixels must be a 2D array")
         if px.size == 0:
@@ -68,15 +86,31 @@ class GrayImage:
         # NaN fails both comparisons, so it is rejected too
         if not (float(px.min()) >= 0.0 and float(px.max()) <= 1.0):
             raise ValueError("pixel values must be numbers in [0, 1]")
-        object.__setattr__(self, "pixels", frozen(px, self.pixels))
+        object.__setattr__(self, "stored", frozen(px, self.stored))
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The image as a read-only float64 array, made once and kept."""
+        px = self.__dict__.get("_pixels")
+        if px is None:
+            px = self.stored.astype(np.float64, copy=False)  # float64 is kept as is
+            px.flags.writeable = False
+            # Two lanes may widen one image at once: the first store wins
+            # and both return that array (one atomic dict operation).
+            px = self.__dict__.setdefault("_pixels", px)
+        return px
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.stored.shape
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.stored.shape[0]
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self.stored.shape[1]
 
 
 class GradientField:
@@ -93,7 +127,7 @@ class GradientField:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.image.pixels.shape
+        return self.image.shape
 
     def window_sums(self, size: int) -> np.ndarray:
         """Summed orientation-bin weights of every size x size window, cached.

@@ -13,9 +13,11 @@ copies no keypoint table out of the mapping: each loads as one
 read-only views of the mapping (its small geometry columns are copied
 out), and the `Keypoint` rows a table yields are views of those views.
 The retrieval index's tables are views the same way. A model's world
-points load as one `PointTable`, copied out of their 28-byte records. The
-one bulk copy a load makes is of rasters, which `GrayImage` holds as
-float64. A page of the file counts toward resident memory only once it is
+points load as one `PointTable`, copied out of their 28-byte records.
+Rasters load as `GrayImage`s that store read-only float32 views of the
+mapping, so a load makes no bulk copy; an image's float64 pixels are made
+on their first use, and a save writes the stored float32 values as they
+are. A page of the file counts toward resident memory only once it is
 read. The mapping stays alive, with one open file descriptor, while any
 view of it does (or the traceback of a failed load); when the last goes,
 the file is unmapped and its pages are given back. A file that cannot be
@@ -217,7 +219,7 @@ def _pack_raster(img: GrayImage | None) -> Iterator[bytes | memoryview]:
 def _pack_raster_body(img: GrayImage) -> Iterator[bytes | memoryview]:
     """Size and float32 pixels of a raster known to be present."""
     yield struct.pack("<2I", img.height, img.width)
-    yield _table(img.pixels, "<f4")
+    yield _table(img.stored, "<f4")
 
 
 def _read_raster(r: _Reader) -> GrayImage | None:

@@ -98,13 +98,9 @@ class PoseEstimate:
         return cls(None, np.zeros(n, dtype=bool), float("nan"), n)
 
     @property
-    def registered(self) -> bool:
-        return self.pose is not None
-
-    @property
     def status(self) -> str:
         """The record's status word: "registered" or "failed"."""
-        return "registered" if self.registered else "failed"
+        return "registered" if self.pose is not None else "failed"
 
     @property
     def n_inliers(self) -> int:

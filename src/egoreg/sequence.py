@@ -82,8 +82,8 @@ def optical_flow(prev: GrayImage, curr: GrayImage) -> np.ndarray:
     resolve toward zero motion. Pixels in partial tiles at the right/bottom
     edges keep zero flow.
     """
-    if prev.pixels.shape != curr.pixels.shape:
-        raise SizeMismatch(f"frame sizes differ: {prev.pixels.shape} vs {curr.pixels.shape}")
+    if prev.shape != curr.shape:
+        raise SizeMismatch(f"frame sizes differ: {prev.shape} vs {curr.shape}")
     a, b = prev.pixels, curr.pixels
     h, w = a.shape
     by, bx = h // BLOCK, w // BLOCK
@@ -367,9 +367,9 @@ def track_keypoints(frames: list[GrayImage], kps: KeypointTable,
     """
     if len(frames) < 2:
         raise ValueError("tracking needs the current frame plus at least one past frame")
-    shape = frames[-1].pixels.shape
+    shape = frames[-1].shape
     for f in frames:
-        if f.pixels.shape != shape:
+        if f.shape != shape:
             raise SizeMismatch("all frames must share one size")
     h, w = shape
     k = len(frames) - 1

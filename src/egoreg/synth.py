@@ -274,8 +274,7 @@ def _render(world: _World, pose: Pose, keep: np.ndarray | None = None
             patch *= rest
             patch += fill
 
-    rasters = [GrayImage(np.clip(c, 0.0, 1.0).astype(np.float32).astype(np.float64))
-               for c in canvases]
+    rasters = [GrayImage(np.clip(c, 0.0, 1.0).astype(np.float32)) for c in canvases]
     return rasters[0], rasters[-1], uv, sizes, z
 
 
@@ -286,7 +285,7 @@ def night_transform(image: GrayImage, cfg: SynthConfig,
     q = np.power(image.pixels, cfg.gamma) + cfg.brightness
     if cfg.noise_sigma > 0.0:
         q = q + rng.normal(0.0, cfg.noise_sigma, size=q.shape)
-    return GrayImage(np.clip(q, 0.0, 1.0).astype(np.float32).astype(np.float64))
+    return GrayImage(np.clip(q, 0.0, 1.0).astype(np.float32))
 
 
 def _observations(uv: np.ndarray, sizes: np.ndarray, z: np.ndarray) -> list[int]:

@@ -107,6 +107,25 @@ def test_match_register_evaluate_pipeline(scene_dir, tmp_path, capsys):
     assert "summary registered" in out
 
 
+_IDENTITY = "1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0"
+
+
+@pytest.mark.parametrize("records, reason", [
+    ([f"frame abc registered 9 9 9 9 0.5 {_IDENTITY}"], "frame index 'abc'"),
+    ([f"frame 0 registered 9 9 9 9 0.5 {_IDENTITY.replace('0.0', 'x', 1)}"],
+     "non-numeric pose value"),
+    ([f"frame 1 registered 9 9 9 9 0.5 {_IDENTITY}",
+      f"frame 1 failed 0 0 0 0 nan {' '.join(['nan'] * 12)}"], "second record for frame 1"),
+], ids=["frame-index", "pose-value", "two-records"])
+def test_malformed_results_are_exit_2(scene_dir, tmp_path, capsys, records, reason):
+    results = tmp_path / "poses.txt"
+    results.write_text("\n".join(["# egoreg-register v1", *records]) + "\n")
+    code, out, err = run_cli(["evaluate", str(results), str(scene_dir / "day2.eseq")], capsys)
+    assert code == 2
+    assert f"{results}:{len(records) + 1}: " in err and reason in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_match_deterministic_bytes(scene_dir, tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):

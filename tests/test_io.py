@@ -17,8 +17,14 @@ import pytest
 
 import egoreg
 from conftest import random_pose
-from egoreg.errors import BadMagic, CorruptTable, DimensionMismatch, VersionUnsupported
-from egoreg.features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, Keypoint
+from egoreg.errors import (
+    BadMagic,
+    CorruptTable,
+    DimensionMismatch,
+    SizeMismatch,
+    VersionUnsupported,
+)
+from egoreg.features import CONTEXT_DIM, DESCRIPTOR_DIM, GrayImage, Keypoint, KeypointTable
 from egoreg.features.image import frozen
 from egoreg.geometry import Intrinsics, PixelPoint
 from egoreg.io import (
@@ -33,7 +39,7 @@ from egoreg.io import (
 )
 from egoreg.model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 from egoreg.retrieval import InvertedIndex, Vocabulary
-from egoreg.sequence import FEATURE_DIM, LinearPruner
+from egoreg.sequence import FEATURE_DIM, LinearPruner, optical_flow, track_keypoints
 
 
 def make_keypoint(rng, with_context=True):
@@ -55,8 +61,7 @@ def make_model(rng, with_context=True, with_raster=True, n_keypoints=4):
     for iid in range(2):
         kps = [make_keypoint(rng, with_context) for _ in range(n_keypoints)]
         links = {0: 2, 3: 5}
-        raster = GrayImage(rng.random((24, 32)).astype(np.float32).astype(np.float64)) \
-            if with_raster else None
+        raster = GrayImage(rng.random((24, 32), dtype=np.float32)) if with_raster else None
         images.append(ModelImage(iid, random_pose(rng), intr, kps, links, raster))
     return Model3D(points, images)
 
@@ -147,7 +152,7 @@ def make_sequence(rng, n_keypoints=3):
     frames = [
         SequenceFrame(
             0.0, intr,
-            image=GrayImage(rng.random((24, 32)).astype(np.float32).astype(np.float64)),
+            image=GrayImage(rng.random((24, 32), dtype=np.float32)),
             keypoints=[make_keypoint(rng) for _ in range(n_keypoints)],
             gt_pose=random_pose(rng),
         ),
@@ -528,11 +533,21 @@ def test_frozen_keeps_read_only_mappings_and_copies_writable_ones(tmp_path):
             assert np.array_equal(out, np.arange(2, 8))
 
 
+def _traced_peak(call):
+    """(call(), the peak heap bytes it allocated under tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_peak_memory_stays_near_file_size(tmp_path):
     # 2 images x 40 keypoints x 33 KB of contexts: ~2.6 MB per file, mapped,
-    # so the heap a load allocates is its geometry columns and float64
-    # rasters (15 KB and 9 KB here) plus a few objects per image; measured
-    # peaks were 28 KB and 19 KB
+    # so the heap a load allocates is its geometry columns (2.5 KB here)
+    # plus a few objects per image, rasters being views of the mapping;
+    # measured peaks were 20 KB and 14 KB
     rng = np.random.default_rng(5)
     cases = [(save_model, load_model, make_model(rng, n_keypoints=40)),
              (save_sequence, load_sequence, make_sequence(rng, n_keypoints=80))]
@@ -540,18 +555,85 @@ def test_load_peak_memory_stays_near_file_size(tmp_path):
         path = tmp_path / "data.bin"
         save(obj, path)
         assert path.stat().st_size > 2_000_000
-        tracemalloc.start()
-        try:
-            loaded = load(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded, peak = _traced_peak(lambda: load(path))
         parts = loaded.images if hasattr(loaded, "images") else loaded.frames
         tables = [p.keypoints for p in parts if p.keypoints is not None]
-        rasters = [getattr(p, "raster", getattr(p, "image", None)) for p in parts]
-        heap = (sum(t.xy.nbytes + t.scale.nbytes + t.orientation.nbytes for t in tables)
-                + sum(r.pixels.nbytes for r in rasters if r is not None))
+        heap = sum(t.xy.nbytes + t.scale.nbytes + t.orientation.nbytes for t in tables)
         assert peak <= heap + 40_000, (load.__name__, peak, heap)
+
+
+def test_rasters_load_as_views_and_widen_once_on_first_use(tmp_path):
+    rng = np.random.default_rng(7)
+    h, w = 240, 320
+    wide = h * w * 8  # one float64 raster
+    intr = Intrinsics(300.0, 300.0, 160.0, 120.0, w, h)
+    frames = [SequenceFrame(float(i), intr, GrayImage(rng.random((h, w), dtype=np.float32)))
+              for i in range(4)]
+    path = tmp_path / "clip.eseq"
+    save_sequence(Sequence(frames), path)
+
+    seq, peak = _traced_peak(lambda: load_sequence(path))
+    assert peak < wide, peak
+    images = [fr.image for fr in seq.frames]
+    mapping = images[0].stored.base
+    while not isinstance(mapping, mmap.mmap):
+        mapping = mapping.obj if isinstance(mapping, memoryview) else mapping.base
+    buffer = np.frombuffer(mapping, np.uint8)
+    for img, fr in zip(images, frames):
+        assert img.stored.dtype == np.float32 and not img.stored.flags.writeable
+        assert np.shares_memory(img.stored, buffer)
+        assert img.stored.tobytes() == fr.image.stored.tobytes()
+
+    # size checks and a save read the stored float32 and widen nothing
+    small = GrayImage(np.zeros((8, 8), dtype=np.float32))
+    kps = KeypointTable.adopt(np.zeros((1, 2)), np.ones(1), np.zeros(1),
+                              np.zeros((1, DESCRIPTOR_DIM), dtype=np.float32), None)
+
+    def read_sizes():
+        assert [(img.height, img.width, img.shape) for img in images] == [(h, w, (h, w))] * 4
+        with pytest.raises(SizeMismatch):
+            track_keypoints([images[0], small], kps)
+        with pytest.raises(SizeMismatch):
+            optical_flow(images[1], small)
+        save_sequence(seq, tmp_path / "again.eseq")
+
+    assert _traced_peak(read_sizes)[1] < wide
+    assert (tmp_path / "again.eseq").read_bytes() == path.read_bytes()
+
+    # the first access widens (one float64 raster), later ones return it
+    px, peak = _traced_peak(lambda: images[0].pixels)
+    assert peak >= wide
+    assert px.dtype == np.float64 and not px.flags.writeable
+    assert np.array_equal(px, images[0].stored)
+    same, peak = _traced_peak(lambda: images[0].pixels)
+    assert same is px and peak < wide
+
+    # lanes (more than the cores) that reach an image's first access
+    # together all get the one array it keeps
+    lanes = 4
+    barrier = threading.Barrier(lanes, timeout=10)
+    seen = [[] for _ in range(lanes)]
+
+    def lane(k):
+        for img in images[1:]:
+            barrier.wait()
+            seen[k].append(img.pixels)
+
+    threads = [threading.Thread(target=lane, args=(k,)) for k in range(lanes)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(got) == len(images) - 1 for got in seen)
+    for img, *got in zip(images[1:], *seen):
+        assert all(px is img.pixels for px in got)
+        assert img.pixels.tobytes() == img.stored.astype(np.float64).tobytes()
 
 
 # ------------------------------------------------------------- atomic saves

@@ -238,7 +238,7 @@ def test_ransac_noiseless_all_inliers(rng, intrinsics):
     pose = random_pose(rng)
     corrs = scene_correspondences(rng, pose, intrinsics, 30)
     est = ransac_pnp(corrs, intrinsics, RansacConfig(seed=0))
-    assert est.registered
+    assert est.pose is not None
     assert est.inlier_mask.all()
     pos, orient = pose_errors(est.pose, pose)
     assert orient < 1e-4
@@ -253,7 +253,7 @@ def test_ransac_rejects_planted_outliers(rng, intrinsics):
     for i in bad:
         corrs.pixel[i] += rng.uniform(30, 80, size=2) * rng.choice([-1, 1], size=2)
     est = ransac_pnp(corrs, intrinsics, RansacConfig(seed=1))
-    assert est.registered
+    assert est.pose is not None
     assert not est.inlier_mask[bad].any()
     assert est.inlier_mask[:28].sum() >= 27  # at most one true inlier lost
     pos, orient = pose_errors(est.pose, pose)
@@ -281,7 +281,7 @@ def test_ransac_fails_without_consensus(rng, intrinsics):
     shuffled = Correspondences(corrs.pixel[(np.arange(20) + 7) % 20], corrs.point,
                                np.arange(20), np.arange(20))
     est = ransac_pnp(shuffled, intrinsics, RansacConfig(seed=2))
-    assert not est.registered
+    assert est.pose is None
     assert est.status == "failed"
 
 
