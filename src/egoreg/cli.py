@@ -4,7 +4,10 @@ Subcommands cover the whole pipeline: scene synthesis, retrieval index
 construction, frame pruning, matching, registration, evaluation, and the
 two parameter sweeps. All record outputs are line oriented with a
 `# egoreg-<command> v1` header and a `# columns:` line naming the fields;
-`evaluate` consumes exactly what `register` emits.
+`evaluate` consumes exactly what `register` emits. A `register` status is
+`registered` or why the frame failed: `no_keypoints`, `no_matches`,
+`too_few_correspondences`, `no_consensus` or `degenerate`. `evaluate` also
+reads older files, whose failed frames say `failed`, and refuses other words.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 no frame registered.
 A `--config` file holds `key=value` lines mirroring the long flags
@@ -34,7 +37,8 @@ from .geometry import Pose
 from .io import (load_index, load_model, load_pruner, load_sequence,
                  save_index, save_model, save_sequence)
 from .matching import MODES, MatchConfig
-from .registration import RansacConfig, match_sequence, register_sequence, scaled_threshold
+from .registration import (FAILURE_REASONS, RansacConfig, match_sequence, register_sequence,
+                           scaled_threshold)
 from .retrieval import DEFAULT_SHORTLIST, build_vocabulary, index_images
 from .sequence import prune_frames
 from .synth import SynthConfig, night_preset, synth_scene
@@ -301,6 +305,8 @@ def _parse_register_output(path: str, n_frames: int) -> list[Pose | None]:
         if idx in seen:
             raise CorruptTable(f"{path}:{lineno}: second record for frame {idx}")
         seen.add(idx)
+        if parts[2] not in ("registered", "failed", *FAILURE_REASONS):
+            raise CorruptTable(f"{path}:{lineno}: unknown status {parts[2]!r}")
         if parts[2] != "registered":
             continue
         try:

@@ -50,6 +50,8 @@ MIN_PNP_POINTS = 6
 RANSAC_CONFIDENCE = 0.999  # adaptive stop: P(some sample was all inliers)
 RANSAC_MAX_ITERATIONS = 2000
 GN_ITERS = 20
+FAILURE_REASONS = ("no_keypoints", "no_matches", "too_few_correspondences", "no_consensus",
+                   "degenerate")
 
 
 @dataclass(frozen=True)
@@ -85,22 +87,23 @@ class Correspondences:
 
 @dataclass(eq=False)
 class PoseEstimate:
-    """RANSAC outcome for one frame; `pose` is None when it failed."""
+    """RANSAC outcome for one frame; when it failed, `pose` is None and `reason` says why."""
 
     pose: Pose | None
     inlier_mask: np.ndarray
     mean_reproj: float
     n_correspondences: int
+    reason: str | None = None
 
     @classmethod
-    def failed(cls, n: int) -> PoseEstimate:
-        """No pose for a frame with n correspondences."""
-        return cls(None, np.zeros(n, dtype=bool), float("nan"), n)
+    def failed(cls, n: int, reason: str) -> PoseEstimate:
+        """No pose for a frame with n correspondences; `reason` is one of FAILURE_REASONS."""
+        return cls(None, np.zeros(n, dtype=bool), float("nan"), n, reason)
 
     @property
     def status(self) -> str:
-        """The record's status word: "registered" or "failed"."""
-        return "registered" if self.pose is not None else "failed"
+        """The record's status word: "registered", or the failure reason."""
+        return self.reason or "registered"
 
     @property
     def n_inliers(self) -> int:
@@ -311,7 +314,9 @@ def ransac_pnp(corrs: Correspondences, k: Intrinsics,
     image diagonal against the 640x480 reference. The final pose refits on
     all inliers of the best hypothesis; the estimate has a pose only when
     the refit consensus reaches `min_inliers`. Fewer rows than
-    max(`min_inliers`, 6) raise TooFewCorrespondences.
+    max(`min_inliers`, 6) raise TooFewCorrespondences. A failed estimate's
+    reason is "degenerate" when no sample or the refit gave a pose, and
+    "no_consensus" when too few rows agree with the best pose.
     """
     n = len(corrs)
     need = max(cfg.min_inliers, MIN_PNP_POINTS)
@@ -321,7 +326,7 @@ def ransac_pnp(corrs: Correspondences, k: Intrinsics,
     thresh = scaled_threshold(cfg.reproj_threshold, k)
     rng = np.random.default_rng(cfg.seed)
 
-    best_count = 0
+    best_count = -1  # no hypothesis yet
     best_mask = np.zeros(n, dtype=bool)
     max_iters = RANSAC_MAX_ITERATIONS
     it = 0
@@ -345,15 +350,15 @@ def ransac_pnp(corrs: Correspondences, k: Intrinsics,
                 max_iters = min(RANSAC_MAX_ITERATIONS, max(needed, 1))
 
     if best_count < need:
-        return PoseEstimate.failed(n)
+        return PoseEstimate.failed(n, "degenerate" if best_count < 0 else "no_consensus")
     try:
         pose = pnp_solve(corrs.take(best_mask), k)
     except DegenerateConfiguration:
-        return PoseEstimate.failed(n)
+        return PoseEstimate.failed(n, "degenerate")
     err, z = _reproj_errors(pose.R, pose.t, xyz, uv, k)
     final_mask = (err < thresh) & (z > 0.0)
     if int(final_mask.sum()) < cfg.min_inliers:
-        return PoseEstimate.failed(n)
+        return PoseEstimate.failed(n, "no_consensus")
     mean_reproj = float(err[final_mask].mean())
     return PoseEstimate(pose, final_mask, mean_reproj, n)
 
@@ -485,7 +490,7 @@ def _map_frames(sequence: Sequence, model: Model3D, vocab: Vocabulary | None,
             kps = _frame_keypoints(frame, det_cfg, ctx_cfg, match_cfg.needs_contexts)
         except EmptyInput as exc:
             log.warning("frame %d: %s", i, exc)
-            return FrameMatches(i, as_table([]), {}, [])
+            kps = as_table([])
 
         track_pos = None
         if window is not None and len(kps):
@@ -558,18 +563,24 @@ def register_sequence(sequence: Sequence, model: Model3D,
     then its matches are lifted to 2D-3D correspondences and its pose is
     estimated with RANSAC, all in the frame's one `map_on_two` item.
     Frames that fail any stage produce a failed record rather than aborting
-    the run. Records come in frame order; each `ransac_pnp` call seeds its
-    own generator from `ransac_cfg.seed`, so the poses are the same bits on
-    one lane or two.
+    the run; its reason is "no_keypoints" when the frame has no keypoint,
+    "no_matches" when matching keeps no pair, "too_few_correspondences"
+    when lifting leaves fewer rows than `ransac_pnp` needs, and otherwise
+    the one `ransac_pnp` gives. Records come in frame order; each
+    `ransac_pnp` call seeds its own generator from `ransac_cfg.seed`, so
+    the poses are the same bits on one lane or two.
     """
     def register(fm: FrameMatches) -> RegistrationRecord:
         corrs, unlinked = lift_matches(fm.matches, fm.keypoints, model)
+        n_matches = sum(len(v) for v in fm.matches.values())
         try:
             est = ransac_pnp(corrs, sequence.frames[fm.frame_index].intrinsics, ransac_cfg)
         except TooFewCorrespondences:  # an empty frame lifts to an empty table
-            est = PoseEstimate.failed(len(corrs))
+            est = PoseEstimate.failed(len(corrs), "no_keypoints" if not len(fm.keypoints)
+                                      else "no_matches" if not n_matches
+                                      else "too_few_correspondences")
         return RegistrationRecord(fm.frame_index, est, fm.shortlist_ids, len(fm.keypoints),
-                                  sum(len(v) for v in fm.matches.values()), unlinked)
+                                  n_matches, unlinked)
 
     return _map_frames(sequence, model, vocab, index, match_cfg, det_cfg, ctx_cfg, pruner,
                        shortlist_size, register)

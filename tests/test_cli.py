@@ -116,7 +116,8 @@ _IDENTITY = "1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0"
      "non-numeric pose value"),
     ([f"frame 1 registered 9 9 9 9 0.5 {_IDENTITY}",
       f"frame 1 failed 0 0 0 0 nan {' '.join(['nan'] * 12)}"], "second record for frame 1"),
-], ids=["frame-index", "pose-value", "two-records"])
+    ([f"frame 0 lost 0 0 0 0 nan {' '.join(['nan'] * 12)}"], "unknown status 'lost'"),
+], ids=["frame-index", "pose-value", "two-records", "status-word"])
 def test_malformed_results_are_exit_2(scene_dir, tmp_path, capsys, records, reason):
     results = tmp_path / "poses.txt"
     results.write_text("\n".join(["# egoreg-register v1", *records]) + "\n")
@@ -124,6 +125,17 @@ def test_malformed_results_are_exit_2(scene_dir, tmp_path, capsys, records, reas
     assert code == 2
     assert f"{results}:{len(records) + 1}: " in err and reason in err
     assert "Traceback" not in err and out == ""
+
+
+def test_evaluate_reads_every_failure_word_as_unregistered(scene_dir, tmp_path, capsys):
+    # "failed" is what files written before failure reasons say
+    results = tmp_path / "poses.txt"
+    nan = " ".join(["nan"] * 13)
+    results.write_text(f"# egoreg-register v1\nframe 0 failed 0 0 0 0 {nan}\n"
+                       f"frame 1 no_consensus 9 9 9 0 {nan}\n")
+    code, out, _ = run_cli(["evaluate", str(results), str(scene_dir / "day2.eseq")], capsys)
+    assert code == 0
+    assert "frame 0 unregistered\nframe 1 unregistered\nsummary registered 0 total 2" in out
 
 
 def test_match_deterministic_bytes(scene_dir, tmp_path, capsys):
@@ -144,6 +156,10 @@ def test_register_no_frames_is_exit_3(scene_dir, tmp_path, capsys):
                             "--out", str(tmp_path / "p.txt")], capsys)
     assert code == 3
     assert "no frame registered" in err
+    lines = (tmp_path / "p.txt").read_text().splitlines()
+    assert lines[0] == "# egoreg-register v1"
+    statuses = [line.split()[2] for line in lines if line.startswith("frame ")]
+    assert statuses == ["too_few_correspondences"] * 2
 
 
 # ------------------------------------------------------------------ config

@@ -29,6 +29,7 @@ from egoreg.geometry import PixelPoint, Pose, project_many
 from egoreg.matching import MatchConfig
 from egoreg.model import Model3D, ModelImage, PointTable, Sequence, SequenceFrame
 from egoreg.registration import (
+    FAILURE_REASONS,
     Correspondences,
     PoseEstimate,
     RansacConfig,
@@ -282,7 +283,7 @@ def test_ransac_fails_without_consensus(rng, intrinsics):
                                np.arange(20), np.arange(20))
     est = ransac_pnp(shuffled, intrinsics, RansacConfig(seed=2))
     assert est.pose is None
-    assert est.status == "failed"
+    assert est.status == est.reason == "no_consensus"
 
 
 def test_ransac_deterministic_for_fixed_seed(rng, intrinsics):
@@ -402,6 +403,7 @@ def registered_within_tolerance(scene, seq):
 
 def record_fields(rec):
     est = rec.estimate
+    assert (est.pose is None) == (est.reason is not None)
     pose = None if est.pose is None else (est.pose.R.tobytes(), est.pose.t.tobytes())
     return (rec.frame_index, est.status, pose, est.inlier_mask.tobytes(),
             np.float64(est.mean_reproj).tobytes(), est.n_correspondences,
@@ -563,7 +565,8 @@ def test_an_empty_frame_on_the_helper_lane_gives_an_empty_record(five_frame_clip
     records, off_main = lanes_agree(on_both_paths, monkeypatch, Sequence(frames), model)
     assert [r[0] for r in records] == [0, 1, 2]
     _, status, pose, *_, shortlist_ids, n_keypoints, n_matches, _ = records[1]
-    assert (status, pose, shortlist_ids, n_keypoints, n_matches) == ("failed", None, [], 0, 0)
+    assert (status, pose, shortlist_ids, n_keypoints, n_matches) == \
+        ("no_keypoints", None, [], 0, 0)
     assert off_main  # the helper lane ran some frame or image
     assert records[2][-2] > 0  # the frame after it still matches, without tracks
 
@@ -579,13 +582,15 @@ def two_pass(clip, model, ransac_cfg=RansacConfig(), **kwargs):
     records = []
     for fm in match_sequence(clip, model, **kwargs):
         corrs, unlinked = lift_matches(fm.matches, fm.keypoints, model)
+        n_matches = sum(len(v) for v in fm.matches.values())
         try:
             est = ransac_pnp(corrs, clip.frames[fm.frame_index].intrinsics, ransac_cfg)
         except TooFewCorrespondences:
-            est = PoseEstimate.failed(len(corrs))
+            reason = ("no_keypoints" if not len(fm.keypoints) else
+                      "no_matches" if not n_matches else "too_few_correspondences")
+            est = PoseEstimate.failed(len(corrs), reason)
         records.append(RegistrationRecord(fm.frame_index, est, fm.shortlist_ids,
-                                          len(fm.keypoints),
-                                          sum(len(v) for v in fm.matches.values()), unlinked))
+                                          len(fm.keypoints), n_matches, unlinked))
     return records
 
 
@@ -640,36 +645,79 @@ def test_register_sequence_maps_once_on_one_helper_thread(five_frame_clips, monk
     assert started == ["egoreg-lane"]
 
 
-def test_fewer_than_six_correspondences_give_a_failed_record(intrinsics):
-    # five linked model keypoints, each the nearest descriptor of one query
-    # keypoint: five correspondences, under a min_inliers that allows them
+def one_hot_clip(intrinsics, pose, xy, xyz):
+    """A one-frame clip of keypoints at `xy` without a raster, and a one-image
+    model of the same keypoints linked to world points `xyz`. Descriptors are
+    one-hot, so in `nn` mode query keypoint i matches model keypoint i, and
+    correspondence i pairs xy[i] with xyz[i]."""
+    onehot = np.eye(DESCRIPTOR_DIM, dtype=np.float32)
+    kps = replace(keypoints_at(*xy), descriptors=onehot[:len(xy)])
+    model = Model3D(points_at(*xyz),
+                    [ModelImage(0, pose, intrinsics, kps, {i: i for i in range(len(xy))})])
+    return Sequence([SequenceFrame(0.0, intrinsics, None, kps)]), model
+
+
+def five_keypoint_clip(intrinsics):
     rng = np.random.default_rng(6)
     pose = random_pose(rng)
     xyz = rng.uniform(-1.0, 1.0, size=(5, 3)) + [0.0, 0.0, 6.0]
-    onehot = np.eye(DESCRIPTOR_DIM, dtype=np.float32)
-    kps = replace(keypoints_at(*[(40.0 + 50.0 * i, 60.0 + 30.0 * i) for i in range(5)]),
-                  descriptors=onehot[:5])
-    model = Model3D(points_at(*xyz),
-                    [ModelImage(0, pose, intrinsics, kps, {i: i for i in range(5)})])
-    clip = Sequence([SequenceFrame(0.0, intrinsics, None, kps)])
+    return one_hot_clip(intrinsics, pose, [(40.0 + 50.0 * i, 60.0 + 30.0 * i) for i in range(5)],
+                        xyz)
+
+
+def test_fewer_than_six_correspondences_give_a_failed_record(intrinsics):
+    # five linked model keypoints, each the nearest descriptor of one query
+    # keypoint: five correspondences, under a min_inliers that allows them
+    clip, model = five_keypoint_clip(intrinsics)
     for min_inliers in (4, 0):
         [rec] = register_sequence(clip, model, match_cfg=MatchConfig(mode="nn"),
                                   ransac_cfg=RansacConfig(min_inliers=min_inliers))
-        assert (rec.estimate.status, rec.estimate.pose) == ("failed", None)
+        assert (rec.estimate.status, rec.estimate.pose) == ("too_few_correspondences", None)
         assert rec.estimate.n_correspondences == 5 and rec.n_matches == 5
         assert rec.estimate.inlier_mask.tolist() == [False] * 5
 
 
 @pytest.mark.parametrize("mode", ["sp", "sptemp"])
 def test_a_one_keypoint_frame_gives_a_failed_record(five_frame_clips, mode):
-    # the spatial kernel of one keypoint is [[1]], so matching runs and
-    # lifting gives too few correspondences
+    # the spatial kernel of one keypoint is [[1]], so matching runs; on
+    # this night frame it keeps no pair
     model, clips = five_frame_clips
     frame = clips["night"].frames[0]
     clip = Sequence([replace(frame, keypoints=frame.keypoints.take([0]))])
     [rec] = register_sequence(clip, model, match_cfg=MatchConfig(mode=mode))
-    assert (rec.estimate.status, rec.estimate.pose) == ("failed", None)
+    assert (rec.estimate.status, rec.estimate.pose) == ("no_matches", None)
     assert rec.n_keypoints == 1 and rec.estimate.n_correspondences <= 1
+
+
+@pytest.mark.parametrize("reason", [*FAILURE_REASONS, None])
+def test_each_failing_stage_gives_its_reason(intrinsics, monkeypatch, reason):
+    if reason == "no_matches":
+        monkeypatch.setattr(registration, "match_frame_to_shortlist", lambda *a: {})
+    if reason in ("no_keypoints", "no_matches", "too_few_correspondences"):
+        clip, model = five_keypoint_clip(intrinsics)
+        if reason == "no_keypoints":  # a frame with neither raster nor keypoints
+            clip = Sequence([SequenceFrame(0.0, intrinsics)])
+    else:
+        rng = np.random.default_rng(3)
+        pose = random_pose(rng)
+        corrs = scene_correspondences(rng, pose, intrinsics, 25)
+        xy, xyz = corrs.pixel, corrs.point
+        if reason == "no_consensus":  # pixels decoupled from geometry
+            xy = xy[(np.arange(25) + 7) % 25]
+        if reason == "degenerate":  # every world point on the plane z = 6
+            xyz = np.column_stack([rng.uniform(-1.0, 1.0, (25, 2)), np.full(25, 6.0)])
+            pose = Pose(np.eye(3), np.zeros(3))
+            xy, _ = project_many(xyz, pose, intrinsics)
+        clip, model = one_hot_clip(intrinsics, pose, xy, xyz)
+    [rec] = register_sequence(clip, model, match_cfg=MatchConfig(mode="nn"))
+    est = rec.estimate
+    assert (est.pose is None) == (est.reason is not None)
+    assert est.reason == reason
+    assert est.status == (reason or "registered")
+    want_n = {"no_keypoints": 0, "no_matches": 0, "too_few_correspondences": 5}.get(reason, 25)
+    assert est.n_correspondences == want_n
+    assert (rec.n_keypoints > 0, rec.n_matches > 0) == \
+        (reason != "no_keypoints", reason not in ("no_keypoints", "no_matches"))
 
 
 def test_sptemp_registers_day_frames(small_day_night_scene):
